@@ -8,6 +8,13 @@ the standard sphere on beta (or alpha is itself a facet); proper when
 1 <= dim(alpha) <= d-1.  Singular moves can still be applied; they are
 merely flagged, since applying them is exactly how some of the catalog
 complexes arise.
+
+Bistellar moves are read off the faces, as BISTELLAR does (Bjorner-Lutz,
+Exp. Math. 9, 2000): within V(k) they are exactly the sets A = alpha | beta
+where beta, the vertex set of the link of a face alpha of dimension < d,
+has |alpha| + |beta| = d + 2, is not a face, and leaves a facet A minus x
+for every x in beta.  The sweep over all (d+2)-subsets of V(k) remains for
+the singular classifications and as the test oracle of that rule.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .complexes import (
     VERTEX_LIMIT,
@@ -24,6 +31,7 @@ from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits,
+    _submasks_nonempty,
     are_isomorphic,
 )
 from .structure import is_weak_pseudomanifold
@@ -35,6 +43,7 @@ SINGULAR_BS2 = "singular-bs2"
 INVALID = "invalid"
 
 CLASSIFICATIONS = (BISTELLAR, PROPER_BISTELLAR, SINGULAR_BS1, SINGULAR_BS2, INVALID)
+_BISTELLAR_KINDS = frozenset((BISTELLAR, PROPER_BISTELLAR))
 
 
 @dataclass(frozen=True)
@@ -77,34 +86,29 @@ def _check_admissible(k: SimplicialComplex, a_mask: int) -> Tuple[int, List[int]
     return d, inside
 
 
+def _core_mask(a_mask: int, inside: List[int]) -> int:
+    """Each facet inside A is A minus one core member; collect those members."""
+    beta = 0
+    for f in inside:
+        beta |= a_mask & ~f
+    return beta
+
+
 def core(k: SimplicialComplex, a_set) -> Face:
     """The core of A: members whose removal from A leaves a facet of k."""
     a_mask = _as_mask(a_set)
-    _check_admissible(k, a_mask)
-    beta = 0
-    rest = a_mask
-    while rest:
-        bit = rest & -rest
-        if k.has_face(a_mask ^ bit):
-            beta |= bit
-        rest ^= bit
-    return Face.from_mask(beta)
+    _, inside = _check_admissible(k, a_mask)
+    return Face.from_mask(_core_mask(a_mask, inside))
 
 
 def apply_generalized_move(k: SimplicialComplex, a_set) -> SimplicialComplex:
     """Facets of k not inside A, plus the (d+1)-subsets of A that were absent."""
     a_mask = _as_mask(a_set)
-    d, _ = _check_admissible(k, a_mask)
+    _, inside = _check_admissible(k, a_mask)
     kept = [f for f in k.facet_masks if f & ~a_mask]
-    added = []
-    rest = a_mask
-    while rest:
-        bit = rest & -rest
-        candidate = a_mask ^ bit
-        if not k.has_face(candidate):
-            added.append(candidate)
-        rest ^= bit
-    return SimplicialComplex._from_facet_masks(sorted(kept + added, key=_bits))
+    alpha = a_mask & ~_core_mask(a_mask, inside)
+    added = [a_mask ^ (1 << v) for v in _bits(alpha)]
+    return SimplicialComplex._from_facet_masks(kept + added)
 
 
 def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
@@ -115,8 +119,8 @@ def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
     vertex-set equality of the computed link).
     """
     a_mask = _as_mask(a_set)
-    d, _ = _check_admissible(k, a_mask)
-    beta_mask = core(k, a_mask).mask
+    d, inside = _check_admissible(k, a_mask)
+    beta_mask = _core_mask(a_mask, inside)
     alpha_mask = a_mask & ~beta_mask
     i = alpha_mask.bit_count() - 1
 
@@ -143,6 +147,65 @@ def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
     )
 
 
+def _fresh_vertex(k: SimplicialComplex) -> int:
+    """The smallest vertex id outside V(k)."""
+    return next(v for v in range(VERTEX_LIMIT) if not k.vertex_mask >> v & 1)
+
+
+def _bistellar_moves(
+    k: SimplicialComplex, wanted: set, include_expanding: bool
+) -> List[MoveDescriptor]:
+    """The bistellar moves of k in ``wanted``, read off its faces.
+
+    Same list, in the same order, as the subset sweep of
+    :func:`enumerate_moves` restricted to bistellar classifications.
+    """
+    d = k.dim
+    # every face -> union of the facets containing it, so alpha | beta
+    star: Dict[int, int] = {}
+    for f in k.facet_masks:
+        for sub in _submasks_nonempty(f):
+            star[sub] = star.get(sub, 0) | f
+    out: List[MoveDescriptor] = []
+    for alpha, a_mask in star.items():
+        beta = a_mask & ~alpha
+        if a_mask.bit_count() != d + 2 or beta in star:
+            continue
+        # A minus x has d + 1 vertices, so it is a face only as a facet
+        if not all(a_mask ^ (1 << v) in star for v in _bits(beta)):
+            continue
+        i = alpha.bit_count() - 1
+        classification = PROPER_BISTELLAR if 1 <= i <= d - 1 else BISTELLAR
+        if classification in wanted:
+            out.append(
+                MoveDescriptor(
+                    a_set=Face.from_mask(a_mask),
+                    alpha=Face.from_mask(alpha),
+                    beta=Face.from_mask(beta),
+                    i=i,
+                    classification=classification,
+                )
+            )
+    out.sort(key=lambda move: move.a_set.vertices)
+    if include_expanding:
+        if d < 1:
+            raise ValueError("bistellar moves need dimension >= 1")
+        fresh = _fresh_vertex(k)
+        if BISTELLAR in wanted:
+            # A = facet + fresh vertex: alpha is the facet, i = d
+            out.extend(
+                MoveDescriptor(
+                    a_set=Face.from_mask(f | 1 << fresh),
+                    alpha=Face.from_mask(f),
+                    beta=Face.from_mask(1 << fresh),
+                    i=d,
+                    classification=BISTELLAR,
+                )
+                for f in k.facet_masks
+            )
+    return out
+
+
 def enumerate_moves(
     k: SimplicialComplex,
     classifications: Optional[Iterable[str]] = None,
@@ -152,11 +215,15 @@ def enumerate_moves(
 
     Moves that star a fresh vertex into a facet enlarge the complex, so
     they are left out unless ``include_expanding`` is set; the fresh vertex
-    is the smallest id outside V(k).
+    is the smallest id outside V(k).  When only bistellar classifications
+    are wanted the moves are read off the faces; otherwise every subset is
+    classified.
     """
     if k.is_empty() or not k.is_pure():
         raise ValueError("enumerate_moves needs a pure non-empty complex")
     wanted = None if classifications is None else set(classifications)
+    if wanted is not None and wanted <= _BISTELLAR_KINDS:
+        return _bistellar_moves(k, wanted, include_expanding)
     d = k.dim
     out: List[MoveDescriptor] = []
     verts = k.vertices
@@ -171,7 +238,7 @@ def enumerate_moves(
         if wanted is None or move.classification in wanted:
             out.append(move)
     if include_expanding:
-        fresh = next(v for v in range(VERTEX_LIMIT) if not k.vertex_mask >> v & 1)
+        fresh = _fresh_vertex(k)
         for f in k.facet_masks:
             move = classify_move(k, f | (1 << fresh))
             if wanted is None or move.classification in wanted:
@@ -188,7 +255,12 @@ class FlipSchedule:
 
 
 def _energy(k: SimplicialComplex) -> float:
-    degrees = [k.degree([v]) for v in k.vertices]
+    # the degree of v is |star of v| - 1: the facets containing v, unioned
+    star: Dict[int, int] = {}
+    for f in k.facet_masks:
+        for v in _bits(f):
+            star[v] = star.get(v, 0) | f
+    degrees = [u.bit_count() - 1 for u in star.values()]
     return len(k.facet_masks) + sum(d * d for d in degrees) / 10_000.0
 
 

@@ -119,6 +119,10 @@ def _as_mask(face) -> int:
     if isinstance(face, Face):
         return face.mask
     if isinstance(face, int):
+        if not 0 <= face < 1 << VERTEX_LIMIT:
+            raise ValueError(
+                f"vertex cap: face mask {face} outside 0 <= m < 2**{VERTEX_LIMIT}"
+            )
         return face
     return _mask_of(face)
 
@@ -210,7 +214,8 @@ class SimplicialComplex:
 
     def has_face(self, face) -> bool:
         m = _as_mask(face)
-        return any(m & ~f == 0 for f in self._facets)
+        # the empty face lies in every non-empty complex
+        return m in self._face_set or (m == 0 and bool(self._facets))
 
     def __contains__(self, face) -> bool:
         return self.has_face(face)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -18,15 +19,17 @@ from simptop import (
 )
 from simptop.bistellar import (
     BISTELLAR,
+    CLASSIFICATIONS,
     PROPER_BISTELLAR,
     SINGULAR_BS1,
     SINGULAR_BS2,
+    _energy,
     replay_trace,
 )
 from simptop.structure import is_weak_pseudomanifold
 from simptop.verification import replay_move_identities
 
-from conftest import sc
+from conftest import random_pure_complex, sc
 
 
 class TestCore:
@@ -49,6 +52,13 @@ class TestCore:
     def test_upsilon2_bs2_failure(self):
         move = classify_move(catalog.get("Upsilon2").complex, (1, 2, 3, 6))
         assert move.classification == SINGULAR_BS2
+
+    def test_raw_mask_out_of_range(self):
+        s2 = catalog.get("Sigma2").complex
+        with pytest.raises(ValueError, match="vertex cap"):
+            classify_move(s2, -1)
+        with pytest.raises(ValueError, match="vertex cap"):
+            core(s2, 1 << 64)
 
     def test_inadmissible_a(self):
         s = standard_sphere(2, (1, 2, 3, 4))
@@ -142,6 +152,73 @@ class TestEnumerate:
         assert len(with_exp) == len(default) + len(s2.facets)
 
 
+def _sweep(k, classifications, include_expanding):
+    """Oracle: classify every admissible (d+2)-subset of V(k) in lex order,
+    then every facet plus the smallest vertex outside V(k)."""
+    d = k.dim
+    out = []
+    for combo in itertools.combinations(k.vertices, d + 2):
+        a_mask = sum(1 << v for v in combo)
+        inside = sum(1 for f in k.facet_masks if f & ~a_mask == 0)
+        if 1 <= inside <= d + 1:
+            out.append(classify_move(k, a_mask))
+    if include_expanding:
+        fresh = min(set(range(64)) - set(k.vertices))
+        out.extend(classify_move(k, f | 1 << fresh) for f in k.facet_masks)
+    return [m for m in out if m.classification in classifications]
+
+
+BISTELLAR_FILTERS = (
+    (BISTELLAR, PROPER_BISTELLAR),
+    (PROPER_BISTELLAR,),
+    (BISTELLAR,),
+)
+
+
+def _assert_same_as_sweep(k):
+    for wanted in BISTELLAR_FILTERS:
+        for expanding in (False, True):
+            fast = enumerate_moves(k, wanted, include_expanding=expanding)
+            assert fast == _sweep(k, wanted, expanding), (k, wanted, expanding)
+
+
+class TestFaceDrivenEnumeration:
+    def test_catalog_matches_sweep(self):
+        checked = 0
+        for name in catalog.names():
+            k = catalog.get(name).complex
+            if k.is_pure() and k.dim >= 1:
+                _assert_same_as_sweep(k)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_walked_spheres_match_sweep(self, d):
+        # 100 walks per dimension, steps 5..24, all within d + 8 vertices
+        for seed in range(100):
+            walked = random_bistellar_walk(
+                standard_sphere(d), 5 + seed % 20, seed=seed, max_vertices=d + 8
+            )
+            _assert_same_as_sweep(walked)
+
+    def test_random_pure_complexes_match_sweep(self, rng):
+        # links that are not spheres: the facet test on A minus x matters
+        for _ in range(150):
+            k = random_pure_complex(rng, dim=rng.choice((1, 2, 3)), p=rng.random())
+            _assert_same_as_sweep(k)
+
+    def test_singular_filters_still_sweep(self):
+        u2 = catalog.get("Upsilon2").complex
+        assert enumerate_moves(u2, (SINGULAR_BS2,)) == _sweep(u2, (SINGULAR_BS2,), False)
+        assert enumerate_moves(u2) == _sweep(u2, set(CLASSIFICATIONS), False)
+
+    def test_energy_from_link_degrees(self):
+        for name in ("RP2_6", "Sigma4", "octahedron", "S3_5", "Upsilon1"):
+            k = catalog.get(name).complex
+            degrees = [k.degree([v]) for v in k.vertices]
+            assert _energy(k) == len(k.facets) + sum(x * x for x in degrees) / 10_000.0
+
+
 class TestFlipSearch:
     def test_sigma3_reduces_to_standard(self):
         trace = flip_search(catalog.get("Sigma3").complex, "standard-sphere", seed=5)
@@ -196,3 +273,70 @@ class TestFlipSearch:
         walked = random_bistellar_walk(s, 30, seed=2, max_vertices=8)
         assert len(walked.vertices) <= 8
         assert is_weak_pseudomanifold(walked)
+
+
+# Walk and flip results recorded before move enumeration became face-driven.
+# ``rng.choice`` reads the move list by position, so any change in the order
+# or content of ``enumerate_moves`` output changes these values.
+PINNED_WALKS = {
+    (2, 25, 1): "0 1 2, 0 1 8, 0 2 3, 0 3 8, 1 2 3, 1 3 6, 1 4 8, 1 4 9, 1 6 9, "
+    "3 5 7, 3 5 8, 3 6 9, 3 7 9, 4 5 7, 4 5 8, 4 7 9",
+    (2, 25, 2): "0 2 7, 0 2 9, 0 6 7, 0 6 9, 1 5 6, 1 5 7, 1 6 7, 2 3 6, 2 3 7, "
+    "2 6 9, 3 6 8, 3 7 8, 5 6 8, 5 7 8",
+    (3, 12, 3): "0 1 2 3, 0 1 2 5, 0 1 3 7, 0 1 4 6, 0 1 4 7, 0 1 5 6, 0 2 3 8, "
+    "0 2 4 5, 0 2 4 8, 0 3 4 7, 0 3 4 8, 0 4 5 6, 1 2 3 7, 1 2 5 7, 1 4 5 7, "
+    "1 4 5 9, 1 4 6 9, 1 5 6 9, 2 3 4 7, 2 3 4 8, 2 4 5 7, 4 5 6 10, 4 5 9 10, "
+    "4 6 9 10, 5 6 9 10",
+    (3, 12, 4): "0 1 3 5, 0 1 3 6, 0 1 4 5, 0 1 4 6, 0 3 4 6, 0 3 4 8, 0 3 5 7, "
+    "0 3 7 8, 0 4 5 7, 0 4 7 9, 0 4 8 9, 0 7 8 9, 1 2 4 5, 1 2 4 6, 1 2 5 6, "
+    "1 3 5 6, 2 3 4 6, 2 3 4 10, 2 3 5 6, 2 3 5 10, 2 4 5 10, 3 4 5 7, "
+    "3 4 5 10, 3 4 7 8, 4 7 8 9",
+}
+
+# (d, walk steps, walk seed, flip seed) -> (trace length, end encoding,
+# sha256 of the trace's A-sets written "v v v | v v v | ...")
+PINNED_FLIPS = {
+    (2, 25, 1, 7): (
+        22,
+        "1 7 8, 1 7 9, 1 8 9, 7 8 9",
+        "75bbab2f91ac21de65851c1552f7f60676bd31ef9eab3a8a2284dc38cce30ecd",
+    ),
+    (3, 8, 3, 9): (
+        94,
+        "2 4 6 7, 2 4 6 8, 2 4 7 8, 2 6 7 8, 4 6 7 8",
+        "d49484b11cc24d9912d00e0c44a5015a99cbbe41bd01dc69496129dee5be93cc",
+    ),
+    (2, 12, 5, 3): (
+        23,
+        "2 3 5, 2 3 6, 2 5 6, 3 5 6",
+        "98c9d90eff8a8bcd7ca108ba47c00cc8bffe5b9c8d382d5fa8bf0be8d1f7592c",
+    ),
+}
+
+
+class TestPinnedWalks:
+    @pytest.mark.parametrize("d, steps, seed", sorted(PINNED_WALKS))
+    def test_walk_encoding(self, d, steps, seed):
+        walked = random_bistellar_walk(
+            standard_sphere(d), steps, seed=seed, max_vertices=d + 8
+        )
+        assert walked.canonical_encoding() == PINNED_WALKS[d, steps, seed]
+
+    @pytest.mark.parametrize("d, steps, seed, flip_seed", sorted(PINNED_FLIPS))
+    def test_flip_trace(self, d, steps, seed, flip_seed):
+        walked = random_bistellar_walk(
+            standard_sphere(d), steps, seed=seed, max_vertices=d + 8
+        )
+        trace = flip_search(
+            walked,
+            "standard-sphere",
+            FlipSchedule(restarts=2, steps=300),
+            seed=flip_seed,
+        )
+        assert trace is not None
+        assert trace.start == walked.canonical_encoding()
+        a_sets = " | ".join(" ".join(map(str, m.a_set.vertices)) for m in trace.moves)
+        digest = hashlib.sha256(a_sets.encode()).hexdigest()
+        assert (len(trace.moves), trace.end, digest) == PINNED_FLIPS[
+            d, steps, seed, flip_seed
+        ]

@@ -54,6 +54,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty complex"):
             from_facets([])
 
+    def test_raw_mask_out_of_range(self):
+        # a negative mask used to loop forever in _bits, a wide one to add
+        # vertices past the cap
+        with pytest.raises(ValueError, match="vertex cap"):
+            SimplicialComplex([-1])
+        with pytest.raises(ValueError, match="vertex cap"):
+            SimplicialComplex([1 << 70, 3])
+        assert SimplicialComplex([1 << 63, 3]).vertices == (0, 1, 63)
+
     def test_empty_face_rejected(self):
         with pytest.raises(ValueError):
             from_facets([()])
@@ -87,6 +96,16 @@ class TestFaceQueries:
             for r in range(1, len(facet) + 1):
                 for sub in itertools.combinations(facet.vertices, r):
                     assert k.has_face(sub)
+
+    def test_has_face_matches_facet_scan(self, rng):
+        for _ in range(10):
+            k = random_pure_complex(rng, dim=rng.choice((1, 2, 3)))
+            for r in range(1, 5):
+                for sub in itertools.combinations(range(7), r):
+                    m = sum(1 << v for v in sub)
+                    expected = any(m & ~f == 0 for f in k.facet_masks)
+                    assert k.has_face(sub) == expected
+            assert k.has_face(())
 
     def test_antichain_after_every_construction(self, rng):
         for _ in range(20):
