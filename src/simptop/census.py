@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -45,15 +44,12 @@ SAMPLER_P = {2: 0.22, 3: 0.18}
 class CensusSpec:
     n_vertices: int
     constraint: str = CONSTRAINT_CLOSED
-    dimension: int = 2
     max_facets: Optional[int] = None
     exact_vertices: bool = False
     reduce_iso: bool = True
     symmetry_breaking: bool = True
 
     def validated(self) -> "CensusSpec":
-        if self.dimension != 2:
-            raise ValueError("census supports dimension 2 only")
         if not 4 <= self.n_vertices <= MAX_CENSUS_VERTICES:
             raise ValueError(
                 f"census vertex count must be 4..{MAX_CENSUS_VERTICES}"
@@ -139,25 +135,16 @@ def _even_cap(n: int) -> int:
     return top if top % 2 == 0 else top - 1
 
 
-@dataclass
-class _Frontier:
-    chosen: Tuple[int, ...]
-    banned: Tuple[int, ...]
-    floor: int
-
-
 class _Enumerator:
     """Deficiency-driven DFS for the closed and even-degree constraints."""
 
-    def __init__(self, spec: CensusSpec, frontier_depth: Optional[int] = None):
+    def __init__(self, spec: CensusSpec):
         self.spec = spec
         self.tables = _tables(spec.n_vertices)
         self.even = spec.constraint == CONSTRAINT_EVEN
         self.cap = _even_cap(spec.n_vertices) if self.even else 2
         self.max_facets = spec.facet_cap
-        self.frontier_depth = frontier_depth
         self.results: List[Tuple[int, ...]] = []
-        self.frontier: List[_Frontier] = []
         self.nodes = 0
 
         t = self.tables
@@ -203,31 +190,11 @@ class _Enumerator:
         for e in self.tables.tri_edges[t]:
             self.deg[e] -= 1
 
-    def run(self, start: Optional[_Frontier] = None) -> None:
-        if start is not None:
-            for t in start.chosen:
-                self._push(t)
-            for t in start.banned:
-                self.banned[t] = True
-            self._walk(start.floor)
-            return
+    def run(self) -> None:
         self._walk(-1)
 
     def _walk(self, floor: int) -> None:
         self.nodes += 1
-        if (
-            self.frontier_depth is not None
-            and len(self.chosen) >= self.frontier_depth
-        ):
-            self.frontier.append(
-                _Frontier(
-                    tuple(self.chosen),
-                    tuple(i for i, b in enumerate(self.banned) if b),
-                    floor,
-                )
-            )
-            return
-
         deficient = -1
         deficient_total = 0
         for e in range(self.tables.edge_count):
@@ -362,43 +329,25 @@ def _reduce_classes(
     return [r for r, _ in reps], [c for _, c in reps]
 
 
-def _worker(args) -> Tuple[List[Tuple[int, ...]], int]:
-    spec, frontier = args
-    walker = _Enumerator(spec)
-    walker.run(frontier)
-    return walker.results, walker.nodes
-
-
 def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     """Run the census described by ``spec``.
 
     The labeled enumeration is exact and duplicate-free; with
     ``reduce_iso`` the result keeps one representative per isomorphism
-    class, merged in canonical encoding order independent of worker
-    scheduling.
+    class, in canonical encoding order.  The census runs in one process;
+    ``workers`` is accepted only as 1.
     """
+    if workers != 1:
+        raise ValueError("the census runs in one process: workers must be 1")
     spec = spec.validated()
     t0 = time.perf_counter()
 
     if spec.constraint == CONSTRAINT_BOUNDARY:
         walker = _BoundaryEnumerator(spec)
-        walker.run()
-        labeled, nodes = walker.results, walker.nodes
-    elif workers <= 1:
-        walker = _Enumerator(spec)
-        walker.run()
-        labeled, nodes = walker.results, walker.nodes
     else:
-        splitter = _Enumerator(spec, frontier_depth=2)
-        splitter.run()
-        labeled = list(splitter.results)
-        nodes = splitter.nodes
-        tasks = [(spec, f) for f in splitter.frontier]
-        with multiprocessing.Pool(processes=workers) as pool:
-            for chunk, chunk_nodes in pool.map(_worker, tasks):
-                labeled.extend(chunk)
-                nodes += chunk_nodes
-
+        walker = _Enumerator(spec)
+    walker.run()
+    labeled, nodes = walker.results, walker.nodes
     labeled.sort()
     if spec.reduce_iso:
         reps, per_class = _reduce_classes(labeled)
@@ -450,18 +399,6 @@ def match_catalog(result: CensusResult, expected_names: Sequence[str]) -> Catalo
     return CatalogMatch(mapping, unexpected, tuple(missing))
 
 
-# f-vectors a minimal non-collapsible acyclic 3-complex on 7 vertices would
-# have to carry; the sampler cross-checks any no-free-face hit against them
-# (none can exist if every acyclic sample collapses, so the list stays idle)
-MINIMAL_3D_COUNTEREXAMPLE_F_VECTORS = (
-    (7, 20, 30, 16),
-    (7, 21, 32, 17),
-    (7, 21, 33, 18),
-    (7, 21, 34, 19),
-    (7, 21, 35, 20),
-)
-
-
 @dataclass
 class CollapsibilitySampleReport:
     samples: int
@@ -470,8 +407,8 @@ class CollapsibilitySampleReport:
     acyclic_found: int
     collapsible_count: int
     counterexamples: Tuple[str, ...]
+    inconclusive: Tuple[str, ...]
     acyclic_without_free_faces: Tuple[str, ...]
-    minimal_f_vector_hits: Tuple[Tuple[int, ...], ...]
     chi_failures: int
 
     @property
@@ -490,7 +427,9 @@ def sample_acyclic_collapsibility(
     Each sample draws a dimension in {2, 3} and keeps each candidate facet
     with the calibrated probability for that dimension.  Acyclic samples go
     through the exhaustive collapsibility search; a counterexample list
-    that stays empty is the verification.
+    that stays empty is the verification.  Only samples proved not
+    collapsible are counterexamples; those the search gave up on within
+    ``budget`` nodes are listed under ``inconclusive``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -504,8 +443,8 @@ def sample_acyclic_collapsibility(
     }
     nonempty = acyclic = collapsible = chi_failures = 0
     counterexamples: List[str] = []
+    inconclusive: List[str] = []
     no_free_faces: List[str] = []
-    fvector_hits: List[Tuple[int, ...]] = []
     for _ in range(n_samples):
         d = rng.choice((2, 3))
         p = SAMPLER_P[d]
@@ -522,12 +461,13 @@ def sample_acyclic_collapsibility(
         verdict = collapse_mod.is_collapsible(k, budget)
         if verdict.collapsible:
             collapsible += 1
-        else:
+            continue
+        if verdict.status == collapse_mod.NOT_COLLAPSIBLE:
             counterexamples.append(k.canonical_encoding())
-            if not collapse_mod.free_faces(k) and k.face_count() > 1:
-                no_free_faces.append(k.canonical_encoding())
-                if k.f_vector() in MINIMAL_3D_COUNTEREXAMPLE_F_VECTORS:
-                    fvector_hits.append(k.f_vector())
+        else:
+            inconclusive.append(k.canonical_encoding())
+        if not collapse_mod.free_faces(k) and k.face_count() > 1:
+            no_free_faces.append(k.canonical_encoding())
     return CollapsibilitySampleReport(
         samples=n_samples,
         seed=seed,
@@ -535,7 +475,7 @@ def sample_acyclic_collapsibility(
         acyclic_found=acyclic,
         collapsible_count=collapsible,
         counterexamples=tuple(counterexamples),
+        inconclusive=tuple(inconclusive),
         acyclic_without_free_faces=tuple(no_free_faces),
-        minimal_f_vector_hits=tuple(fvector_hits),
         chi_failures=chi_failures,
     )

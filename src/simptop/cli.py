@@ -8,7 +8,6 @@ inconclusive, 1 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -42,14 +41,6 @@ CLOSED7_NAMES = (
     "Upsilon1",
     "Upsilon2",
 )
-
-
-def _default_threads() -> int:
-    value = os.environ.get("SIMPTOP_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _load(path: str) -> SimplicialComplex:
@@ -185,7 +176,7 @@ def _cmd_census(args) -> int:
             exact_vertices=args.exact_vertices,
             symmetry_breaking=not args.no_symmetry_breaking,
         )
-    result = census_mod.enumerate_census(spec, workers=args.threads)
+    result = census_mod.enumerate_census(spec)
     sys.stdout.write(reports.census_report(result))
     if expected is not None:
         match = census_mod.match_catalog(result, expected)
@@ -284,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-facets", type=int)
     p.add_argument("--exact-vertices", action="store_true")
     p.add_argument("--no-symmetry-breaking", action="store_true")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument(
         "--preset",
         choices=("closed6", "closed7", "even7"),

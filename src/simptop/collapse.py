@@ -155,7 +155,7 @@ def _search(
 
 
 def _verdict_from_search(
-    k: SimplicialComplex, steps, nodes: int, exhausted: bool, terminal_of
+    steps, nodes: int, exhausted: bool, terminal_of
 ) -> CollapseVerdict:
     if steps is not None:
         cert_steps = tuple(
@@ -192,7 +192,7 @@ def is_collapsible(
             closure -= {t, s}
         return _complex_from_closure(closure)
 
-    return _verdict_from_search(k, steps, nodes, exhausted, terminal_of)
+    return _verdict_from_search(steps, nodes, exhausted, terminal_of)
 
 
 def collapses_to(
@@ -210,7 +210,7 @@ def collapses_to(
         return closure == target
 
     steps, nodes, exhausted = _search(start, target, terminal, budget)
-    return _verdict_from_search(k, steps, nodes, exhausted, lambda _: l)
+    return _verdict_from_search(steps, nodes, exhausted, lambda _: l)
 
 
 def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:

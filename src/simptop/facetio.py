@@ -37,8 +37,6 @@ def parse_facets_detailed(
         for tok in tokens:
             if not _TOKEN.match(tok):
                 raise FacetParseError(f"line {lineno}: bad label {tok!r}")
-        if len(set(tokens)) != len(tokens):
-            raise FacetParseError(f"line {lineno}: repeated label in facet")
         facet_tokens.append((lineno, tokens))
     if not facet_tokens:
         raise FacetParseError("empty complex: no facet lines")
@@ -70,9 +68,13 @@ def parse_facets_detailed(
                     )
                 label_map[tok] = next_free
 
-    facets = [
-        tuple(label_map[tok] for tok in tokens) for _, tokens in facet_tokens
-    ]
+    facets = []
+    for lineno, tokens in facet_tokens:
+        facet = tuple(label_map[tok] for tok in tokens)
+        # compared after mapping: "0" and "00" are distinct tokens, one vertex
+        if len(set(facet)) != len(facet):
+            raise FacetParseError(f"line {lineno}: repeated label in facet")
+        facets.append(facet)
     notes: List[str] = []
     seen = set()
     for f in facets:

@@ -62,6 +62,22 @@ def gf2_rank(vectors: Iterable[int]) -> int:
     return rank
 
 
+def _boundary_columns(faces_by_dim: Dict[int, List[int]], q: int) -> List[int]:
+    """The q-th boundary map column-wise: bit i of column j marks face i of
+    dimension q-1 inside face j of dimension q, both in lexicographic order."""
+    index = {m: i for i, m in enumerate(faces_by_dim.get(q - 1, []))}
+    cols = []
+    for face in faces_by_dim.get(q, []):
+        col = 0
+        rest = face
+        while rest:
+            bit = rest & -rest
+            col |= 1 << index[face ^ bit]
+            rest ^= bit
+        cols.append(col)
+    return cols
+
+
 def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """The GF(2) boundary map from q-faces to (q-1)-faces.
 
@@ -69,37 +85,14 @@ def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """
     if q < 1 or q > k.dim:
         raise ValueError(f"boundary matrix needs 1 <= q <= dim, got q={q}")
-    low = k._faces_by_dim.get(q - 1, [])
-    high = k._faces_by_dim.get(q, [])
-    index = {m: i for i, m in enumerate(low)}
-    rows = [0] * len(low)
-    for j, face in enumerate(high):
-        rest = face
-        while rest:
-            bit = rest & -rest
-            rows[index[face ^ bit]] |= 1 << j
-            rest ^= bit
-    return Gf2Matrix(len(low), len(high), tuple(rows))
-
-
-def _boundary_ranks(faces_by_dim: Dict[int, List[int]], dim: int) -> List[int]:
-    """rank of the q-th boundary map for q = 1..dim, computed column-wise."""
-    ranks = []
-    for q in range(1, dim + 1):
-        low = faces_by_dim.get(q - 1, [])
-        high = faces_by_dim.get(q, [])
-        index = {m: i for i, m in enumerate(low)}
-        cols = []
-        for face in high:
-            col = 0
-            rest = face
-            while rest:
-                bit = rest & -rest
-                col |= 1 << index[face ^ bit]
-                rest ^= bit
-            cols.append(col)
-        ranks.append(gf2_rank(cols))
-    return ranks
+    cols = _boundary_columns(k._faces_by_dim, q)
+    rows = [0] * len(k._faces_by_dim.get(q - 1, []))
+    for j, col in enumerate(cols):
+        while col:
+            bit = col & -col
+            rows[bit.bit_length() - 1] |= 1 << j
+            col ^= bit
+    return Gf2Matrix(len(rows), len(cols), tuple(rows))
 
 
 def reduced_betti(k: SimplicialComplex) -> Tuple[int, ...]:
@@ -108,7 +101,9 @@ def reduced_betti(k: SimplicialComplex) -> Tuple[int, ...]:
         raise ValueError("reduced_betti needs a non-empty complex")
     dim = k.dim
     fvec = k.f_vector()
-    ranks = _boundary_ranks(k._faces_by_dim, dim)
+    ranks = [
+        gf2_rank(_boundary_columns(k._faces_by_dim, q)) for q in range(1, dim + 1)
+    ]
     betti = [k.component_count() - 1]
     for q in range(1, dim + 1):
         kernel = fvec[q] - ranks[q - 1]

@@ -17,7 +17,7 @@ verdict is inconclusive rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import collapse as collapse_mod
 from . import homology
@@ -78,17 +78,22 @@ class ProperMoveClassification:
     witness: Optional[MoveDescriptor]
 
 
+def _graph_degrees(k: SimplicialComplex) -> List[int]:
+    """Vertex degrees of a 1-complex, one entry per vertex on an edge."""
+    degrees: Dict[int, int] = {}
+    for e in k.facet_masks:
+        for v in _bits(e):
+            degrees[v] = degrees.get(v, 0) + 1
+    return list(degrees.values())
+
+
 def _is_cycle(k: SimplicialComplex) -> bool:
     if k.is_empty() or k.dim != 1 or not k.is_pure():
         return False
     fvec = k.f_vector()
     if fvec[0] != fvec[1] or fvec[0] < 3:
         return False
-    degrees = {}
-    for e in k.facet_masks:
-        for v in _bits(e):
-            degrees[v] = degrees.get(v, 0) + 1
-    return all(d == 2 for d in degrees.values()) and k.is_connected()
+    return all(d == 2 for d in _graph_degrees(k)) and k.is_connected()
 
 
 def _is_two_sphere(k: SimplicialComplex) -> bool:
@@ -108,11 +113,7 @@ def _is_path(k: SimplicialComplex) -> bool:
     fvec = k.f_vector()
     if fvec[0] != fvec[1] + 1:
         return False
-    degrees = {}
-    for e in k.facet_masks:
-        for v in _bits(e):
-            degrees[v] = degrees.get(v, 0) + 1
-    return max(degrees.values()) <= 2 and k.is_connected()
+    return max(_graph_degrees(k)) <= 2 and k.is_connected()
 
 
 def _is_disk(k: SimplicialComplex) -> bool:
@@ -158,12 +159,7 @@ def is_combinatorial_ball(
         return None
     if not mwb:
         return False
-    verdict = collapse_mod.is_collapsible(k, budget)
-    if verdict.collapsible:
-        return True
-    if verdict.status == collapse_mod.NOT_COLLAPSIBLE:
-        return None
-    return None
+    return True if collapse_mod.is_collapsible(k, budget).collapsible else None
 
 
 def _is_manifold_with_boundary(k: SimplicialComplex) -> Optional[bool]:

@@ -7,6 +7,8 @@ from simptop import (
     are_isomorphic,
     catalog,
     enumerate_census,
+    from_facets,
+    is_collapsible,
     match_catalog,
     sample_acyclic_collapsibility,
 )
@@ -111,10 +113,11 @@ class TestEnumerationSmall:
         spec = CensusSpec(n_vertices=6)
         first = enumerate_census(spec)
         second = enumerate_census(spec)
-        parallel = enumerate_census(spec, workers=2)
         assert first.representatives == second.representatives
-        assert first.representatives == parallel.representatives
-        assert first.labeled_count == parallel.labeled_count
+        assert first.labeled_count == second.labeled_count
+        assert first.nodes == second.nodes
+        with pytest.raises(ValueError, match="one process"):
+            enumerate_census(spec, workers=2)
 
     def test_even_constraint_small(self):
         result = enumerate_census(
@@ -191,8 +194,8 @@ class TestEnumerationSmall:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             enumerate_census(CensusSpec(n_vertices=9))
-        with pytest.raises(ValueError):
-            enumerate_census(CensusSpec(n_vertices=6, dimension=3))
+        with pytest.raises(TypeError):
+            CensusSpec(n_vertices=6, dimension=3)
         with pytest.raises(ValueError):
             enumerate_census(CensusSpec(n_vertices=6, constraint="nope"))
 
@@ -224,8 +227,24 @@ class TestCollapsibilitySampling:
         assert report.acyclic_found > 100
         assert report.collapsible_count == report.acyclic_found
         assert report.counterexamples == ()
+        assert report.inconclusive == ()
         assert report.acyclic_without_free_faces == ()
-        assert report.minimal_f_vector_hits == ()
+
+    def test_budget_give_ups_are_not_counterexamples(self):
+        # under a 3-node budget the search gives up on many acyclic samples;
+        # each of them collapses without a budget, so none is a counterexample
+        report = sample_acyclic_collapsibility(300, seed=1, budget=3)
+        assert report.counterexamples == ()
+        assert len(report.inconclusive) == 104
+        assert report.consistent
+        assert report.collapsible_count + len(report.inconclusive) == (
+            report.acyclic_found
+        )
+        for encoding in report.inconclusive:
+            k = from_facets(
+                tuple(map(int, f.split())) for f in encoding.split(", ")
+            )
+            assert is_collapsible(k, None).collapsible
 
     def test_deterministic_given_seed(self):
         a = sample_acyclic_collapsibility(500, seed=3)

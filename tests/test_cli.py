@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from simptop import catalog, reports, write_facets
-from simptop.cli import EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, main
+from simptop.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, main
 
 
 def run_cli(capsys, *argv):
@@ -154,18 +154,10 @@ class TestMoreFlags:
         assert code == EXIT_OK
         assert "grown" in out
 
-    def test_threads_env_default(self, capsys, monkeypatch, sigma2_file):
-        monkeypatch.setenv("SIMPTOP_THREADS", "2")
-        from simptop.cli import _default_threads
-
-        assert _default_threads() == 2
-        monkeypatch.setenv("SIMPTOP_THREADS", "junk")
-        assert _default_threads() == 1
-
-    def test_census_threads_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "census", "--vertices", "5", "--threads", "2")
-        assert code == EXIT_OK
-        assert reports.parse_report(out)["classes"] == "2"
+    def test_census_has_no_threads_option(self, capsys):
+        code, _, err = run_cli(capsys, "census", "--vertices", "5", "--threads", "2")
+        assert code == EXIT_ERROR
+        assert "--threads" in err
 
 
 class TestRoundTripThroughCli:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st_h
 
 from simptop import catalog, from_facets, parse_facets, write_facets
 from simptop.facetio import FacetParseError, parse_facets_detailed
@@ -35,6 +36,11 @@ class TestParse:
     def test_repeated_label_in_facet(self):
         with pytest.raises(FacetParseError, match="line 1"):
             parse_facets("1 1 2\n")
+
+    def test_repeated_vertex_under_distinct_tokens(self):
+        # "0" and "00" are different tokens for the same vertex 0
+        with pytest.raises(FacetParseError, match="line 2: repeated label"):
+            parse_facets("1 2\n0 00 1\n")
 
     def test_empty_document(self):
         with pytest.raises(FacetParseError, match="empty complex"):
@@ -73,3 +79,31 @@ class TestRoundTrip:
         result = enumerate_census(CensusSpec(n_vertices=6))
         for rep in result.representatives:
             assert parse_facets(write_facets(rep)) == rep
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        facets=st_h.lists(
+            st_h.frozensets(st_h.integers(0, 63), min_size=1, max_size=5),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_write_then_parse_random_complexes(self, facets):
+        k = from_facets(facets)
+        assert parse_facets(write_facets(k)) == k
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        text=st_h.one_of(
+            st_h.text(),
+            st_h.text(alphabet="0123456789abx_ #!\n\t"),
+        )
+    )
+    def test_arbitrary_text_fails_only_with_parse_error(self, text):
+        try:
+            k, _, _ = parse_facets_detailed(text)
+        except FacetParseError:
+            return
+        assert not k.is_empty()
