@@ -6,12 +6,24 @@ reported after that memo-complete search terminates: collapsibility is
 order-sensitive, so a failed greedy run proves nothing.  At each node free
 pairs of maximal dimension are tried first (lexicographic within a
 dimension), which empirically shortens certificates and raises memo hits.
+
+Each search ranks the faces of its input once, in that best-first order
+(dimension descending, then lexicographic vertex tuple), and builds two
+tables over the ranks: the codimension-one faces of every face, and the
+bitset of faces covering it.  A node is then its closure as a bitset over
+ranks and its free faces (exactly one cover in the closure) as a bitset
+too, plus the free faces it has yet to try.  A free face has one coface,
+so the lowest untried bit names the next pair.  Removing a pair
+(tau, sigma) can only change the cover counts of faces directly below tau
+or sigma, so a child re-tests just those.  The memo stores the closure
+ints themselves, never hashes of them: a collision would mark a live node
+dead and fake "not collapsible".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .complexes import Face, SimplicialComplex, _antichain, _bits
 
@@ -44,50 +56,59 @@ class CollapseCertificate:
 
 @dataclass(frozen=True)
 class CollapseVerdict:
+    """Outcome of a search, with its work counters.
+
+    ``memo_hits`` counts children skipped because the memo had them as
+    dead, ``memo_size`` is the number of dead complexes at the end, and
+    ``max_depth`` is the longest collapse sequence the search held.
+    """
+
     status: str
     nodes_explored: int
     certificate: Optional[CollapseCertificate] = None
+    memo_hits: int = 0
+    memo_size: int = 0
+    max_depth: int = 0
 
     @property
     def collapsible(self) -> bool:
         return self.status == COLLAPSIBLE
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _RankedFaces:
+    """The faces of a complex numbered best-first, with their cover tables.
 
-
-def _free_pairs_masks(
-    closure: FrozenSet[int], protected: FrozenSet[int]
-) -> List[Tuple[int, int]]:
-    """Free pairs (tau, sigma) of ``closure``, best-first.
-
-    tau is free iff exactly one face of the closure covers it; any proper
-    superface two or more dimensions up forces at least two covers, so
-    counting covers suffices.
+    ``masks[i]`` is face i; ``down[i]`` lists the ranks of its faces one
+    dimension lower and ``up[i]`` is the bitset of the ranks covering it.
     """
-    covers: Dict[int, int] = {}
-    parent: Dict[int, int] = {}
-    for face in closure:
-        rest = face
-        while rest:
-            bit = rest & -rest
-            sub = face ^ bit
-            if sub:
-                covers[sub] = covers.get(sub, 0) + 1
-                parent[sub] = face
-            rest ^= bit
-    pairs = [
-        (tau, parent[tau])
-        for tau, c in covers.items()
-        if c == 1 and tau not in protected
-    ]
-    pairs.sort(key=lambda p: (-p[0].bit_count(), _bits(p[0]), _bits(p[1])))
-    return pairs
 
+    __slots__ = ("masks", "rank", "down", "up")
 
-def _closure_set(k: SimplicialComplex) -> FrozenSet[int]:
-    return frozenset(k._face_set)
+    def __init__(self, k: SimplicialComplex) -> None:
+        by_dim = k._faces_by_dim
+        self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
+        self.rank = rank = {m: i for i, m in enumerate(masks)}
+        self.down: List[List[int]] = []
+        self.up = up = [0] * len(masks)
+        for i, m in enumerate(masks):
+            below = []
+            rest = m
+            while rest:
+                bit = rest & -rest
+                if m != bit:
+                    j = rank[m ^ bit]
+                    below.append(j)
+                    up[j] |= 1 << i
+                rest ^= bit
+            self.down.append(below)
+
+    def free(self) -> int:
+        """Bitset of the faces with exactly one cover in the whole complex."""
+        out = 0
+        for i, covers in enumerate(self.up):
+            if covers.bit_count() == 1:
+                out |= 1 << i
+        return out
 
 
 def _complex_from_closure(closure: Iterable[int]) -> SimplicialComplex:
@@ -96,77 +117,122 @@ def _complex_from_closure(closure: Iterable[int]) -> SimplicialComplex:
 
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     """All free pairs of k in deterministic best-first order."""
+    ranked = _RankedFaces(k)
+    masks, up = ranked.masks, ranked.up
     return [
-        CollapseStep(Face.from_mask(t), Face.from_mask(s))
-        for t, s in _free_pairs_masks(_closure_set(k), frozenset())
+        CollapseStep(
+            Face.from_mask(masks[t]), Face.from_mask(masks[up[t].bit_length() - 1])
+        )
+        for t in _bits(ranked.free())
     ]
 
 
 def elementary_collapse(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the free pair {tau, sigma} from the downward closure."""
-    closure = _closure_set(k)
+    closure = k._face_set
     tau, sigma = step.free_face.mask, step.coface.mask
-    if (tau, sigma) not in _free_pairs_masks(closure, frozenset()):
+    covers = [
+        tau | 1 << v for v in _bits(k.vertex_mask & ~tau) if tau | 1 << v in closure
+    ]
+    if not tau or covers != [sigma]:
         raise ValueError("not a free pair: %r" % (step,))
     return _complex_from_closure(closure - {tau, sigma})
 
 
+class _SearchResult(NamedTuple):
+    steps: Optional[List[Tuple[int, int]]]
+    nodes: int
+    exhausted: bool
+    memo_hits: int = 0
+    memo_size: int = 0
+    max_depth: int = 0
+
+
 def _search(
-    start: FrozenSet[int],
-    protected: FrozenSet[int],
-    is_terminal,
+    k: SimplicialComplex,
+    target: Optional[SimplicialComplex],
     budget: Optional[int],
-) -> Tuple[Optional[List[Tuple[int, int]]], int, bool]:
+) -> _SearchResult:
     """DFS over collapse sequences; ``budget`` None means unbounded.
 
-    Returns (steps or None, nodes explored, exhausted); ``exhausted`` is
-    False exactly when the node budget was hit first.
+    The search ends at a single vertex when ``target`` is None, and
+    otherwise at exactly the faces of ``target``, which it never removes.
+    ``steps`` lists the (tau, sigma) masks of the pairs removed, or is None;
+    ``exhausted`` is False exactly when the node budget was hit first.
     """
+    ranked = _RankedFaces(k)
+    masks, down, up = ranked.masks, ranked.down, ranked.up
+    start = (1 << len(masks)) - 1
+    if target is None:
+        goal = None
+    else:
+        goal = sum(1 << ranked.rank[m] for m in target._face_set)
+    unprotected = ~(goal or 0)
+
+    def is_terminal(closure: int) -> bool:
+        # the only downward-closed set of one face is a single vertex
+        return closure & (closure - 1) == 0 if goal is None else closure == goal
+
+    if is_terminal(start):
+        return _SearchResult([], 0, True)
     dead = set()
     path: List[Tuple[int, int]] = []
-    nodes = 0
-    # stack holds (closure, iterator over its remaining free pairs)
-    if is_terminal(start):
-        return [], 0, True
-    stack = [(start, iter(_free_pairs_masks(start, protected)))]
+    free = ranked.free() & unprotected
+    # each node is [closure, free faces, free faces not tried yet]
+    stack = [[start, free, free]]
     nodes = 1
+    memo_hits = max_depth = 0
     while stack:
-        closure, pairs = stack[-1]
-        advanced = False
-        for tau, sigma in pairs:
-            child = closure - {tau, sigma}
+        node = stack[-1]
+        closure, free, untried = node
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            t = low.bit_length() - 1
+            high = up[t] & closure
+            child = closure ^ low ^ high
             if child in dead:
+                memo_hits += 1
                 continue
-            path.append((tau, sigma))
+            node[2] = untried
+            s = high.bit_length() - 1
+            path.append((masks[t], masks[s]))
+            max_depth = max(max_depth, len(path))
             if is_terminal(child):
-                return path, nodes, True
+                return _SearchResult(path, nodes, True, memo_hits, len(dead), max_depth)
             nodes += 1
             if budget is not None and nodes > budget:
-                return None, nodes, False
-            stack.append((child, iter(_free_pairs_masks(child, protected))))
-            advanced = True
+                return _SearchResult(
+                    None, nodes, False, memo_hits, len(dead), max_depth
+                )
+            # only faces right below tau or sigma lost a cover
+            child_free = free & ~(low | high)
+            for j in down[t] + down[s]:
+                if (up[j] & child).bit_count() == 1:
+                    child_free |= 1 << j
+                else:
+                    child_free &= ~(1 << j)
+            child_free &= unprotected
+            stack.append([child, child_free, child_free])
             break
-        if not advanced:
+        else:
             dead.add(closure)
             stack.pop()
             if path:
                 path.pop()
-    return None, nodes, True
+    return _SearchResult(None, nodes, True, memo_hits, len(dead), max_depth)
 
 
-def _verdict_from_search(
-    steps, nodes: int, exhausted: bool, terminal_of
-) -> CollapseVerdict:
-    if steps is not None:
+def _verdict_from_search(result: _SearchResult, terminal_of) -> CollapseVerdict:
+    counters = (result.memo_hits, result.memo_size, result.max_depth)
+    if result.steps is not None:
         cert_steps = tuple(
-            CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in steps
+            CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in result.steps
         )
-        return CollapseVerdict(
-            COLLAPSIBLE, nodes, CollapseCertificate(cert_steps, terminal_of(steps))
-        )
-    if exhausted:
-        return CollapseVerdict(NOT_COLLAPSIBLE, nodes)
-    return CollapseVerdict(INCONCLUSIVE, nodes)
+        cert = CollapseCertificate(cert_steps, terminal_of(result.steps))
+        return CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
+    status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE
+    return CollapseVerdict(status, result.nodes, None, *counters)
 
 
 def is_collapsible(
@@ -179,20 +245,14 @@ def is_collapsible(
     """
     if k.is_empty():
         raise ValueError("empty complex is not collapsible")
-    start = _closure_set(k)
-
-    def terminal(closure: FrozenSet[int]) -> bool:
-        return len(closure) == 1 and next(iter(closure)).bit_count() == 1
-
-    steps, nodes, exhausted = _search(start, frozenset(), terminal, budget)
 
     def terminal_of(found_steps) -> SimplicialComplex:
-        closure = set(start)
+        closure = set(k._face_set)
         for t, s in found_steps:
             closure -= {t, s}
         return _complex_from_closure(closure)
 
-    return _verdict_from_search(steps, nodes, exhausted, terminal_of)
+    return _verdict_from_search(_search(k, None, budget), terminal_of)
 
 
 def collapses_to(
@@ -201,16 +261,9 @@ def collapses_to(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> CollapseVerdict:
     """Decide whether k collapses to the subcomplex l (faces of l kept)."""
-    target = _closure_set(l)
-    start = _closure_set(k)
-    if not target <= start:
+    if not l._face_set <= k._face_set:
         raise ValueError("collapses_to needs L to be a subcomplex of K")
-
-    def terminal(closure: FrozenSet[int]) -> bool:
-        return closure == target
-
-    steps, nodes, exhausted = _search(start, target, terminal, budget)
-    return _verdict_from_search(steps, nodes, exhausted, lambda _: l)
+    return _verdict_from_search(_search(k, l, budget), lambda _: l)
 
 
 def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:

@@ -62,8 +62,15 @@ def strip_timestamp(text: str) -> str:
     )
 
 
+# reports nest a few levels; parse_report recurses once per level, so
+# deeper input is refused before it can exhaust the interpreter stack
+MAX_DEPTH = 64
+
+
 def parse_report(text: str) -> Tree:
     lines = [l for l in text.splitlines() if l.strip()]
+    if any(len(l) - len(l.lstrip(" ")) > 2 * MAX_DEPTH for l in lines):
+        raise ValueError(f"report nested deeper than {MAX_DEPTH} levels")
 
     def parse_block(start: int, indent: int) -> Tuple[Tree, int]:
         tree: Tree = {}

@@ -19,7 +19,9 @@ from simptop import (
     standard_sphere,
     verify_certificate,
 )
-from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE
+from simptop import census, collapse, reports
+from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE, _search
+from simptop.complexes import _bits
 
 from conftest import random_pure_complex, sc
 
@@ -198,3 +200,220 @@ class TestHomologyPreservation:
             for step in verdict.certificate.steps:
                 current = elementary_collapse(current, step)
                 assert same_betti(reduced_betti(current), betti)
+
+
+# -- the search before ranked faces, kept as the oracle ------------------
+
+
+def _free_pairs_masks(closure, protected):
+    """Free pairs (tau, sigma) of ``closure``, best-first, by counting the
+    covers of every face from scratch."""
+    covers = {}
+    parent = {}
+    for face in closure:
+        rest = face
+        while rest:
+            bit = rest & -rest
+            sub = face ^ bit
+            if sub:
+                covers[sub] = covers.get(sub, 0) + 1
+                parent[sub] = face
+            rest ^= bit
+    pairs = [
+        (tau, parent[tau])
+        for tau, c in covers.items()
+        if c == 1 and tau not in protected
+    ]
+    pairs.sort(key=lambda p: (-p[0].bit_count(), _bits(p[0]), _bits(p[1])))
+    return pairs
+
+
+def _oracle_search(start, protected, is_terminal, budget):
+    """DFS over frozenset closures, rebuilding the free pairs at every node;
+    returns (steps or None, nodes explored, exhausted)."""
+    dead = set()
+    path = []
+    if is_terminal(start):
+        return [], 0, True
+    stack = [(start, iter(_free_pairs_masks(start, protected)))]
+    nodes = 1
+    while stack:
+        closure, pairs = stack[-1]
+        advanced = False
+        for tau, sigma in pairs:
+            child = closure - {tau, sigma}
+            if child in dead:
+                continue
+            path.append((tau, sigma))
+            if is_terminal(child):
+                return path, nodes, True
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return None, nodes, False
+            stack.append((child, iter(_free_pairs_masks(child, protected))))
+            advanced = True
+            break
+        if not advanced:
+            dead.add(closure)
+            stack.pop()
+            if path:
+                path.pop()
+    return None, nodes, True
+
+
+def _assert_search_matches(k, budget, target=None):
+    start = frozenset(k._face_set)
+    if target is None:
+        expected = _oracle_search(start, frozenset(), lambda c: len(c) == 1, budget)
+    else:
+        goal = frozenset(target._face_set)
+        expected = _oracle_search(start, goal, lambda c: c == goal, budget)
+    assert tuple(_search(k, target, budget)[:3]) == expected, (k, target, budget)
+
+
+def _catalog_variants():
+    """Every catalog entry, the entry minus its first facet (which has free
+    faces), and the cone over the entry (collapsible)."""
+    for name in catalog.names():
+        k = catalog.get(name).complex
+        yield k
+        if len(k.facet_masks) > 1:
+            yield from_facets(Face.from_mask(m) for m in k.facet_masks[1:])
+        yield k.cone(63)
+
+
+def _random_complexes(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.choice((1, 2, 3))
+        p = rng.uniform(0.1, 0.35)
+        yield random_pure_complex(rng, n_vertices=7, dim=dim, p=p)
+
+
+class TestSearchMatchesOracle:
+    """Same certificate steps, node count and exhaustion flag as the
+    rebuild-every-node search, so every verdict and report is unchanged."""
+
+    def test_catalog(self):
+        for k in _catalog_variants():
+            _assert_search_matches(k, 3000)
+
+    @pytest.mark.parametrize("budget", [50, 3000])
+    def test_random_complexes(self, budget):
+        for k in _random_complexes(20261018, 300):
+            _assert_search_matches(k, budget)
+
+    def test_sampled_acyclic_complexes(self, monkeypatch):
+        seen = []
+
+        def recording(k, budget=collapse.DEFAULT_BUDGET):
+            seen.append((k, budget))
+            return is_collapsible(k, budget)
+
+        monkeypatch.setattr(census.collapse_mod, "is_collapsible", recording)
+        for seed in (1, 2, 3):
+            census.sample_acyclic_collapsibility(200, seed=seed)
+        assert len(seen) > 50
+        for k, budget in seen:
+            _assert_search_matches(k, budget)
+
+    def test_collapses_to_vertex_and_edge_targets(self):
+        rng = random.Random(5)
+        for i, k in enumerate(_random_complexes(77, 60)):
+            if i % 2:
+                k = k.cone(9)
+            edges = sorted(k.faces(1), key=lambda f: f.vertices)
+            targets = [sc((rng.choice(k.vertices),))]
+            if edges:
+                targets.append(sc(rng.choice(edges).vertices))
+            for target in targets:
+                _assert_search_matches(k, 300, target)
+                verdict = collapses_to(k, target, budget=300)
+                if verdict.collapsible:
+                    assert verify_certificate(k, verdict.certificate)
+
+    def test_free_faces_and_elementary_collapse(self):
+        for k in list(_catalog_variants()) + list(_random_complexes(3, 40)):
+            pairs = _free_pairs_masks(frozenset(k._face_set), frozenset())
+            assert [(s.free_face.mask, s.coface.mask) for s in free_faces(k)] == pairs
+            for sigma in k._face_set:
+                for v in _bits(sigma):
+                    tau = sigma ^ 1 << v
+                    if not tau:
+                        continue
+                    step = CollapseStep(Face.from_mask(tau), Face.from_mask(sigma))
+                    if (tau, sigma) in pairs:
+                        assert not elementary_collapse(k, step).has_face(tau)
+                    else:
+                        with pytest.raises(ValueError, match="not a free pair"):
+                            elementary_collapse(k, step)
+
+    def test_empty_free_face_rejected(self):
+        with pytest.raises(ValueError, match="not a free pair"):
+            elementary_collapse(sc((5,)), CollapseStep(Face([]), Face([5])))
+
+
+class TestWorkCounters:
+    def test_dunce_hat_dies_at_the_root(self, dunce_hat):
+        verdict = is_collapsible(dunce_hat)
+        assert (verdict.nodes_explored, verdict.memo_hits) == (1, 0)
+        assert (verdict.memo_size, verdict.max_depth) == (1, 0)
+
+    def test_two_disjoint_edges_backtrack(self):
+        # each edge is intact or collapsed onto either end: 3 x 3 complexes,
+        # all dead; 12 moves between them, 8 of them tree edges, so 4 hits
+        verdict = is_collapsible(sc((0, 1), (2, 3)))
+        assert verdict.status == NOT_COLLAPSIBLE
+        assert verdict.nodes_explored == 9
+        assert verdict.memo_size == 9
+        assert verdict.memo_hits == 4
+        assert verdict.max_depth == 2
+
+    def test_collapsible_without_backtracking(self):
+        verdict = is_collapsible(standard_ball(3))
+        assert (verdict.memo_hits, verdict.memo_size) == (0, 0)
+        assert verdict.max_depth == len(verdict.certificate.steps) == 7
+
+    def test_budget_give_up_keeps_counts(self):
+        verdict = is_collapsible(sc((0, 1), (2, 3)), budget=3)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.nodes_explored == 4
+        assert verdict.max_depth == 2
+
+    def test_default_counters_are_zero(self):
+        verdict = collapse.CollapseVerdict(NOT_COLLAPSIBLE, 1)
+        assert (verdict.memo_hits, verdict.memo_size, verdict.max_depth) == (0, 0, 0)
+
+
+# report bytes (timestamp stripped) taken from the search before ranked faces
+PINNED_REPORTS = {
+    "ball3": (
+        "report: collapse\ntool-version: 0.1.0\ninput: 0 1 2 3\nseed: -\n"
+        "status: collapsible-with-certificate\nnodes-explored: 7\n"
+        "certificate:\n  steps:\n    - 0 1 2 | 0 1 2 3\n    - 0 1 | 0 1 3\n"
+        "    - 0 2 | 0 2 3\n    - 1 2 | 1 2 3\n    - 0 | 0 3\n    - 1 | 1 3\n"
+        "    - 2 | 2 3\n  terminal: 3"
+    ),
+    "dunce_hat": (
+        "report: collapse\ntool-version: 0.1.0\ninput: 1 2 4, 1 2 5, 1 2 8, "
+        "1 3 6, 1 3 7, 1 3 8, 1 4 5, 1 6 7, 2 3 4, 2 3 6, 2 3 7, 2 5 6, 2 7 8, "
+        "3 4 8, 4 5 8, 5 6 8, 6 7 8\nseed: -\n"
+        "status: not-collapsible-exhausted\nnodes-explored: 1"
+    ),
+    "ball3_budget1": (
+        "report: collapse\ntool-version: 0.1.0\ninput: 0 1 2 3\nseed: -\n"
+        "status: inconclusive-budget\nnodes-explored: 2"
+    ),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "name, budget",
+        [("ball3", None), ("dunce_hat", None), ("ball3_budget1", 1)],
+    )
+    def test_report_bytes(self, name, budget, dunce_hat):
+        k = dunce_hat if name == "dunce_hat" else standard_ball(3)
+        verdict = is_collapsible(k) if budget is None else is_collapsible(k, budget)
+        text = reports.strip_timestamp(reports.collapse_report(k, verdict))
+        assert text == PINNED_REPORTS[name]

@@ -1,3 +1,8 @@
+import string
+
+import pytest
+from hypothesis import given, settings, strategies as st_h
+
 from simptop import (
     CensusSpec,
     catalog,
@@ -79,3 +84,52 @@ class TestCertificateRoundTrips:
         tree = reports.parse_report(reports.census_report(result))
         assert int(tree["classes"]) == result.class_count
         assert len(tree["representatives"]) == result.class_count
+
+
+# keys and values the line format can carry: keys without spaces or colons,
+# values and list items stripped, non-empty and free of colons
+_KEYS = st_h.text(
+    alphabet=string.ascii_lowercase + string.digits + "-_", min_size=1, max_size=8
+)
+_VALUES = (
+    st_h.text(alphabet=string.ascii_letters + string.digits + " -|,.", max_size=20)
+    .map(str.strip)
+    .filter(bool)
+)
+_LEAVES = st_h.one_of(_VALUES, st_h.lists(_VALUES, min_size=1, max_size=4))
+_TREES = st_h.recursive(
+    st_h.dictionaries(_KEYS, _LEAVES, max_size=4),
+    lambda subtrees: st_h.dictionaries(
+        _KEYS, st_h.one_of(_LEAVES, subtrees), max_size=4
+    ),
+    max_leaves=16,
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tree=_TREES)
+    def test_parse_inverts_render_on_random_trees(self, tree):
+        assert reports.parse_report("\n".join(reports._render(tree)) + "\n") == tree
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        text=st_h.one_of(
+            st_h.text(),
+            st_h.text(alphabet="ab:- \n", max_size=300),
+        )
+    )
+    def test_arbitrary_text_returns_a_tree_or_value_error(self, text):
+        try:
+            tree = reports.parse_report(text)
+        except ValueError:
+            return
+        assert isinstance(tree, dict)
+
+    def test_deep_nesting_is_a_value_error(self):
+        # one level deeper per line used to recurse until RecursionError
+        text = "\n".join("  " * i + "a:" for i in range(3000))
+        with pytest.raises(ValueError, match="nested deeper"):
+            reports.parse_report(text)
+        at_limit = "\n".join("  " * i + "a:" for i in range(reports.MAX_DEPTH + 1))
+        assert reports.parse_report(at_limit)["a"]["a"]
