@@ -10,13 +10,17 @@ path stays unique).  When no edge is deficient the state is a finished
 complex; it is emitted and then extended by seeding a fresh triangle whose
 index exceeds every earlier seed.  Symmetry breaking, when enabled, pins
 the first seed to the lexicographically least triangle, which every
-isomorphism class can be relabeled to contain.
+isomorphism class can be relabeled to contain.  The labeled complexes
+are then split into isomorphism classes by walking the orbit of each new
+representative under every permutation of the vertex pool.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import collapse as collapse_mod
 from . import homology
-from .complexes import SimplicialComplex, _bits, are_isomorphic
+from .complexes import VERTEX_LIMIT, SimplicialComplex, _bits, are_isomorphic
 
 CONSTRAINT_CLOSED = "ridge-degree-exactly-2"
 CONSTRAINT_EVEN = "ridge-degree-even"
@@ -40,6 +44,11 @@ MAX_CENSUS_VERTICES = 7
 SAMPLER_P = {2: 0.22, 3: 0.18}
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass; True would pass as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CensusSpec:
     n_vertices: int
@@ -50,6 +59,10 @@ class CensusSpec:
     symmetry_breaking: bool = True
 
     def validated(self) -> "CensusSpec":
+        if not _is_int(self.n_vertices):
+            raise ValueError(f"n_vertices must be an int, not {self.n_vertices!r}")
+        if self.max_facets is not None and not _is_int(self.max_facets):
+            raise ValueError(f"max_facets must be an int, not {self.max_facets!r}")
         if not 4 <= self.n_vertices <= MAX_CENSUS_VERTICES:
             raise ValueError(
                 f"census vertex count must be 4..{MAX_CENSUS_VERTICES}"
@@ -79,6 +92,10 @@ class CensusResult:
     labeled_count: int
     nodes: int
     seconds: float
+    enumeration_seconds: float = 0.0
+    reduction_seconds: float = 0.0
+    # permuted images computed by the reduction: classes x n!
+    images_checked: int = 0
 
     @property
     def class_count(self) -> int:
@@ -101,6 +118,7 @@ class _Tables:
             (1 << a) | (1 << b) | (1 << c)
             for a, b, c in itertools.combinations(range(n), 3)
         ]
+        self.tri_index = {mask: t for t, mask in enumerate(self.triangles)}
         edges = list(itertools.combinations(range(n), 2))
         self.edge_count = len(edges)
         edge_index = {(1 << a) | (1 << b): i for i, (a, b) in enumerate(edges)}
@@ -119,6 +137,23 @@ class _Tables:
             for e in trio:
                 self.edge_tris[e].append(t)
         self.full_mask = (1 << n) - 1
+
+    @functools.cached_property
+    def perm_rows(self) -> List[bytes]:
+        """One row per permutation p of range(n), identity first: byte t
+        of the row is the index of the image of triangle t under p.
+
+        n! rows of C(n, 3) bytes (about 0.4 MB at n = 7), built on the
+        first reduction that needs them.
+        """
+        trios = list(itertools.combinations(range(self.n), 3))
+        rows = []
+        for p in itertools.permutations(range(self.n)):
+            bit = [1 << v for v in p]
+            rows.append(
+                bytes(self.tri_index[bit[a] | bit[b] | bit[c]] for a, b, c in trios)
+            )
+        return rows
 
 
 _TABLES: Dict[int, _Tables] = {}
@@ -304,29 +339,41 @@ class _BoundaryEnumerator:
         self.chosen.pop()
 
 
-def _link_invariant(k: SimplicialComplex) -> Tuple:
-    return (k.f_vector(), tuple(sorted(k.link([v]).f_vector() for v in k.vertices)))
-
-
 def _reduce_classes(
-    labeled: List[Tuple[int, ...]]
-) -> Tuple[List[SimplicialComplex], List[int]]:
-    buckets: Dict[Tuple, List[Tuple[SimplicialComplex, int]]] = {}
-    for masks in labeled:
-        k = SimplicialComplex._from_facet_masks(masks)
-        key = _link_invariant(k)
-        bucket = buckets.setdefault(key, [])
-        for i, (rep, _) in enumerate(bucket):
-            if are_isomorphic(rep, k) is not None:
-                bucket[i] = (rep, bucket[i][1] + 1)
-                break
-        else:
-            bucket.append((k, 1))
+    labeled: List[Tuple[int, ...]], tables: _Tables
+) -> Tuple[List[SimplicialComplex], List[int], int]:
+    """Split the sorted labeled list into isomorphism classes.
+
+    Two complexes on range(n) are isomorphic exactly when one is the image
+    of the other under a permutation of range(n).  The first complex not
+    yet in a class represents a new class, and its image under every
+    permutation row that lands on an unassigned labeled complex joins the
+    class.  Returns the representatives and class sizes, sorted by
+    (f-vector, facets), and the number of images computed.
+    """
+    tri_index = tables.tri_index
+    position = {
+        sum(1 << tri_index[m] for m in masks): i for i, masks in enumerate(labeled)
+    }
+    rows = tables.perm_rows
+    shift = (1).__lshift__
+    assigned = bytearray(len(labeled))
     reps: List[Tuple[SimplicialComplex, int]] = []
-    for bucket in buckets.values():
-        reps.extend(bucket)
+    for i, masks in enumerate(labeled):
+        if assigned[i]:
+            continue
+        pick = operator.itemgetter(*(tri_index[m] for m in masks))
+        if len(masks) == 1:  # one index gives a bare item, not a 1-tuple
+            pick = lambda row, one=pick: (one(row),)
+        size = 0
+        for row in rows:
+            j = position.get(sum(map(shift, pick(row))))
+            if j is not None and not assigned[j]:
+                assigned[j] = 1
+                size += 1
+        reps.append((SimplicialComplex._from_facet_masks(masks), size))
     reps.sort(key=lambda pair: (pair[0].f_vector(), pair[0].facet_tuples()))
-    return [r for r, _ in reps], [c for _, c in reps]
+    return [r for r, _ in reps], [c for _, c in reps], len(reps) * len(rows)
 
 
 def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
@@ -349,18 +396,24 @@ def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     walker.run()
     labeled, nodes = walker.results, walker.nodes
     labeled.sort()
+    t1 = time.perf_counter()
+    images = 0
     if spec.reduce_iso:
-        reps, per_class = _reduce_classes(labeled)
+        reps, per_class, images = _reduce_classes(labeled, walker.tables)
     else:
         reps = [SimplicialComplex._from_facet_masks(m) for m in labeled]
         per_class = [1] * len(reps)
+    t2 = time.perf_counter()
     return CensusResult(
         spec=spec,
         representatives=tuple(reps),
         labeled_per_class=tuple(per_class),
         labeled_count=len(labeled),
         nodes=nodes,
-        seconds=time.perf_counter() - t0,
+        seconds=t2 - t0,
+        enumeration_seconds=t1 - t0,
+        reduction_seconds=t2 - t1,
+        images_checked=images,
     )
 
 
@@ -433,6 +486,10 @@ def sample_acyclic_collapsibility(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if not _is_int(n_vertices) or not 1 <= n_vertices <= VERTEX_LIMIT:
+        raise ValueError(
+            f"sampler vertex count must be an int in 1..{VERTEX_LIMIT}"
+        )
     rng = random.Random(seed)
     candidates = {
         d: [

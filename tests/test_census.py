@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -12,12 +14,138 @@ from simptop import (
     match_catalog,
     sample_acyclic_collapsibility,
 )
+from simptop import census
 from simptop.census import (
     CONSTRAINT_BOUNDARY,
     CONSTRAINT_CLOSED,
     CONSTRAINT_EVEN,
 )
-from simptop.complexes import SimplicialComplex
+from simptop.complexes import VERTEX_LIMIT, SimplicialComplex
+from simptop.reports import census_report, strip_timestamp
+
+CLOSED7 = CensusSpec(n_vertices=7, max_facets=10, exact_vertices=True)
+EVEN7 = CensusSpec(n_vertices=7, max_facets=10, constraint=CONSTRAINT_EVEN)
+
+
+# census_report bytes (timestamp line stripped) of the three presets, as the
+# pairwise isomorphism reduction produced them before the orbit walk
+PINNED_CLOSED6_REPORT = """\
+report: census
+tool-version: 0.1.0
+input: -
+seed: -
+constraint: ridge-degree-exactly-2
+vertices: 6
+exact-vertices: false
+max-facets: 20
+classes: 5
+labeled-complexes: 105
+search-nodes: 371
+classes-by-f-vector:
+  - 4 6 4 | 1
+  - 5 9 6 | 1
+  - 6 12 8 | 2
+  - 6 15 10 | 1
+representatives:
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 3
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 4
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 5, 2 4 5, 3 4 5
+  - 0 1 2, 0 1 3, 0 2 4, 0 3 4, 1 2 5, 1 3 5, 2 4 5, 3 4 5
+  - 0 1 2, 0 1 3, 0 2 4, 0 3 5, 0 4 5, 1 2 5, 1 3 4, 1 4 5, 2 3 4, 2 3 5"""
+PINNED_CLOSED7_REPORT = """\
+report: census
+tool-version: 0.1.0
+input: -
+seed: -
+constraint: ridge-degree-exactly-2
+vertices: 7
+exact-vertices: true
+max-facets: 10
+classes: 7
+labeled-complexes: 1708
+search-nodes: 9930
+classes-by-f-vector:
+  - 7 12 8 | 1
+  - 7 15 10 | 6
+representatives:
+  - 0 1 2, 0 1 3, 0 2 3, 0 4 5, 0 4 6, 0 5 6, 1 2 3, 4 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 0 4 5, 0 4 6, 0 5 6, 1 2 3, 1 4 5, 1 4 6, 1 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 5, 2 4 5, 3 4 6, 3 5 6, 4 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 5, 2 4 6, 2 5 6, 3 4 6, 3 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 5, 1 4 5, 2 3 6, 2 4 5, 2 5 6, 3 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 5, 1 4 5, 2 3 6, 2 4 6, 3 5 6, 4 5 6
+  - 0 1 2, 0 1 3, 0 2 4, 0 3 4, 1 2 5, 1 3 5, 2 4 6, 2 5 6, 3 4 6, 3 5 6"""
+PINNED_EVEN7_REPORT = """\
+report: census
+tool-version: 0.1.0
+input: -
+seed: -
+constraint: ridge-degree-even
+vertices: 7
+exact-vertices: false
+max-facets: 10
+classes: 18
+labeled-complexes: 3456
+search-nodes: 29207
+classes-by-f-vector:
+  - 4 6 4 | 1
+  - 5 9 6 | 1
+  - 6 11 8 | 1
+  - 6 12 8 | 2
+  - 6 12 10 | 1
+  - 6 13 10 | 1
+  - 6 14 10 | 1
+  - 6 15 10 | 1
+  - 7 12 8 | 1
+  - 7 14 10 | 2
+  - 7 15 10 | 6
+representatives:
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 3
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 4
+  - 0 1 2, 0 1 3, 0 1 4, 0 1 5, 0 2 3, 0 4 5, 1 2 3, 1 4 5
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 5, 2 4 5, 3 4 5
+  - 0 1 2, 0 1 3, 0 2 4, 0 3 4, 1 2 5, 1 3 5, 2 4 5, 3 4 5
+  - 0 1 2, 0 1 3, 0 1 4, 0 1 5, 0 2 3, 0 2 4, 0 2 5, 1 2 3, 1 2 4, 1 2 5
+  - 0 1 2, 0 1 3, 0 1 4, 0 1 5, 0 2 3, 0 2 4, 0 2 5, 1 2 3, 1 4 5, 2 4 5
+  - 0 1 2, 0 1 3, 0 1 4, 0 1 5, 0 2 3, 0 4 5, 1 2 4, 1 3 5, 2 3 4, 3 4 5
+  - 0 1 2, 0 1 3, 0 2 4, 0 3 5, 0 4 5, 1 2 5, 1 3 4, 1 4 5, 2 3 4, 2 3 5
+  - 0 1 2, 0 1 3, 0 2 3, 0 4 5, 0 4 6, 0 5 6, 1 2 3, 4 5 6
+  - 0 1 2, 0 1 3, 0 1 4, 0 1 5, 0 2 3, 0 4 5, 1 2 3, 1 4 6, 1 5 6, 4 5 6
+  - 0 1 2, 0 1 3, 0 1 4, 0 1 5, 0 2 3, 0 4 6, 0 5 6, 1 2 3, 1 4 6, 1 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 0 4 5, 0 4 6, 0 5 6, 1 2 3, 1 4 5, 1 4 6, 1 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 5, 2 4 5, 3 4 6, 3 5 6, 4 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 4, 2 3 5, 2 4 6, 2 5 6, 3 4 6, 3 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 5, 1 4 5, 2 3 6, 2 4 5, 2 5 6, 3 5 6
+  - 0 1 2, 0 1 3, 0 2 3, 1 2 4, 1 3 5, 1 4 5, 2 3 6, 2 4 6, 3 5 6, 4 5 6
+  - 0 1 2, 0 1 3, 0 2 4, 0 3 4, 1 2 5, 1 3 5, 2 4 6, 2 5 6, 3 4 6, 3 5 6"""
+
+
+def _link_invariant(k):
+    return (k.f_vector(), tuple(sorted(k.link([v]).f_vector() for v in k.vertices)))
+
+
+def pairwise_reduce_classes(labeled):
+    """The census reduction before the orbit walk, kept as the oracle.
+
+    Buckets the labeled complexes by link f-vectors and runs a backtracking
+    isomorphism test against every representative in the bucket.
+    """
+    buckets = {}
+    for masks in labeled:
+        k = SimplicialComplex._from_facet_masks(masks)
+        key = _link_invariant(k)
+        bucket = buckets.setdefault(key, [])
+        for i, (rep, _) in enumerate(bucket):
+            if are_isomorphic(rep, k) is not None:
+                bucket[i] = (rep, bucket[i][1] + 1)
+                break
+        else:
+            bucket.append((k, 1))
+    reps = []
+    for bucket in buckets.values():
+        reps.extend(bucket)
+    reps.sort(key=lambda pair: (pair[0].f_vector(), pair[0].facet_tuples()))
+    return [r for r, _ in reps], [c for _, c in reps]
 
 
 def naive_closed_sweep(n_vertices):
@@ -191,6 +319,14 @@ class TestEnumerationSmall:
                     degrees[e] = degrees.get(e, 0) + 1
             assert all(d % 2 == 0 for d in degrees.values())
 
+    def test_float_vertex_count_is_a_value_error(self):
+        with pytest.raises(ValueError, match="n_vertices must be an int"):
+            enumerate_census(CensusSpec(n_vertices=6.0))
+
+    def test_bool_max_facets_is_a_value_error(self):
+        with pytest.raises(ValueError, match="max_facets must be an int"):
+            enumerate_census(CensusSpec(n_vertices=6, max_facets=True))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             enumerate_census(CensusSpec(n_vertices=9))
@@ -198,6 +334,95 @@ class TestEnumerationSmall:
             CensusSpec(n_vertices=6, dimension=3)
         with pytest.raises(ValueError):
             enumerate_census(CensusSpec(n_vertices=6, constraint="nope"))
+
+
+def _spec_id(spec):
+    return "%s-n%d-max%s-sb%d-exact%d" % (
+        spec.constraint,
+        spec.n_vertices,
+        spec.max_facets,
+        spec.symmetry_breaking,
+        spec.exact_vertices,
+    )
+
+
+def _differential_specs():
+    for n in (4, 5, 6):
+        for constraint in (CONSTRAINT_CLOSED, CONSTRAINT_EVEN):
+            for sb in (True, False):
+                for exact in (True, False):
+                    yield CensusSpec(
+                        n_vertices=n,
+                        constraint=constraint,
+                        symmetry_breaking=sb,
+                        exact_vertices=exact,
+                    )
+    for n in (4, 5):
+        for exact in (True, False):
+            yield CensusSpec(
+                n_vertices=n, constraint=CONSTRAINT_BOUNDARY, exact_vertices=exact
+            )
+    yield CLOSED7
+    yield EVEN7
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("spec", list(_differential_specs()), ids=_spec_id)
+    def test_matches_pairwise_oracle(self, spec):
+        fast = enumerate_census(spec)
+        unreduced = enumerate_census(dataclasses.replace(spec, reduce_iso=False))
+        # the labeled list in enumeration order, as the reduction sees it
+        labeled = [tuple(sorted(r.facet_masks)) for r in unreduced.representatives]
+        reps, per_class = pairwise_reduce_classes(labeled)
+        assert fast.representatives == tuple(reps)
+        assert fast.labeled_per_class == tuple(per_class)
+        assert fast.labeled_count == unreduced.labeled_count == len(labeled)
+        assert sum(per_class) == len(labeled)
+        assert fast.images_checked == len(reps) * math.factorial(spec.n_vertices)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_permutation_table(self, n):
+        tables = census._Tables(n)
+        rows = tables.perm_rows
+        size = math.comb(n, 3)
+        assert len(rows) == math.factorial(n)
+        assert rows[0] == bytes(range(size))
+        for p, row in zip(itertools.permutations(range(n)), rows):
+            assert sorted(row) == list(range(size))
+            for t, mask in enumerate(tables.triangles):
+                image = sum(1 << p[v] for v in range(n) if mask >> v & 1)
+                assert tables.triangles[row[t]] == image
+
+    def test_table_is_built_on_first_use(self):
+        tables = census._Tables(5)
+        assert "perm_rows" not in vars(tables)
+        rows = tables.perm_rows
+        assert tables.perm_rows is rows
+
+    def test_counters(self):
+        result = enumerate_census(CLOSED7)
+        assert result.images_checked == 7 * math.factorial(7)
+        assert result.enumeration_seconds > 0
+        assert result.reduction_seconds > 0
+        assert result.seconds == pytest.approx(
+            result.enumeration_seconds + result.reduction_seconds
+        )
+        unreduced = enumerate_census(CensusSpec(n_vertices=5, reduce_iso=False))
+        assert unreduced.images_checked == 0
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "spec, pinned",
+        [
+            (CensusSpec(n_vertices=6), PINNED_CLOSED6_REPORT),
+            (CLOSED7, PINNED_CLOSED7_REPORT),
+            (EVEN7, PINNED_EVEN7_REPORT),
+        ],
+        ids=["closed6", "closed7", "even7"],
+    )
+    def test_report_bytes_unchanged(self, spec, pinned):
+        assert strip_timestamp(census_report(enumerate_census(spec))) == pinned
 
 
 class TestMatchCatalog:
@@ -253,6 +478,19 @@ class TestCollapsibilitySampling:
             b.acyclic_found,
             b.collapsible_count,
         )
+
+    @pytest.mark.parametrize("n_vertices", [0, VERTEX_LIMIT + 2, 7.0, True])
+    def test_vertex_count_checked_before_drawing(self, monkeypatch, n_vertices):
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def __getattr__(self, name):
+                raise AssertionError("the sampler drew before checking its input")
+
+        monkeypatch.setattr(census.random, "Random", NoDraws)
+        with pytest.raises(ValueError, match="vertex count"):
+            sample_acyclic_collapsibility(3, seed=1, n_vertices=n_vertices)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
