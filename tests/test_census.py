@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -148,11 +150,15 @@ def pairwise_reduce_classes(labeled):
     return [r for r, _ in reps], [c for _, c in reps]
 
 
-def naive_closed_sweep(n_vertices):
-    """Unpruned 2^C(n,3) sweep for the every-edge-degree-exactly-2 censuses.
+@functools.lru_cache(maxsize=None)
+def naive_sweep(n_vertices):
+    """Unpruned 2^C(n,3) sweep over every triangle subset on n vertices.
 
     Independent of the backtracking engine: it visits every triangle
-    subset and filters.  Returns labeled facet tuples.
+    subset and filters.  Returns two tuples of labeled facet tuples: the
+    closed sets (every edge degree exactly 2) and the boundary sets (every
+    edge degree at most 2, some edge degree 1).  Cached, since the 2^20
+    pass at six vertices takes seconds.
     """
     triangles = [
         sum(1 << v for v in combo)
@@ -168,7 +174,7 @@ def naive_closed_sweep(n_vertices):
                 (1 << b) | (1 << c),
             )
         )
-    found = []
+    closed, boundary = [], []
     for subset in range(1, 1 << len(triangles)):
         degrees = {}
         ok = True
@@ -185,14 +191,20 @@ def naive_closed_sweep(n_vertices):
                 degrees[e] = d
             if not ok:
                 break
-        if ok and degrees and all(d == 2 for d in degrees.values()):
+        if ok:
             members = tuple(
-                triangles[i]
-                for i in range(len(triangles))
-                if subset >> i & 1
+                sorted(
+                    triangles[i]
+                    for i in range(len(triangles))
+                    if subset >> i & 1
+                )
             )
-            found.append(members)
-    return found
+            (boundary if 1 in degrees.values() else closed).append(members)
+    return tuple(closed), tuple(boundary)
+
+
+def _labeled(result):
+    return sorted(tuple(sorted(rep.facet_masks)) for rep in result.representatives)
 
 
 class TestEnumerationSmall:
@@ -211,27 +223,50 @@ class TestEnumerationSmall:
         assert match.perfect
 
     def test_naive_sweep_agrees_at_five_vertices(self):
-        labeled = naive_closed_sweep(5)
+        closed, _ = naive_sweep(5)
         engine = enumerate_census(
             CensusSpec(n_vertices=5, symmetry_breaking=False, reduce_iso=False)
         )
-        assert sorted(map(tuple, map(sorted, labeled))) == sorted(
-            tuple(sorted(rep.facet_masks)) for rep in engine.representatives
-        )
+        assert sorted(closed) == _labeled(engine)
 
     def test_naive_sweep_agrees_at_six_vertices(self):
         # the full 2^20 sweep; the census engine must match it exactly
-        labeled = naive_closed_sweep(6)
+        closed, _ = naive_sweep(6)
         engine = enumerate_census(
             CensusSpec(n_vertices=6, symmetry_breaking=False, reduce_iso=False)
         )
-        assert sorted(map(tuple, map(sorted, labeled))) == sorted(
-            tuple(sorted(rep.facet_masks)) for rep in engine.representatives
-        )
+        assert sorted(closed) == _labeled(engine)
 
-    def test_symmetry_breaking_preserves_classes(self):
-        with_sb = enumerate_census(CensusSpec(n_vertices=6))
-        without = enumerate_census(CensusSpec(n_vertices=6, symmetry_breaking=False))
+    @pytest.mark.parametrize("exact", [False, True], ids=["any", "exact"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_boundary_naive_sweep_agrees(self, n, exact):
+        _, boundary = naive_sweep(n)
+        full = (1 << n) - 1
+        expected = sorted(
+            s
+            for s in boundary
+            if not exact or functools.reduce(operator.or_, s) == full
+        )
+        engine = enumerate_census(
+            CensusSpec(
+                n_vertices=n,
+                constraint=CONSTRAINT_BOUNDARY,
+                symmetry_breaking=False,
+                reduce_iso=False,
+                exact_vertices=exact,
+            )
+        )
+        assert expected == _labeled(engine)
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [CONSTRAINT_CLOSED, CONSTRAINT_BOUNDARY],
+        ids=["closed", "boundary"],
+    )
+    def test_symmetry_breaking_preserves_classes(self, constraint):
+        spec = CensusSpec(n_vertices=6, constraint=constraint)
+        with_sb = enumerate_census(spec)
+        without = enumerate_census(dataclasses.replace(spec, symmetry_breaking=False))
         assert with_sb.class_count == without.class_count
         assert with_sb.labeled_count < without.labeled_count
         for a, b in zip(with_sb.representatives, without.representatives):
@@ -301,6 +336,30 @@ class TestEnumerationSmall:
             assert all(d in (1, 2) for d in degrees.values())
             assert any(d == 1 for d in degrees.values())
 
+    @pytest.mark.parametrize(
+        "n, exact, classes, labeled_sb, labeled_all",
+        [
+            (4, False, 3, 7, 14),
+            (4, True, 2, 6, 10),
+            (5, False, 11, 133, 372),
+            (5, True, 8, 120, 312),
+            (6, False, 100, 9506, 33369),
+            (6, True, 89, 9127, 31327),
+        ],
+    )
+    def test_boundary_counts(self, n, exact, classes, labeled_sb, labeled_all):
+        spec = CensusSpec(
+            n_vertices=n, constraint=CONSTRAINT_BOUNDARY, exact_vertices=exact
+        )
+        with_sb = enumerate_census(spec)
+        without = enumerate_census(dataclasses.replace(spec, symmetry_breaking=False))
+        assert with_sb.class_count == without.class_count == classes
+        assert (with_sb.labeled_count, without.labeled_count) == (
+            labeled_sb,
+            labeled_all,
+        )
+        assert with_sb.representatives == without.representatives
+
     def test_constraint_revalidated_post_hoc(self):
         result = enumerate_census(CensusSpec(n_vertices=6))
         for rep in result.representatives:
@@ -358,10 +417,14 @@ def _differential_specs():
                         exact_vertices=exact,
                     )
     for n in (4, 5):
-        for exact in (True, False):
-            yield CensusSpec(
-                n_vertices=n, constraint=CONSTRAINT_BOUNDARY, exact_vertices=exact
-            )
+        for sb in (True, False):
+            for exact in (True, False):
+                yield CensusSpec(
+                    n_vertices=n,
+                    constraint=CONSTRAINT_BOUNDARY,
+                    symmetry_breaking=sb,
+                    exact_vertices=exact,
+                )
     yield CLOSED7
     yield EVEN7
 

@@ -128,6 +128,15 @@ class TestCensusCommand:
         code, _, err = run_cli(capsys, "census", "--vertices", "5", "--constraint", "weird")
         assert code == 1
 
+    def test_boundary_symmetry_breaking_flag(self, capsys):
+        argv = ("census", "--vertices", "5", "--constraint", "boundary")
+        code_on, out_on, _ = run_cli(capsys, *argv)
+        code_off, out_off, _ = run_cli(capsys, *argv, "--no-symmetry-breaking")
+        assert code_on == code_off == EXIT_OK
+        on, off = reports.parse_report(out_on), reports.parse_report(out_off)
+        assert on["classes"] == off["classes"] == "11"
+        assert (on["labeled-complexes"], off["labeled-complexes"]) == ("133", "372")
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
