@@ -1,11 +1,19 @@
-"""Free faces, elementary collapses, and an exhaustive collapsibility decision.
+"""Free faces, elementary collapses, and a collapsibility decision.
 
 The search is depth-first over collapse sequences, memoized on the exact
-face set of each intermediate complex.  "Not collapsible" is only ever
-reported after that memo-complete search terminates: collapsibility is
-order-sensitive, so a failed greedy run proves nothing.  At each node free
-pairs of maximal dimension are tried first (lexicographic within a
-dimension), which empirically shortens certificates and raises memo hits.
+face set of each intermediate complex.  At each node free pairs of maximal
+dimension are tried first (lexicographic within a dimension), which
+empirically shortens certificates and raises memo hits.
+
+From dimension 3 on, collapsibility is order-sensitive, so a failed greedy
+run proves nothing and "not collapsible" is only reported after the
+memo-complete search terminates.  In dimension <= 2 one greedy path decides
+it: removing a free pair (tau, sigma) leaves every other free pair free
+unless that pair uses sigma too, so triangle removal is confluent and every
+maximal sequence of collapses removes the same triangles; what is left
+collapses exactly when it is a tree (Joswig and Pfetsch 2006).  There the
+search never backtracks, and the first node without a free face proves
+"not collapsible".  A search towards a protected target stays exhaustive.
 
 Each search ranks the faces of its input once, in that best-first order
 (dimension descending, then lexicographic vertex tuple), and builds two
@@ -32,6 +40,8 @@ NOT_COLLAPSIBLE = "not-collapsible-exhausted"
 INCONCLUSIVE = "inconclusive-budget"
 
 DEFAULT_BUDGET = 50_000_000
+# dead complexes the exhaustive search may hold before it gives up
+MEMO_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class _RankedFaces:
     __slots__ = ("masks", "rank", "down", "up")
 
     def __init__(self, k: SimplicialComplex) -> None:
-        by_dim = k._faces_by_dim
+        by_dim = k._lex_faces_by_dim
         self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
         self.rank = rank = {m: i for i, m in enumerate(masks)}
         self.down: List[List[int]] = []
@@ -158,7 +168,9 @@ def _search(
     The search ends at a single vertex when ``target`` is None, and
     otherwise at exactly the faces of ``target``, which it never removes.
     ``steps`` lists the (tau, sigma) masks of the pairs removed, or is None;
-    ``exhausted`` is False exactly when the node budget was hit first.
+    ``exhausted`` is False exactly when the node budget or ``MEMO_CAP``
+    was hit first.  Towards a single vertex in dimension <= 2 the search
+    follows one greedy path (see the module docstring).
     """
     ranked = _RankedFaces(k)
     masks, down, up = ranked.masks, ranked.down, ranked.up
@@ -168,6 +180,7 @@ def _search(
     else:
         goal = sum(1 << ranked.rank[m] for m in target._face_set)
     unprotected = ~(goal or 0)
+    greedy = goal is None and k.dim <= 2
 
     def is_terminal(closure: int) -> bool:
         # the only downward-closed set of one face is a single vertex
@@ -216,7 +229,13 @@ def _search(
             stack.append([child, child_free, child_free])
             break
         else:
+            if len(dead) >= MEMO_CAP:
+                return _SearchResult(
+                    None, nodes, False, memo_hits, len(dead), max_depth
+                )
             dead.add(closure)
+            if greedy:
+                break  # this dead end decides: not collapsible
             stack.pop()
             if path:
                 path.pop()
@@ -240,8 +259,9 @@ def is_collapsible(
 ) -> CollapseVerdict:
     """Decide whether k collapses to a single vertex.
 
-    Exhaustive (memo-complete) for verdict not-collapsible-exhausted;
-    budget exhaustion yields the inconclusive status instead.
+    Not-collapsible-exhausted is proved by one greedy path in dimension
+    <= 2 and by the memo-complete search above; running out of budget or
+    memo yields the inconclusive status instead.
     """
     if k.is_empty():
         raise ValueError("empty complex is not collapsible")

@@ -205,12 +205,18 @@ class SimplicialComplex:
 
     @cached_property
     def _faces_by_dim(self) -> Dict[int, List[int]]:
+        """Face masks by dimension, in no particular order: for counts and
+        ranks."""
         grouped: Dict[int, List[int]] = {}
         for m in self._face_set:
             grouped.setdefault(m.bit_count() - 1, []).append(m)
-        for q in grouped:
-            grouped[q].sort(key=_bits)
         return grouped
+
+    @cached_property
+    def _lex_faces_by_dim(self) -> Dict[int, List[int]]:
+        """Face masks by dimension in lexicographic vertex order: for the
+        tables whose order reaches output."""
+        return {q: sorted(ms, key=_bits) for q, ms in self._faces_by_dim.items()}
 
     def has_face(self, face) -> bool:
         m = _as_mask(face)

@@ -64,7 +64,8 @@ def gf2_rank(vectors: Iterable[int]) -> int:
 
 def _boundary_columns(faces_by_dim: Dict[int, List[int]], q: int) -> List[int]:
     """The q-th boundary map column-wise: bit i of column j marks face i of
-    dimension q-1 inside face j of dimension q, both in lexicographic order."""
+    dimension q-1 inside face j of dimension q, both in ``faces_by_dim``
+    order."""
     index = {m: i for i, m in enumerate(faces_by_dim.get(q - 1, []))}
     cols = []
     for face in faces_by_dim.get(q, []):
@@ -85,8 +86,9 @@ def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """
     if q < 1 or q > k.dim:
         raise ValueError(f"boundary matrix needs 1 <= q <= dim, got q={q}")
-    cols = _boundary_columns(k._faces_by_dim, q)
-    rows = [0] * len(k._faces_by_dim.get(q - 1, []))
+    by_dim = k._lex_faces_by_dim
+    cols = _boundary_columns(by_dim, q)
+    rows = [0] * len(by_dim.get(q - 1, []))
     for j, col in enumerate(cols):
         while col:
             bit = col & -col

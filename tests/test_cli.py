@@ -87,6 +87,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "collapse", str(path), "--budget", "1")
         assert code == EXIT_INCONCLUSIVE
 
+    def test_collapse_graph_decided_within_small_budget_exits_2(
+        self, capsys, tmp_path
+    ):
+        # one greedy path of 3 nodes decides a 1-complex
+        path = tmp_path / "edges.fl"
+        path.write_text("0 1\n2 3\n")
+        code, out, _ = run_cli(capsys, "collapse", str(path), "--budget", "3")
+        assert code == EXIT_NEGATIVE
+        assert "nodes-explored: 3" in out
+
     def test_certify_sigma2_exits_0(self, capsys, sigma2_file):
         code, out, _ = run_cli(capsys, "certify", sigma2_file)
         assert code == EXIT_OK

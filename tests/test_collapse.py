@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -261,14 +263,29 @@ def _oracle_search(start, protected, is_terminal, budget):
     return None, nodes, True
 
 
+def _oracle_is_collapsible(k, budget):
+    return _oracle_search(
+        frozenset(k._face_set), frozenset(), lambda c: len(c) == 1, budget
+    )
+
+
 def _assert_search_matches(k, budget, target=None):
-    start = frozenset(k._face_set)
     if target is None:
-        expected = _oracle_search(start, frozenset(), lambda c: len(c) == 1, budget)
+        expected = _oracle_is_collapsible(k, budget)
     else:
         goal = frozenset(target._face_set)
-        expected = _oracle_search(start, goal, lambda c: c == goal, budget)
-    assert tuple(_search(k, target, budget)[:3]) == expected, (k, target, budget)
+        expected = _oracle_search(
+            frozenset(k._face_set), goal, lambda c: c == goal, budget
+        )
+    found = tuple(_search(k, target, budget)[:3])
+    if target is None and k.dim <= 2 and expected[0] is None:
+        # one greedy path: not collapsible wherever the oracle decided so,
+        # on no more nodes than the oracle took
+        assert found[0] is None, (k, budget)
+        if expected[2]:
+            assert found[2] and found[1] <= expected[1], (k, budget)
+    else:
+        assert found == expected, (k, target, budget)
 
 
 def _catalog_variants():
@@ -290,9 +307,27 @@ def _random_complexes(seed, count):
         yield random_pure_complex(rng, n_vertices=7, dim=dim, p=p)
 
 
+@functools.lru_cache(maxsize=None)
+def _sampled_inputs():
+    """Every (complex, budget) the sampler hands to is_collapsible, seeds 1-3."""
+    seen = []
+
+    def recording(k, budget=collapse.DEFAULT_BUDGET):
+        seen.append((k, budget))
+        return is_collapsible(k, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census.collapse_mod, "is_collapsible", recording)
+        for seed in (1, 2, 3):
+            census.sample_acyclic_collapsibility(200, seed=seed)
+    return tuple(seen)
+
+
 class TestSearchMatchesOracle:
     """Same certificate steps, node count and exhaustion flag as the
-    rebuild-every-node search, so every verdict and report is unchanged."""
+    rebuild-every-node search, so every verdict and report is unchanged.
+    The one exception is a non-collapsible input of dimension <= 2, which
+    the search decides on its first dead end."""
 
     def test_catalog(self):
         for k in _catalog_variants():
@@ -303,16 +338,8 @@ class TestSearchMatchesOracle:
         for k in _random_complexes(20261018, 300):
             _assert_search_matches(k, budget)
 
-    def test_sampled_acyclic_complexes(self, monkeypatch):
-        seen = []
-
-        def recording(k, budget=collapse.DEFAULT_BUDGET):
-            seen.append((k, budget))
-            return is_collapsible(k, budget)
-
-        monkeypatch.setattr(census.collapse_mod, "is_collapsible", recording)
-        for seed in (1, 2, 3):
-            census.sample_acyclic_collapsibility(200, seed=seed)
+    def test_sampled_acyclic_complexes(self):
+        seen = _sampled_inputs()
         assert len(seen) > 50
         for k, budget in seen:
             _assert_search_matches(k, budget)
@@ -353,21 +380,101 @@ class TestSearchMatchesOracle:
             elementary_collapse(sc((5,)), CollapseStep(Face([]), Face([5])))
 
 
+# -- one greedy path against the exhaustive oracle in dimension <= 2 ------
+
+ORACLE_BUDGET = 20_000
+
+
+def _assert_greedy_matches(k, budget):
+    """is_collapsible against the oracle wherever the oracle decides: the
+    same verdict, the same steps and node count on collapsible inputs, and
+    no more nodes on the others.  Where the oracle runs out of budget, a
+    complex with homology must still be reported not collapsible.  Returns
+    the verdict, or None when neither check decided."""
+    steps, nodes, exhausted = _oracle_is_collapsible(k, budget)
+    verdict = is_collapsible(k)
+    if steps is not None:
+        assert verdict.collapsible, k
+        found = [(s.free_face.mask, s.coface.mask) for s in verdict.certificate.steps]
+        assert (found, verdict.nodes_explored) == (steps, nodes), k
+    elif exhausted:
+        assert verdict.status == NOT_COLLAPSIBLE, k
+        assert verdict.nodes_explored <= nodes, k
+    elif any(reduced_betti(k)):
+        assert verdict.status == NOT_COLLAPSIBLE, k
+    else:
+        return None
+    return verdict
+
+
+def _random_low_complexes(seed, count, n_vertices=6):
+    """Random 2-complexes (1-complexes when no triangle is drawn) plus one
+    to three extra edges, so that trees, cycles and dangling edges occur."""
+    rng = random.Random(seed)
+    triangles = list(itertools.combinations(range(n_vertices), 3))
+    edges = list(itertools.combinations(range(n_vertices), 2))
+    for _ in range(count):
+        p = rng.uniform(0.0, 0.35)
+        facets = [t for t in triangles if rng.random() < p]
+        yield from_facets(facets + rng.sample(edges, rng.randint(1, 3)))
+
+
+class TestGreedyMatchesExhaustive:
+    """In dimension <= 2 the first dead end proves "not collapsible"."""
+
+    def test_catalog_and_dunce_hat(self, dunce_hat):
+        # the dunce hat minus a facet takes the oracle 701,997 nodes; its
+        # homology (Euler characteristic 0) decides it instead
+        inputs = [dunce_hat]
+        for name in catalog.names():
+            k = catalog.get(name).complex
+            if k.dim <= 2:
+                inputs.append(k)
+                if len(k.facet_masks) > 1:
+                    inputs.append(
+                        from_facets(Face.from_mask(m) for m in k.facet_masks[1:])
+                    )
+        for k in inputs:
+            assert _assert_greedy_matches(k, ORACLE_BUDGET) is not None
+
+    def test_sampled_complexes(self):
+        for k, budget in _sampled_inputs():
+            assert _assert_greedy_matches(k, budget) is not None
+
+    def test_random_complexes_with_extra_edges(self):
+        negatives = 0
+        for k in _random_low_complexes(20261018, 300):
+            assert k.dim <= 2
+            verdict = _assert_greedy_matches(k, ORACLE_BUDGET)
+            assert verdict is not None
+            negatives += not verdict.collapsible
+        assert negatives >= 100
+
+
 class TestWorkCounters:
     def test_dunce_hat_dies_at_the_root(self, dunce_hat):
         verdict = is_collapsible(dunce_hat)
         assert (verdict.nodes_explored, verdict.memo_hits) == (1, 0)
         assert (verdict.memo_size, verdict.max_depth) == (1, 0)
 
-    def test_two_disjoint_edges_backtrack(self):
-        # each edge is intact or collapsed onto either end: 3 x 3 complexes,
-        # all dead; 12 moves between them, 8 of them tree edges, so 4 hits
-        verdict = is_collapsible(sc((0, 1), (2, 3)))
+    def test_two_disjoint_edges_stop_at_first_dead_end(self):
+        # collapse {0, 1} onto 1 and {2, 3} onto 3; the two vertices left
+        # are the one dead complex, and nothing is backtracked
+        for budget in (collapse.DEFAULT_BUDGET, 3):
+            verdict = is_collapsible(sc((0, 1), (2, 3)), budget)
+            assert verdict.status == NOT_COLLAPSIBLE
+            assert (verdict.nodes_explored, verdict.memo_hits) == (3, 0)
+            assert (verdict.memo_size, verdict.max_depth) == (1, 2)
+
+    def test_backtracking_in_dimension_3(self):
+        # a tetrahedron and a vertex: every complex the tetrahedron collapses
+        # through is dead, and the oracle explores the same 65 of them
+        k = sc((0, 1, 2, 3), (4,))
+        assert _oracle_is_collapsible(k, None) == (None, 65, True)
+        verdict = is_collapsible(k)
         assert verdict.status == NOT_COLLAPSIBLE
-        assert verdict.nodes_explored == 9
-        assert verdict.memo_size == 9
-        assert verdict.memo_hits == 4
-        assert verdict.max_depth == 2
+        assert (verdict.nodes_explored, verdict.memo_size) == (65, 65)
+        assert (verdict.memo_hits, verdict.max_depth) == (108, 7)
 
     def test_collapsible_without_backtracking(self):
         verdict = is_collapsible(standard_ball(3))
@@ -375,10 +482,18 @@ class TestWorkCounters:
         assert verdict.max_depth == len(verdict.certificate.steps) == 7
 
     def test_budget_give_up_keeps_counts(self):
-        verdict = is_collapsible(sc((0, 1), (2, 3)), budget=3)
+        # three collapses of the tetrahedron reach a fourth node, one over
+        # the budget
+        verdict = is_collapsible(sc((0, 1, 2, 3), (4,)), budget=3)
         assert verdict.status == INCONCLUSIVE
         assert verdict.nodes_explored == 4
-        assert verdict.max_depth == 2
+        assert verdict.max_depth == 3
+
+    def test_memo_cap_gives_up_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(collapse, "MEMO_CAP", 10)
+        verdict = is_collapsible(sc((0, 1, 2, 3), (4,)))
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.memo_size == 10
 
     def test_default_counters_are_zero(self):
         verdict = collapse.CollapseVerdict(NOT_COLLAPSIBLE, 1)
