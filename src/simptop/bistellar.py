@@ -9,17 +9,17 @@ the standard sphere on beta (or alpha is itself a facet); proper when
 merely flagged, since applying them is exactly how some of the catalog
 complexes arise.
 
-Bistellar moves are read off the faces, as BISTELLAR does (Bjorner-Lutz,
-Exp. Math. 9, 2000): within V(k) they are exactly the sets A = alpha | beta
-where beta, the vertex set of the link of a face alpha of dimension < d,
-has |alpha| + |beta| = d + 2, is not a face, and leaves a facet A minus x
-for every x in beta.  The sweep over all (d+2)-subsets of V(k) remains for
-the singular classifications and as the test oracle of that rule.
+One enumerator reads every class off the faces, as BISTELLAR reads the
+bistellar moves (Bjorner-Lutz, Exp. Math. 9, 2000): a table maps each face
+to the union of the facets containing it, whose vertex set is alpha plus
+V(lk alpha).  Within V(k) a bistellar A is such a union with d + 2
+vertices; any admissible A is a facet plus one vertex.  The sweep over all
+(d+2)-subsets of V(k), one ``classify_move`` each, is kept only as the test
+oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -55,7 +55,7 @@ class MoveDescriptor:
     classification: str
 
     def is_bistellar(self) -> bool:
-        return self.classification in (BISTELLAR, PROPER_BISTELLAR)
+        return self.classification in _BISTELLAR_KINDS
 
 
 @dataclass(frozen=True)
@@ -149,61 +149,12 @@ def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
 
 def _fresh_vertex(k: SimplicialComplex) -> int:
     """The smallest vertex id outside V(k)."""
-    return next(v for v in range(VERTEX_LIMIT) if not k.vertex_mask >> v & 1)
-
-
-def _bistellar_moves(
-    k: SimplicialComplex, wanted: set, include_expanding: bool
-) -> List[MoveDescriptor]:
-    """The bistellar moves of k in ``wanted``, read off its faces.
-
-    Same list, in the same order, as the subset sweep of
-    :func:`enumerate_moves` restricted to bistellar classifications.
-    """
-    d = k.dim
-    # every face -> union of the facets containing it, so alpha | beta
-    star: Dict[int, int] = {}
-    for f in k.facet_masks:
-        for sub in _submasks_nonempty(f):
-            star[sub] = star.get(sub, 0) | f
-    out: List[MoveDescriptor] = []
-    for alpha, a_mask in star.items():
-        beta = a_mask & ~alpha
-        if a_mask.bit_count() != d + 2 or beta in star:
-            continue
-        # A minus x has d + 1 vertices, so it is a face only as a facet
-        if not all(a_mask ^ (1 << v) in star for v in _bits(beta)):
-            continue
-        i = alpha.bit_count() - 1
-        classification = PROPER_BISTELLAR if 1 <= i <= d - 1 else BISTELLAR
-        if classification in wanted:
-            out.append(
-                MoveDescriptor(
-                    a_set=Face.from_mask(a_mask),
-                    alpha=Face.from_mask(alpha),
-                    beta=Face.from_mask(beta),
-                    i=i,
-                    classification=classification,
-                )
-            )
-    out.sort(key=lambda move: move.a_set.vertices)
-    if include_expanding:
-        if d < 1:
-            raise ValueError("bistellar moves need dimension >= 1")
-        fresh = _fresh_vertex(k)
-        if BISTELLAR in wanted:
-            # A = facet + fresh vertex: alpha is the facet, i = d
-            out.extend(
-                MoveDescriptor(
-                    a_set=Face.from_mask(f | 1 << fresh),
-                    alpha=Face.from_mask(f),
-                    beta=Face.from_mask(1 << fresh),
-                    i=d,
-                    classification=BISTELLAR,
-                )
-                for f in k.facet_masks
-            )
-    return out
+    free = ~k.vertex_mask & ((1 << VERTEX_LIMIT) - 1)
+    if not free:
+        raise ValueError(
+            f"no fresh vertex: V(k) fills the vertex cap of {VERTEX_LIMIT}"
+        )
+    return (free & -free).bit_length() - 1
 
 
 def enumerate_moves(
@@ -211,38 +162,80 @@ def enumerate_moves(
     classifications: Optional[Iterable[str]] = None,
     include_expanding: bool = False,
 ) -> List[MoveDescriptor]:
-    """All classified moves over (d+2)-subsets of V(k), in vertex order.
+    """All classified moves at (d+2)-subsets A of V(k), in vertex order.
 
-    Moves that star a fresh vertex into a facet enlarge the complex, so
-    they are left out unless ``include_expanding`` is set; the fresh vertex
-    is the smallest id outside V(k).  When only bistellar classifications
-    are wanted the moves are read off the faces; otherwise every subset is
-    classified.
+    Every class is read off one star table (face -> union of the facets
+    containing it), by the rule of :func:`classify_move`: lk(alpha) has
+    vertex set star[alpha] minus alpha.  When only bistellar classes are
+    wanted the candidates are the star values with d+2 vertices; otherwise
+    each facet plus one more vertex of V(k).  Moves that star a fresh vertex
+    into a facet enlarge the complex, so they are left out unless
+    ``include_expanding`` is set; they follow in facet order, and the fresh
+    vertex is the smallest id outside V(k).
     """
     if k.is_empty() or not k.is_pure():
         raise ValueError("enumerate_moves needs a pure non-empty complex")
-    wanted = None if classifications is None else set(classifications)
-    if wanted is not None and wanted <= _BISTELLAR_KINDS:
-        return _bistellar_moves(k, wanted, include_expanding)
+    if classifications is None:
+        wanted = set(CLASSIFICATIONS)
+    else:
+        wanted = set(classifications)
+        unknown = sorted(wanted.difference(CLASSIFICATIONS))
+        if unknown:
+            raise ValueError(
+                f"unknown move classification {', '.join(map(repr, unknown))}; "
+                f"valid: {', '.join(CLASSIFICATIONS)}"
+            )
     d = k.dim
-    out: List[MoveDescriptor] = []
-    verts = k.vertices
-    for combo in itertools.combinations(verts, d + 2):
-        a_mask = 0
-        for v in combo:
-            a_mask |= 1 << v
-        inside = sum(1 for f in k.facet_masks if f & ~a_mask == 0)
-        if not 1 <= inside <= d + 1:
-            continue
-        move = classify_move(k, a_mask)
-        if wanted is None or move.classification in wanted:
-            out.append(move)
+    facets = k.facet_masks
+    star: Dict[int, int] = {}
+    for f in facets:
+        for sub in _submasks_nonempty(f):
+            star[sub] = star.get(sub, 0) | f
+    if wanted <= _BISTELLAR_KINDS:
+        # inside V(k) a bistellar A is alpha | V(lk alpha) = star[alpha]
+        candidates = {a for a in star.values() if a.bit_count() == d + 2}
+    else:
+        # every admissible A holds a facet
+        candidates = {f | 1 << v for f in facets for v in _bits(k.vertex_mask & ~f)}
+    a_sets = sorted(candidates, key=_bits)
     if include_expanding:
-        fresh = _fresh_vertex(k)
-        for f in k.facet_masks:
-            move = classify_move(k, f | (1 << fresh))
-            if wanted is None or move.classification in wanted:
-                out.append(move)
+        if d < 1:
+            raise ValueError("bistellar moves need dimension >= 1")
+        fresh = 1 << _fresh_vertex(k)
+        a_sets.extend(f | fresh for f in facets)
+
+    out: List[MoveDescriptor] = []
+    for a in a_sets:
+        # A minus x has d + 1 vertices, so it is a face only as a facet
+        beta = 0
+        rest = a
+        while rest:
+            x = rest & -rest
+            if a ^ x in star:
+                beta |= x
+            rest ^= x
+        if beta == a:
+            continue
+        alpha = a & ~beta
+        i = alpha.bit_count() - 1
+        if beta in star:
+            classification = SINGULAR_BS1
+        elif i < d and star[alpha] != a:
+            classification = SINGULAR_BS2
+        elif 1 <= i <= d - 1:
+            classification = PROPER_BISTELLAR
+        else:
+            classification = BISTELLAR
+        if classification in wanted:
+            out.append(
+                MoveDescriptor(
+                    a_set=Face.from_mask(a),
+                    alpha=Face.from_mask(alpha),
+                    beta=Face.from_mask(beta),
+                    i=i,
+                    classification=classification,
+                )
+            )
     return out
 
 

@@ -22,7 +22,15 @@ from . import (
     structure,
     verification,
 )
-from .bistellar import PROPER_BISTELLAR, enumerate_moves
+from .bistellar import (
+    BISTELLAR,
+    PROPER_BISTELLAR,
+    SINGULAR_BS1,
+    SINGULAR_BS2,
+    apply_generalized_move,
+    classify_move,
+    enumerate_moves,
+)
 from .complexes import SimplicialComplex
 from .facetio import FacetParseError, parse_facets, write_facets
 
@@ -91,9 +99,9 @@ def _cmd_collapse(args) -> int:
 _FILTER_ALIASES = {
     "proper": PROPER_BISTELLAR,
     "proper-bistellar": PROPER_BISTELLAR,
-    "bistellar": "bistellar",
-    "singular-bs1": "singular-bs1",
-    "singular-bs2": "singular-bs2",
+    BISTELLAR: BISTELLAR,
+    SINGULAR_BS1: SINGULAR_BS1,
+    SINGULAR_BS2: SINGULAR_BS2,
 }
 
 
@@ -105,7 +113,7 @@ def _cmd_moves(args) -> int:
         for name in args.filter.split(","):
             name = name.strip()
             if name == "singular":
-                wanted.update(("singular-bs1", "singular-bs2"))
+                wanted.update((SINGULAR_BS1, SINGULAR_BS2))
                 continue
             if name not in _FILTER_ALIASES:
                 print(f"unknown move filter {name!r}", file=sys.stderr)
@@ -123,8 +131,6 @@ def _cmd_apply_move(args) -> int:
     except ValueError:
         print("--a-set needs integers like 2,3,4,6", file=sys.stderr)
         return EXIT_ERROR
-    from .bistellar import apply_generalized_move, classify_move
-
     move = classify_move(k, a_set)
     result = apply_generalized_move(k, a_set)
     print(f"# move: {reports.move_text(move)}")

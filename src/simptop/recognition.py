@@ -254,13 +254,10 @@ def find_induced_ball(
         raise ValueError(f"unknown ball policy {policy!r}")
 
     base = m.facet_masks[0]
-    ball = m.induced(base)
-    if ball.facet_masks != (base,):
-        return None  # facet span contains extra faces: cannot happen, bail safely
     evidence = "facet span equals the standard ball"
     if policy == "facet":
         if n <= (d + 1) + 7:
-            return ball, evidence
+            return m.induced(base), evidence
         return None
 
     current_mask = base

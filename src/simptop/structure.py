@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _antichain
 
 
 def _ridge_degrees(k: SimplicialComplex) -> Dict[int, int]:
@@ -135,8 +135,6 @@ def _intersection(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialCompl
     common = a._face_set & b._face_set
     if not common:
         return SimplicialComplex._from_facet_masks(())
-    from .complexes import _antichain
-
     return SimplicialComplex._from_facet_masks(_antichain(common))
 
 

@@ -21,7 +21,7 @@ from .bistellar import (
     classify_move,
 )
 from .complexes import SimplicialComplex, are_isomorphic, from_facets
-from .recognition import find_induced_ball
+from .recognition import _is_two_sphere, find_induced_ball
 from .structure import decompose, simplicial_complement, simplicial_neighbourhood
 
 
@@ -48,8 +48,6 @@ MOVE_IDENTITIES = (
 
 
 def _two_sphere_on(k: SimplicialComplex, vertices) -> bool:
-    from .recognition import _is_two_sphere
-
     sub = from_facets(
         [f for f in k.facet_tuples() if set(f) <= set(vertices)]
     )

@@ -152,7 +152,7 @@ class TestEnumerate:
         assert len(with_exp) == len(default) + len(s2.facets)
 
 
-def _sweep(k, classifications, include_expanding):
+def _sweep(k, include_expanding):
     """Oracle: classify every admissible (d+2)-subset of V(k) in lex order,
     then every facet plus the smallest vertex outside V(k)."""
     d = k.dim
@@ -165,21 +165,30 @@ def _sweep(k, classifications, include_expanding):
     if include_expanding:
         fresh = min(set(range(64)) - set(k.vertices))
         out.extend(classify_move(k, f | 1 << fresh) for f in k.facet_masks)
-    return [m for m in out if m.classification in classifications]
+    return out
 
 
-BISTELLAR_FILTERS = (
+FILTERS = (
     (BISTELLAR, PROPER_BISTELLAR),
     (PROPER_BISTELLAR,),
     (BISTELLAR,),
+    None,
+    (SINGULAR_BS1,),
+    (SINGULAR_BS2,),
+    (SINGULAR_BS1, SINGULAR_BS2),
+    (BISTELLAR, SINGULAR_BS2),
 )
 
 
 def _assert_same_as_sweep(k):
-    for wanted in BISTELLAR_FILTERS:
-        for expanding in (False, True):
+    for expanding in (False, True):
+        every = _sweep(k, expanding)
+        for wanted in FILTERS:
+            expected = [
+                m for m in every if wanted is None or m.classification in wanted
+            ]
             fast = enumerate_moves(k, wanted, include_expanding=expanding)
-            assert fast == _sweep(k, wanted, expanding), (k, wanted, expanding)
+            assert fast == expected, (k, wanted, expanding)
 
 
 class TestFaceDrivenEnumeration:
@@ -207,10 +216,28 @@ class TestFaceDrivenEnumeration:
             k = random_pure_complex(rng, dim=rng.choice((1, 2, 3)), p=rng.random())
             _assert_same_as_sweep(k)
 
-    def test_singular_filters_still_sweep(self):
+    def test_upsilon2_move_counts(self):
+        # test_catalog_matches_sweep compares Upsilon2 with the sweep
         u2 = catalog.get("Upsilon2").complex
-        assert enumerate_moves(u2, (SINGULAR_BS2,)) == _sweep(u2, (SINGULAR_BS2,), False)
-        assert enumerate_moves(u2) == _sweep(u2, set(CLASSIFICATIONS), False)
+        assert len(enumerate_moves(u2)) == 29
+        assert len(enumerate_moves(u2, (SINGULAR_BS2,))) == 2
+
+    def test_unknown_classification_rejected(self):
+        s2 = catalog.get("Sigma2").complex
+        with pytest.raises(ValueError, match="'proper'") as excinfo:
+            enumerate_moves(s2, ("proper",))
+        assert all(name in str(excinfo.value) for name in CLASSIFICATIONS)
+        with pytest.raises(ValueError, match="unknown move classification"):
+            enumerate_moves(s2, (BISTELLAR, "bs2"), include_expanding=True)
+
+    def test_full_vertex_pool_hits_vertex_cap(self):
+        full = cycle(64)
+        with pytest.raises(ValueError, match="vertex cap"):
+            enumerate_moves(full, include_expanding=True)
+        with pytest.raises(ValueError, match="vertex cap"):
+            flip_search(full, "standard-sphere", seed=1, allow_expanding=True)
+        # without expanding moves the full pool is no obstacle
+        assert len(enumerate_moves(full, (BISTELLAR,))) == 64
 
     def test_energy_from_link_degrees(self):
         for name in ("RP2_6", "Sigma4", "octahedron", "S3_5", "Upsilon1"):
