@@ -40,9 +40,8 @@ BISTELLAR = "bistellar"
 PROPER_BISTELLAR = "proper-bistellar"
 SINGULAR_BS1 = "singular-bs1"
 SINGULAR_BS2 = "singular-bs2"
-INVALID = "invalid"
 
-CLASSIFICATIONS = (BISTELLAR, PROPER_BISTELLAR, SINGULAR_BS1, SINGULAR_BS2, INVALID)
+CLASSIFICATIONS = (BISTELLAR, PROPER_BISTELLAR, SINGULAR_BS1, SINGULAR_BS2)
 _BISTELLAR_KINDS = frozenset((BISTELLAR, PROPER_BISTELLAR))
 
 

@@ -15,7 +15,8 @@ have an edge of degree 1.  Symmetry breaking, when enabled, pins the
 first seed to the lexicographically least triangle, which every
 isomorphism class can be relabeled to contain.  The labeled complexes
 are then split into isomorphism classes by walking the orbit of each new
-representative under every permutation of the vertex pool.
+representative under the permutations of the vertex pool; with the first
+seed pinned, only those that send one of its triangles onto triangle 0.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class CensusSpec:
+    """What a census enumerates: complexes on range(n_vertices) under a
+    ridge-degree ``constraint``, with at most ``max_facets`` triangles.
+
+    ``exact_vertices`` keeps only complexes that use every vertex.  The
+    walk prunes on it only through the facet budget, so without
+    ``max_facets`` it visits the same nodes with the flag on or off and
+    the flag just filters the emitted complexes.
+    """
+
     n_vertices: int
     constraint: str = CONSTRAINT_CLOSED
     max_facets: Optional[int] = None
@@ -98,7 +108,9 @@ class CensusResult:
     seconds: float
     enumeration_seconds: float = 0.0
     reduction_seconds: float = 0.0
-    # permuted images computed by the reduction: classes x n!
+    # permuted images computed by the reduction: classes x n!, or
+    # facets x 3!(n-3)! summed over the representatives when every
+    # labeled complex holds the pinned triangle 0
     images_checked: int = 0
 
     @property
@@ -159,6 +171,18 @@ class _Tables:
             )
         return rows
 
+    @functools.cached_property
+    def perm_groups(self) -> List[List[bytes]]:
+        """``perm_rows`` grouped by the triangle each permutation sends
+        onto triangle 0: group t holds the 3!(n-3)! rows with row[t] == 0.
+
+        Holds references to the rows of ``perm_rows``, built on first use.
+        """
+        groups: List[List[bytes]] = [[] for _ in self.triangles]
+        for row in self.perm_rows:
+            groups[row.index(0)].append(row)
+        return groups
+
 
 _TABLES: Dict[int, _Tables] = {}
 
@@ -185,17 +209,19 @@ class _Enumerator:
         n = spec.n_vertices
         if spec.constraint == CONSTRAINT_EVEN:
             self.cap = n - 2 - n % 2  # the largest even degree <= n - 2
-            self.deficient = bytes(d % 2 for d in range(self.cap + 1))
+            deficient = range(1, self.cap, 2)
         else:
             self.cap = 2
-            self.deficient = bytes((0, spec.constraint == CONSTRAINT_CLOSED, 0))
+            deficient = (1,) if spec.constraint == CONSTRAINT_CLOSED else ()
+        # a translate() table: byte d is 1 when degree d is deficient
+        self.deficient = bytes(d in deficient for d in range(256))
         self.needs_open_edge = spec.constraint == CONSTRAINT_BOUNDARY
         self.max_facets = spec.facet_cap
         self.results: List[Tuple[int, ...]] = []
         self.nodes = 0
 
         t = self.tables
-        self.deg = [0] * t.edge_count
+        self.deg = bytearray(t.edge_count)
         self.chosen: List[int] = []
         self.chosen_flags = [False] * len(t.triangles)
         self.banned = [False] * len(t.triangles)
@@ -241,18 +267,12 @@ class _Enumerator:
 
     def _walk(self, floor: int) -> None:
         self.nodes += 1
-        deficient = -1
-        deficient_total = 0
-        table = self.deficient
-        for e, d in enumerate(self.deg):
-            if table[d]:
-                deficient_total += 1
-                if deficient == -1:
-                    deficient = e
+        flags = self.deg.translate(self.deficient)
+        deficient = flags.find(1)
 
         budget_left = self.max_facets - len(self.chosen)
         if deficient >= 0:
-            if (deficient_total + 2) // 3 > budget_left:
+            if (flags.count(1) + 2) // 3 > budget_left:
                 return
             candidates = [
                 t
@@ -302,32 +322,43 @@ def _reduce_classes(
     of the other under a permutation of range(n).  The first complex not
     yet in a class represents a new class, and its image under every
     permutation row that lands on an unassigned labeled complex joins the
-    class.  Returns the representatives and class sizes, sorted by
-    (f-vector, facets), and the number of images computed.
+    class.  When every labeled complex holds triangle 0 (the pinned first
+    seed), an image can land only if its permutation sends one of the
+    representative's triangles onto triangle 0, so only the row groups of
+    those triangles are walked; otherwise every group is.  Returns the
+    representatives and class sizes, sorted by (f-vector, facets), and
+    the number of images computed.
     """
     tri_index = tables.tri_index
     position = {
         sum(1 << tri_index[m] for m in masks): i for i, masks in enumerate(labeled)
     }
-    rows = tables.perm_rows
+    groups = tables.perm_groups
+    every = range(len(groups))
+    triangle0 = tables.triangles[0]
+    pinned = all(triangle0 in masks for masks in labeled)
     shift = (1).__lshift__
     assigned = bytearray(len(labeled))
     reps: List[Tuple[SimplicialComplex, int]] = []
+    images = 0
     for i, masks in enumerate(labeled):
         if assigned[i]:
             continue
-        pick = operator.itemgetter(*(tri_index[m] for m in masks))
+        own = [tri_index[m] for m in masks]
+        pick = operator.itemgetter(*own)
         if len(masks) == 1:  # one index gives a bare item, not a 1-tuple
             pick = lambda row, one=pick: (one(row),)
         size = 0
-        for row in rows:
-            j = position.get(sum(map(shift, pick(row))))
-            if j is not None and not assigned[j]:
-                assigned[j] = 1
-                size += 1
+        for t in own if pinned else every:
+            for row in groups[t]:
+                j = position.get(sum(map(shift, pick(row))))
+                if j is not None and not assigned[j]:
+                    assigned[j] = 1
+                    size += 1
+            images += len(groups[t])
         reps.append((SimplicialComplex._from_facet_masks(masks), size))
     reps.sort(key=lambda pair: (pair[0].f_vector(), pair[0].facet_tuples()))
-    return [r for r, _ in reps], [c for _, c in reps], len(reps) * len(rows)
+    return [r for r, _ in reps], [c for _, c in reps], images
 
 
 def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:

@@ -230,6 +230,14 @@ class TestFaceDrivenEnumeration:
         with pytest.raises(ValueError, match="unknown move classification"):
             enumerate_moves(s2, (BISTELLAR, "bs2"), include_expanding=True)
 
+    def test_invalid_is_not_a_classification(self):
+        # no move is ever classified invalid, so the name is unknown rather
+        # than a filter that always returns []
+        s2 = catalog.get("Sigma2").complex
+        assert "invalid" not in CLASSIFICATIONS
+        with pytest.raises(ValueError, match="unknown move classification 'invalid'"):
+            enumerate_moves(s2, ("invalid",))
+
     def test_full_vertex_pool_hits_vertex_cap(self):
         full = cycle(64)
         with pytest.raises(ValueError, match="vertex cap"):

@@ -395,6 +395,16 @@ class TestEnumerationSmall:
             enumerate_census(CensusSpec(n_vertices=6, constraint="nope"))
 
 
+def _images_tried(labeled, reps, n):
+    """Rows the orbit walk tries: the row groups of each representative's
+    triangles when every labeled complex holds triangle {0, 1, 2}, else
+    all n! rows per class."""
+    if all(0b111 in masks for masks in labeled):
+        per_group = math.factorial(3) * math.factorial(n - 3)
+        return sum(len(rep.facet_masks) * per_group for rep in reps)
+    return len(reps) * math.factorial(n)
+
+
 def _spec_id(spec):
     return "%s-n%d-max%s-sb%d-exact%d" % (
         spec.constraint,
@@ -441,7 +451,26 @@ class TestOrbitReduction:
         assert fast.labeled_per_class == tuple(per_class)
         assert fast.labeled_count == unreduced.labeled_count == len(labeled)
         assert sum(per_class) == len(labeled)
-        assert fast.images_checked == len(reps) * math.factorial(spec.n_vertices)
+        assert fast.images_checked == _images_tried(labeled, reps, spec.n_vertices)
+        if spec.symmetry_breaking:
+            assert all(0b111 in masks for masks in labeled)
+
+    def test_unpinned_list_walks_every_group(self):
+        # closed complexes on 6 vertices that miss triangle {0, 1, 2}: an
+        # orbit may leave a representative's row groups, so the reduction
+        # must try all n! rows per class
+        spec = CensusSpec(n_vertices=6, symmetry_breaking=False, reduce_iso=False)
+        labeled = sorted(
+            tuple(sorted(r.facet_masks))
+            for r in enumerate_census(spec).representatives
+            if 0b111 not in r.facet_masks
+        )
+        assert labeled
+        reps, per_class, images = census._reduce_classes(labeled, census._tables(6))
+        oracle_reps, oracle_per_class = pairwise_reduce_classes(labeled)
+        assert reps == oracle_reps
+        assert per_class == oracle_per_class
+        assert images == len(reps) * math.factorial(6)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_permutation_table(self, n):
@@ -456,15 +485,34 @@ class TestOrbitReduction:
                 image = sum(1 << p[v] for v in range(n) if mask >> v & 1)
                 assert tables.triangles[row[t]] == image
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_row_groups_partition_the_table(self, n):
+        tables = census._Tables(n)
+        groups = tables.perm_groups
+        per_group = math.factorial(3) * math.factorial(n - 3)
+        assert len(groups) == math.comb(n, 3)
+        for t, group in enumerate(groups):
+            assert len(group) == per_group
+            assert all(row[t] == 0 for row in group)
+        grouped = sorted(row for group in groups for row in group)
+        assert grouped == sorted(tables.perm_rows)
+
     def test_table_is_built_on_first_use(self):
         tables = census._Tables(5)
         assert "perm_rows" not in vars(tables)
+        assert "perm_groups" not in vars(tables)
         rows = tables.perm_rows
         assert tables.perm_rows is rows
+        groups = tables.perm_groups
+        assert tables.perm_groups is groups
+        ids = set(map(id, rows))
+        assert all(id(row) in ids for group in groups for row in group)
 
     def test_counters(self):
         result = enumerate_census(CLOSED7)
-        assert result.images_checked == 7 * math.factorial(7)
+        # facets x 3!4! over the 7 representatives (8 + 6 x 10 facets)
+        assert result.images_checked == 68 * math.factorial(3) * math.factorial(4)
+        assert result.images_checked == 9792
         assert result.enumeration_seconds > 0
         assert result.reduction_seconds > 0
         assert result.seconds == pytest.approx(
