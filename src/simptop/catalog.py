@@ -317,7 +317,3 @@ def get(name: str) -> CatalogEntry:
         _validate(entry)
         _VALIDATED.add(name)
     return entry
-
-
-def complex_named(name: str) -> SimplicialComplex:
-    return get(name).complex

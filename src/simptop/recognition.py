@@ -7,17 +7,24 @@ GF(2)-acyclic, an exhaustive search proves it collapsible, and the verdict
 follows with the whole witness chain attached.  Failures are structured
 verdicts, never false positives.
 
-Dimension policy: manifoldness is decided exactly up to d = 3 (1-sphere
-links are cycles, 2-sphere links are checked by the surface classification).
-For d >= 4 the vertex links are certified recursively or reduced to the
-standard sphere by flip search; when neither settles the question the
-verdict is inconclusive rather than trusted.
+Dimension policy: spheres and balls of dimension d <= 2 are recognized
+exactly by two predicates, ``_is_sphere(k, d)`` and ``_is_ball(k, d)``,
+built on the pseudomanifold tests of ``structure``.  They are exact because
+there the shape is fixed by local data plus connectivity and the Euler
+characteristic: a weak 0-pseudomanifold is two points, a connected weak
+1-pseudomanifold is a cycle and a connected one with boundary a path, and
+by the surface classification a connected closed surface with chi = 2 is
+S^2 and a connected surface with chi = 1 and one boundary cycle is a disk.
+Manifoldness is therefore decided exactly up to d = 3, where every vertex
+link has dimension <= 2.  For d >= 4 the vertex links are certified
+recursively or reduced to the standard sphere by flip search; when neither
+settles the question the verdict is inconclusive rather than trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import collapse as collapse_mod
 from . import homology
@@ -27,7 +34,7 @@ from .bistellar import (
     enumerate_moves,
     flip_search,
 )
-from .complexes import SimplicialComplex, _bits
+from .complexes import SimplicialComplex
 from .structure import (
     boundary_complex,
     decompose,
@@ -62,11 +69,11 @@ class SphereCertificate:
     verdict: str
     reason: Optional[str]
     manifold: Optional[ManifoldVerdict]
-    ball: Optional[SimplicialComplex]
-    ball_evidence: Optional[str]
-    complement: Optional[SimplicialComplex]
-    betti_of_complement: Optional[Tuple[int, ...]]
-    collapse_certificate: Optional[collapse_mod.CollapseCertificate]
+    ball: Optional[SimplicialComplex] = None
+    ball_evidence: Optional[str] = None
+    complement: Optional[SimplicialComplex] = None
+    betti_of_complement: Optional[Tuple[int, ...]] = None
+    collapse_certificate: Optional[collapse_mod.CollapseCertificate] = None
 
     def is_sphere(self) -> bool:
         return self.verdict == SPHERE
@@ -78,60 +85,36 @@ class ProperMoveClassification:
     witness: Optional[MoveDescriptor]
 
 
-def _graph_degrees(k: SimplicialComplex) -> List[int]:
-    """Vertex degrees of a 1-complex, one entry per vertex on an edge."""
-    degrees: Dict[int, int] = {}
-    for e in k.facet_masks:
-        for v in _bits(e):
-            degrees[v] = degrees.get(v, 0) + 1
-    return list(degrees.values())
+def _is_sphere(k: SimplicialComplex, d: int) -> bool:
+    """Exact combinatorial d-sphere test for d <= 2 (see the module notes)."""
+    if k.dim != d or not is_weak_pseudomanifold(k):
+        return False
+    if d == 0:
+        return True
+    if not k.is_connected():
+        return False
+    if d == 1:
+        return True
+    return k.euler_characteristic() == 2 and all(
+        _is_sphere(k.link([v]), 1) for v in k.vertices
+    )
 
 
-def _is_cycle(k: SimplicialComplex) -> bool:
-    if k.is_empty() or k.dim != 1 or not k.is_pure():
+def _is_ball(k: SimplicialComplex, d: int) -> bool:
+    """Exact combinatorial d-ball test for d <= 2 (see the module notes)."""
+    if d == 0:
+        return len(k.vertices) == 1
+    if k.dim != d or not is_weak_pm_with_boundary(k) or not k.is_connected():
         return False
-    fvec = k.f_vector()
-    if fvec[0] != fvec[1] or fvec[0] < 3:
-        return False
-    return all(d == 2 for d in _graph_degrees(k)) and k.is_connected()
-
-
-def _is_two_sphere(k: SimplicialComplex) -> bool:
-    """Exact: every triangulated surface with chi 2 and no pinches is S^2."""
-    if k.is_empty() or k.dim != 2 or not k.is_pure():
-        return False
-    if not is_weak_pseudomanifold(k) or not k.is_connected():
-        return False
-    if k.euler_characteristic() != 2:
-        return False
-    return all(_is_cycle(k.link([v])) for v in k.vertices)
-
-
-def _is_path(k: SimplicialComplex) -> bool:
-    if k.is_empty() or k.dim != 1 or not k.is_pure():
-        return False
-    fvec = k.f_vector()
-    if fvec[0] != fvec[1] + 1:
-        return False
-    return max(_graph_degrees(k)) <= 2 and k.is_connected()
-
-
-def _is_disk(k: SimplicialComplex) -> bool:
-    """Exact: connected surface-with-boundary, chi 1, one boundary cycle."""
-    if k.is_empty() or k.dim != 2 or not k.is_pure() or not k.is_connected():
-        return False
-    if not is_weak_pm_with_boundary(k):
-        return False
+    if d == 1:
+        return True
     if k.euler_characteristic() != 1:
         return False
     for v in k.vertices:
         link = k.link([v])
-        if not (_is_cycle(link) or _is_path(link) or link.f_vector() == (1,)):
+        if not (_is_sphere(link, 1) or _is_ball(link, 1)):
             return False
-    try:
-        return _is_cycle(boundary_complex(k))
-    except ValueError:
-        return False
+    return _is_sphere(boundary_complex(k), 1)
 
 
 def is_combinatorial_ball(
@@ -141,60 +124,35 @@ def is_combinatorial_ball(
 
     For d >= 3 a collapsible combinatorial manifold with boundary is a
     ball; the converse is not claimed, so False here means "no evidence",
-    reported as None when the question stays open.
+    reported as None when the question stays open.  Vertex links are
+    decided exactly only for d = 3; for d >= 4 the first link of the right
+    dimension leaves the question open.
     """
     if k.is_empty():
         return False
     d = k.dim
-    if d == 0:
-        return len(k.vertices) == 1
-    if d == 1:
-        return _is_path(k)
-    if d == 2:
-        return _is_disk(k)
+    if d <= 2:
+        return _is_ball(k, d)
     if len(k.vertices) == d + 1 and len(k.facet_masks) == 1:
         return True
-    mwb = _is_manifold_with_boundary(k)
-    if mwb is None:
-        return None
-    if not mwb:
-        return False
-    return True if collapse_mod.is_collapsible(k, budget).collapsible else None
-
-
-def _is_manifold_with_boundary(k: SimplicialComplex) -> Optional[bool]:
-    """Vertex links all (d-1)-spheres or (d-1)-balls, at least one ball."""
-    d = k.dim
     saw_ball = False
     for v in k.vertices:
         link = k.link([v])
         if link.dim != d - 1:
             return False
-        if d - 1 <= 2:
-            if _link_is_sphere_exact(link, d - 1):
-                continue
-            ball = is_combinatorial_ball(link)
-            if ball:
-                saw_ball = True
-                continue
+        if d > 3:
+            return None
+        if _is_sphere(link, 2):
+            continue
+        if not _is_ball(link, 2):
             return False
-        return None
-    return saw_ball
+        saw_ball = True
+    if not saw_ball:
+        return False
+    return True if collapse_mod.is_collapsible(k, budget).collapsible else None
 
 
-def _link_is_sphere_exact(link: SimplicialComplex, dim: int) -> bool:
-    if dim == 0:
-        return link.f_vector() == (2,)
-    if dim == 1:
-        return _is_cycle(link)
-    if dim == 2:
-        return _is_two_sphere(link)
-    raise ValueError("exact sphere link test only below dimension 3")
-
-
-def is_combinatorial_manifold(
-    k: SimplicialComplex, flip_seed: int = 0
-) -> ManifoldVerdict:
+def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
     """Is every vertex link a combinatorial (d-1)-sphere?
 
     Exact through d = 3; for d >= 4 each link is attempted recursively and
@@ -210,7 +168,7 @@ def is_combinatorial_manifold(
     for v in k.vertices:
         link = k.link([v])
         if d <= 3:
-            if _link_is_sphere_exact(link, d - 1):
+            if _is_sphere(link, d - 1):
                 witness.append((v, "link is a combinatorial %d-sphere" % (d - 1)))
             else:
                 return ManifoldVerdict(
@@ -226,7 +184,7 @@ def is_combinatorial_manifold(
             "not a combinatorial manifold",
         ):
             return ManifoldVerdict(MANIFOLD_NO, ((v, f"link: {cert.reason}"),))
-        trace = flip_search(link, "standard-sphere", seed=flip_seed)
+        trace = flip_search(link, "standard-sphere", seed=0)
         if trace is not None:
             witness.append((v, "link reduced to the standard sphere by flips"))
             continue
@@ -295,38 +253,36 @@ def certify_sphere(
         raise ValueError("certify_sphere needs a non-empty complex")
     d = m.dim
 
-    def failed(reason: str, manifold=None) -> SphereCertificate:
-        return SphereCertificate(
-            PRECONDITION_FAILED, reason, manifold, None, None, None, None, None
-        )
-
-    def open_verdict(reason: str, manifold=None) -> SphereCertificate:
-        return SphereCertificate(
-            INCONCLUSIVE, reason, manifold, None, None, None, None, None
-        )
-
     if assume_manifold:
         manifold = ManifoldVerdict(MANIFOLD_YES, ((-1, "assumed by caller"),))
     else:
         manifold = is_combinatorial_manifold(m)
         if manifold.status == MANIFOLD_NO:
-            return failed("not a combinatorial manifold", manifold)
+            return SphereCertificate(
+                PRECONDITION_FAILED, "not a combinatorial manifold", manifold
+            )
         if manifold.status == MANIFOLD_INCONCLUSIVE:
-            return open_verdict("manifold status unresolved", manifold)
+            return SphereCertificate(
+                INCONCLUSIVE, "manifold status unresolved", manifold
+            )
 
     if not homology.is_z2_homology_sphere(m, d):
-        return failed("not a Z2-homology sphere", manifold)
+        return SphereCertificate(
+            PRECONDITION_FAILED, "not a Z2-homology sphere", manifold
+        )
 
     found = find_induced_ball(m, ball_policy)
     if found is None:
-        return open_verdict(
-            "no induced ball found with a <= 7 vertex complement", manifold
+        return SphereCertificate(
+            INCONCLUSIVE,
+            "no induced ball found with a <= 7 vertex complement",
+            manifold,
         )
     ball, evidence = found
 
     complement = simplicial_complement(ball, m)
     if complement.is_empty():
-        return open_verdict("ball complement is empty", manifold)
+        return SphereCertificate(INCONCLUSIVE, "ball complement is empty", manifold)
 
     # the two-sided decomposition re-asserts its own conclusions; on a
     # verified manifold any failure is a bug, not a property of the input
@@ -336,7 +292,9 @@ def certify_sphere(
             decomposition = decompose(m, ball)
         except (ValueError, RuntimeError) as exc:
             if assume_manifold:
-                return failed(f"decomposition failed: {exc}", manifold)
+                return SphereCertificate(
+                    PRECONDITION_FAILED, f"decomposition failed: {exc}", manifold
+                )
             raise RuntimeError(f"pipeline self-check failed: {exc}") from exc
         if decomposition.l != complement:
             raise RuntimeError("pipeline self-check failed: complement mismatch")
@@ -344,7 +302,8 @@ def certify_sphere(
     betti = homology.reduced_betti(complement)
     if any(betti):
         if assume_manifold:
-            return failed(
+            return SphereCertificate(
+                PRECONDITION_FAILED,
                 "complement not Z2-acyclic; the assumed manifold hypothesis fails",
                 manifold,
             )
@@ -355,10 +314,11 @@ def certify_sphere(
 
     verdict = collapse_mod.is_collapsible(complement, budget)
     if verdict.status == collapse_mod.INCONCLUSIVE:
-        return open_verdict("collapse budget exhausted", manifold)
+        return SphereCertificate(INCONCLUSIVE, "collapse budget exhausted", manifold)
     if verdict.status == collapse_mod.NOT_COLLAPSIBLE:
         if assume_manifold:
-            return failed(
+            return SphereCertificate(
+                PRECONDITION_FAILED,
                 "acyclic complement not collapsible; the assumed manifold "
                 "hypothesis fails",
                 manifold,

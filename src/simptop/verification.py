@@ -21,7 +21,7 @@ from .bistellar import (
     classify_move,
 )
 from .complexes import SimplicialComplex, are_isomorphic, from_facets
-from .recognition import _is_two_sphere, find_induced_ball
+from .recognition import _is_sphere, find_induced_ball
 from .structure import decompose, simplicial_complement, simplicial_neighbourhood
 
 
@@ -51,7 +51,7 @@ def _two_sphere_on(k: SimplicialComplex, vertices) -> bool:
     sub = from_facets(
         [f for f in k.facet_tuples() if set(f) <= set(vertices)]
     )
-    return set(sub.vertices) == set(vertices) and _is_two_sphere(sub)
+    return set(sub.vertices) == set(vertices) and _is_sphere(sub, 2)
 
 
 def replay_move_identities() -> SuiteResult:

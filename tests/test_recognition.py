@@ -1,6 +1,11 @@
+import functools
+import itertools
+import random
+
 import pytest
 
 from simptop import (
+    SimplicialComplex,
     are_isomorphic,
     catalog,
     certify_sphere,
@@ -14,7 +19,14 @@ from simptop import (
     standard_sphere,
     verify_certificate,
 )
+from simptop import collapse as collapse_mod
 from simptop.bistellar import apply_generalized_move
+from simptop.census import (
+    CONSTRAINT_BOUNDARY,
+    CONSTRAINT_EVEN,
+    CensusSpec,
+    enumerate_census,
+)
 from simptop.homology import reduced_betti
 from simptop.recognition import (
     MANIFOLD_NO,
@@ -23,8 +35,13 @@ from simptop.recognition import (
     PRECONDITION_FAILED,
     SPHERE,
     SPHERE_BY_CONTRAPOSITIVE,
-    _is_two_sphere,
+    _is_sphere,
     is_combinatorial_ball,
+)
+from simptop.structure import (
+    boundary_complex,
+    is_weak_pm_with_boundary,
+    is_weak_pseudomanifold,
 )
 
 from conftest import sc
@@ -39,8 +56,6 @@ def moebius_kantor_torus():
 
 
 def starred_sphere(d, extra_vertices, seed):
-    import random
-
     rng = random.Random(seed)
     s = standard_sphere(d, tuple(range(d + 2)))
     while len(s.vertices) < d + 2 + extra_vertices:
@@ -181,8 +196,6 @@ class TestProperMoveClassification:
     def test_non_homology_sphere_rejected(self):
         # an 11-vertex torus: subdivide the 7-vertex one
         torus = moebius_kantor_torus()
-        import random
-
         rng = random.Random(3)
         while len(torus.vertices) < 11:
             fresh = max(torus.vertices) + 1
@@ -201,5 +214,263 @@ class TestTwoSphereTest:
         b = relabel(a, {1: 1, 2: 2, 3: 13, 4: 14, 5: 15, 6: 16})
         pinched = from_facets(a.facet_tuples() + b.facet_tuples())
         assert pinched.euler_characteristic() == 2
-        assert not _is_two_sphere(pinched)
-        assert _is_two_sphere(catalog.get("Sigma1").complex)
+        assert not _is_sphere(pinched, 2)
+        assert _is_sphere(catalog.get("Sigma1").complex, 2)
+
+
+# --- oracle copies of the shape helpers that _is_sphere / _is_ball replaced
+
+
+def _oracle_graph_degrees(k):
+    degrees = {}
+    for e in k.facet_tuples():
+        for v in e:
+            degrees[v] = degrees.get(v, 0) + 1
+    return list(degrees.values())
+
+
+def _oracle_is_cycle(k):
+    if k.is_empty() or k.dim != 1 or not k.is_pure():
+        return False
+    fvec = k.f_vector()
+    if fvec[0] != fvec[1] or fvec[0] < 3:
+        return False
+    return all(d == 2 for d in _oracle_graph_degrees(k)) and k.is_connected()
+
+
+def _oracle_is_two_sphere(k):
+    if k.is_empty() or k.dim != 2 or not k.is_pure():
+        return False
+    if not is_weak_pseudomanifold(k) or not k.is_connected():
+        return False
+    if k.euler_characteristic() != 2:
+        return False
+    return all(_oracle_is_cycle(k.link([v])) for v in k.vertices)
+
+
+def _oracle_is_path(k):
+    if k.is_empty() or k.dim != 1 or not k.is_pure():
+        return False
+    fvec = k.f_vector()
+    if fvec[0] != fvec[1] + 1:
+        return False
+    return max(_oracle_graph_degrees(k)) <= 2 and k.is_connected()
+
+
+def _oracle_is_disk(k):
+    if k.is_empty() or k.dim != 2 or not k.is_pure() or not k.is_connected():
+        return False
+    if not is_weak_pm_with_boundary(k):
+        return False
+    if k.euler_characteristic() != 1:
+        return False
+    for v in k.vertices:
+        link = k.link([v])
+        if not (
+            _oracle_is_cycle(link) or _oracle_is_path(link) or link.f_vector() == (1,)
+        ):
+            return False
+    try:
+        return _oracle_is_cycle(boundary_complex(k))
+    except ValueError:
+        return False
+
+
+def _oracle_link_is_sphere_exact(link, dim):
+    if dim == 0:
+        return link.f_vector() == (2,)
+    if dim == 1:
+        return _oracle_is_cycle(link)
+    return _oracle_is_two_sphere(link)
+
+
+def _oracle_is_manifold_with_boundary(k):
+    d = k.dim
+    saw_ball = False
+    for v in k.vertices:
+        link = k.link([v])
+        if link.dim != d - 1:
+            return False
+        if d - 1 <= 2:
+            if _oracle_link_is_sphere_exact(link, d - 1):
+                continue
+            if _oracle_is_combinatorial_ball(link):
+                saw_ball = True
+                continue
+            return False
+        return None
+    return saw_ball
+
+
+def _oracle_is_combinatorial_ball(k, budget=collapse_mod.DEFAULT_BUDGET):
+    if k.is_empty():
+        return False
+    d = k.dim
+    if d == 0:
+        return len(k.vertices) == 1
+    if d == 1:
+        return _oracle_is_path(k)
+    if d == 2:
+        return _oracle_is_disk(k)
+    if len(k.vertices) == d + 1 and len(k.facet_masks) == 1:
+        return True
+    mwb = _oracle_is_manifold_with_boundary(k)
+    if mwb is None:
+        return None
+    if not mwb:
+        return False
+    return True if collapse_mod.is_collapsible(k, budget).collapsible else None
+
+
+def _oracle_manifold_status(k):
+    """The exact branch of is_combinatorial_manifold, d <= 3."""
+    if k.is_empty():
+        return MANIFOLD_NO
+    d = k.dim
+    if d == 0:
+        return MANIFOLD_YES
+    exact = all(_oracle_link_is_sphere_exact(k.link([v]), d - 1) for v in k.vertices)
+    return MANIFOLD_YES if exact else MANIFOLD_NO
+
+
+def _with_links(tag, k):
+    yield tag, k
+    for v in k.vertices:
+        yield f"{tag}:lk{v}", k.link([v])
+
+
+def _family_catalog():
+    for name in catalog.names():
+        yield from _with_links(name, catalog.get(name).complex)
+
+
+def _family_census():
+    specs = {
+        "closed6": CensusSpec(n_vertices=6),
+        "even7": CensusSpec(n_vertices=7, max_facets=10, constraint=CONSTRAINT_EVEN),
+        "boundary6": CensusSpec(n_vertices=6, constraint=CONSTRAINT_BOUNDARY),
+        "boundary5-labeled": CensusSpec(
+            n_vertices=5, constraint=CONSTRAINT_BOUNDARY, reduce_iso=False
+        ),
+    }
+    for label, spec in specs.items():
+        for i, k in enumerate(enumerate_census(spec).representatives):
+            yield f"{label}:{i}", k
+
+
+def _family_walked():
+    rng = random.Random(20261018)
+    for d in (2, 3):
+        for seed in range(12):
+            m = random_bistellar_walk(
+                standard_sphere(d, tuple(range(1, d + 3))),
+                5 + seed,
+                seed=seed,
+                max_vertices=d + 8,
+            )
+            yield from _with_links(f"walk{d}:{seed}", m)
+            for j in range(4):
+                vs = [v for v in m.vertices if rng.random() < 0.6]
+                if vs:
+                    yield f"walk{d}:{seed}:induced{j}", m.induced(vs)
+
+
+def _family_random():
+    rng = random.Random(8191)
+    for i in range(1500):
+        n = rng.randint(1, 7)
+        dim = rng.randint(0, 3)
+        p = rng.choice((0.15, 0.3, 0.5, 0.8))
+        faces = []
+        for q in range(dim + 1):
+            if q == dim or rng.random() < 0.3:
+                faces += [
+                    c
+                    for c in itertools.combinations(range(n), q + 1)
+                    if rng.random() < p
+                ]
+        yield f"random:{i}", from_facets(faces or [tuple(range(min(n, dim + 1)))])
+
+
+def _family_cones():
+    bases = list(_family_catalog()) + list(_family_walked())[::5]
+    for tag, k in bases:
+        if 0 <= k.dim <= 2 and max(k.vertices) < 63:
+            yield f"cone:{tag}", k.cone(max(k.vertices) + 1)
+
+
+FAMILIES = {
+    "catalog": _family_catalog,
+    "census": _family_census,
+    "walked": _family_walked,
+    "random": _family_random,
+    "cones": _family_cones,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _inputs(family):
+    return tuple(FAMILIES[family]())
+
+
+class TestRecognizerMatchesOracle:
+    """_is_sphere / _is_ball give the replaced helpers' verdicts."""
+
+    BUDGET = 20_000
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_ball_verdicts(self, family):
+        mismatches = [
+            tag
+            for tag, k in _inputs(family)
+            if is_combinatorial_ball(k, self.BUDGET)
+            is not _oracle_is_combinatorial_ball(k, self.BUDGET)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sphere_verdicts(self, family):
+        mismatches = [
+            (tag, d)
+            for tag, k in _inputs(family)
+            for d in (0, 1, 2)
+            if _is_sphere(k, d) != _oracle_link_is_sphere_exact(k, d)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_manifold_statuses(self, family):
+        mismatches = [
+            tag
+            for tag, k in _inputs(family)
+            if k.dim <= 3
+            and is_combinatorial_manifold(k).status != _oracle_manifold_status(k)
+        ]
+        assert mismatches == []
+
+    def test_families_reach_every_verdict(self):
+        seen = set()
+        for family in FAMILIES:
+            for _, k in _inputs(family):
+                seen.add((k.dim, _oracle_is_combinatorial_ball(k, self.BUDGET)))
+                if 0 <= k.dim <= 2:
+                    seen.add(("sphere", k.dim, _oracle_link_is_sphere_exact(k, k.dim)))
+        for d in range(4):
+            assert (d, True) in seen and (d, False) in seen
+        for d in range(3):
+            assert ("sphere", d, True) in seen and ("sphere", d, False) in seen
+
+
+class TestBallEdgeCases:
+    def test_three_balls(self):
+        assert is_combinatorial_ball(standard_ball(3)) is True
+        assert is_combinatorial_ball(catalog.get("Sigma1").complex.cone(0)) is True
+        assert is_combinatorial_ball(catalog.get("S3_5").complex) is False
+
+    def test_four_dimensional_questions_stay_open(self):
+        assert is_combinatorial_ball(catalog.get("S4_6").complex) is None
+        assert is_combinatorial_ball(standard_sphere(3).cone(9)) is None
+
+    def test_link_of_wrong_dimension_is_no_ball(self):
+        k = SimplicialComplex([(0, 9), (1, 2, 3, 4, 5)])
+        assert is_combinatorial_ball(k) is False
