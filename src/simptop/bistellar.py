@@ -16,6 +16,11 @@ V(lk alpha).  Within V(k) a bistellar A is such a union with d + 2
 vertices; any admissible A is a facet plus one vertex.  The sweep over all
 (d+2)-subsets of V(k), one ``classify_move`` each, is kept only as the test
 oracle.
+
+The enumerator yields each move as a tuple of masks.  ``enumerate_moves``
+describes every one as a :class:`MoveDescriptor`; the random walk and the
+flip search draw from the tuples and describe only the move they keep, so
+their draws, and so their results, are those of the described list.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits,
+    _lex_key,
     _submasks_nonempty,
     are_isomorphic,
 )
@@ -156,22 +162,27 @@ def _fresh_vertex(k: SimplicialComplex) -> int:
     return (free & -free).bit_length() - 1
 
 
-def enumerate_moves(
-    k: SimplicialComplex,
-    classifications: Optional[Iterable[str]] = None,
-    include_expanding: bool = False,
-) -> List[MoveDescriptor]:
-    """All classified moves at (d+2)-subsets A of V(k), in vertex order.
+# (A, alpha, beta, i, classification), all faces as masks
+_Move = Tuple[int, int, int, int, str]
 
-    Every class is read off one star table (face -> union of the facets
-    containing it), by the rule of :func:`classify_move`: lk(alpha) has
-    vertex set star[alpha] minus alpha.  When only bistellar classes are
-    wanted the candidates are the star values with d+2 vertices; otherwise
-    each facet plus one more vertex of V(k).  Moves that star a fresh vertex
-    into a facet enlarge the complex, so they are left out unless
-    ``include_expanding`` is set; they follow in facet order, and the fresh
-    vertex is the smallest id outside V(k).
-    """
+
+def _descriptor(move: _Move) -> MoveDescriptor:
+    a, alpha, beta, i, classification = move
+    return MoveDescriptor(
+        a_set=Face.from_mask(a),
+        alpha=Face.from_mask(alpha),
+        beta=Face.from_mask(beta),
+        i=i,
+        classification=classification,
+    )
+
+
+def _moves(
+    k: SimplicialComplex,
+    classifications: Optional[Iterable[str]],
+    include_expanding: bool,
+) -> List[_Move]:
+    """The moves of :func:`enumerate_moves`, in its order, as mask tuples."""
     if k.is_empty() or not k.is_pure():
         raise ValueError("enumerate_moves needs a pure non-empty complex")
     if classifications is None:
@@ -196,15 +207,10 @@ def enumerate_moves(
     else:
         # every admissible A holds a facet
         candidates = {f | 1 << v for f in facets for v in _bits(k.vertex_mask & ~f)}
-    a_sets = sorted(candidates, key=_bits)
-    if include_expanding:
-        if d < 1:
-            raise ValueError("bistellar moves need dimension >= 1")
-        fresh = 1 << _fresh_vertex(k)
-        a_sets.extend(f | fresh for f in facets)
 
-    out: List[MoveDescriptor] = []
-    for a in a_sets:
+    out: List[_Move] = []
+    # every candidate has d + 2 vertices, so the _lex_key sort is lexicographic
+    for a in sorted(candidates, key=_lex_key, reverse=True):
         # A minus x has d + 1 vertices, so it is a face only as a facet
         beta = 0
         rest = a
@@ -226,16 +232,35 @@ def enumerate_moves(
         else:
             classification = BISTELLAR
         if classification in wanted:
-            out.append(
-                MoveDescriptor(
-                    a_set=Face.from_mask(a),
-                    alpha=Face.from_mask(alpha),
-                    beta=Face.from_mask(beta),
-                    i=i,
-                    classification=classification,
-                )
-            )
+            out.append((a, alpha, beta, i, classification))
+    if include_expanding:
+        if d < 1:
+            raise ValueError("bistellar moves need dimension >= 1")
+        fresh = 1 << _fresh_vertex(k)
+        # the only facet inside f | fresh is f, so the core is the fresh
+        # vertex, a non-face, and alpha = f is a facet: always bistellar
+        if BISTELLAR in wanted:
+            out.extend((f | fresh, f, fresh, d, BISTELLAR) for f in facets)
     return out
+
+
+def enumerate_moves(
+    k: SimplicialComplex,
+    classifications: Optional[Iterable[str]] = None,
+    include_expanding: bool = False,
+) -> List[MoveDescriptor]:
+    """All classified moves at (d+2)-subsets A of V(k), in vertex order.
+
+    Every class is read off one star table (face -> union of the facets
+    containing it), by the rule of :func:`classify_move`: lk(alpha) has
+    vertex set star[alpha] minus alpha.  When only bistellar classes are
+    wanted the candidates are the star values with d+2 vertices; otherwise
+    each facet plus one more vertex of V(k).  Moves that star a fresh vertex
+    into a facet enlarge the complex, so they are left out unless
+    ``include_expanding`` is set; they follow in facet order, and the fresh
+    vertex is the smallest id outside V(k).
+    """
+    return [_descriptor(m) for m in _moves(k, classifications, include_expanding)]
 
 
 @dataclass(frozen=True)
@@ -297,7 +322,9 @@ def flip_search(
 
     Only moves classified bistellar are ever applied, so a returned trace
     replays; failure returns None and proves nothing.  The seed is
-    mandatory: every run is reproducible.
+    mandatory: every run is reproducible.  Each step draws from the moves
+    as mask tuples; only an accepted move is described, as the
+    :class:`MoveDescriptor` the trace records.
     """
     if seed is None:
         raise ValueError("flip_search needs an explicit seed")
@@ -315,20 +342,16 @@ def flip_search(
         temperature = sched.start_temperature
         energy = _energy(current)
         for _ in range(sched.steps):
-            moves = enumerate_moves(
-                current,
-                (BISTELLAR, PROPER_BISTELLAR),
-                include_expanding=allow_expanding,
-            )
+            moves = _moves(current, _BISTELLAR_KINDS, allow_expanding)
             if not moves:
                 break
             move = rng.choice(moves)
-            candidate = apply_generalized_move(current, move.a_set)
+            candidate = apply_generalized_move(current, move[0])
             delta = _energy(candidate) - energy
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
                 current = candidate
                 energy += delta
-                trace.append(move)
+                trace.append(_descriptor(move))
                 if _goal_reached(current, goal):
                     return FlipTrace(
                         tuple(trace), start_enc, current.canonical_encoding()
@@ -346,18 +369,16 @@ def random_bistellar_walk(
     """Apply ``steps`` random bistellar moves (growing only under the cap).
 
     Every step is a classified-bistellar move, so the result is bistellar
-    equivalent to the start; with a sphere as start it stays one.
+    equivalent to the start; with a sphere as start it stays one.  A step
+    draws its move from the mask tuples and applies it; no move is described.
     """
     rng = random.Random(seed)
     current = k
     for _ in range(steps):
-        expanding = (
-            max_vertices is None or len(current.vertices) < max_vertices
-        ) and len(current.vertices) < VERTEX_LIMIT - 1
-        moves = enumerate_moves(
-            current, (BISTELLAR, PROPER_BISTELLAR), include_expanding=expanding
-        )
+        n = current.vertex_mask.bit_count()
+        expanding = (max_vertices is None or n < max_vertices) and n < VERTEX_LIMIT - 1
+        moves = _moves(current, _BISTELLAR_KINDS, expanding)
         if not moves:
             break
-        current = apply_generalized_move(current, rng.choice(moves).a_set)
+        current = apply_generalized_move(current, rng.choice(moves)[0])
     return current

@@ -38,6 +38,21 @@ def _bits(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# REV8[b] is the byte b with its eight bits in reverse order
+REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _lex_key(mask: int) -> int:
+    """The 64-bit bit reversal of ``mask``: vertex v becomes bit 63 - v.
+
+    Sorting by it with ``reverse=True`` puts masks in lexicographic vertex
+    order, the order of ``key=_bits``, provided no mask's vertex tuple is a
+    proper prefix of another's.  That holds for any antichain and for any
+    list of masks of one size; otherwise the longer tuple comes first.
+    """
+    return int.from_bytes(mask.to_bytes(8, "little").translate(REV8), "big")
+
+
 def _submasks_nonempty(mask: int) -> Iterator[int]:
     """All non-empty submasks of ``mask``."""
     sub = mask
@@ -134,7 +149,7 @@ def _antichain(masks: Iterable[int]) -> List[int]:
     for m in uniq:
         if not any(m & ~k == 0 for k in kept):
             kept.append(m)
-    kept.sort(key=_bits)
+    kept.sort(key=_lex_key, reverse=True)
     return kept
 
 
@@ -155,9 +170,10 @@ class SimplicialComplex:
 
     @classmethod
     def _from_facet_masks(cls, masks: Iterable[int]) -> "SimplicialComplex":
-        """Trusted constructor: ``masks`` must already form an antichain."""
+        """Trusted constructor: ``masks`` must already form an antichain,
+        which is also what makes the ``_lex_key`` sort lexicographic."""
         k = object.__new__(cls)
-        k._facets = tuple(sorted(masks, key=_bits))
+        k._facets = tuple(sorted(masks, key=_lex_key, reverse=True))
         return k
 
     # -- basic queries ------------------------------------------------
@@ -216,7 +232,10 @@ class SimplicialComplex:
     def _lex_faces_by_dim(self) -> Dict[int, List[int]]:
         """Face masks by dimension in lexicographic vertex order: for the
         tables whose order reaches output."""
-        return {q: sorted(ms, key=_bits) for q, ms in self._faces_by_dim.items()}
+        return {
+            q: sorted(ms, key=_lex_key, reverse=True)
+            for q, ms in self._faces_by_dim.items()
+        }
 
     def has_face(self, face) -> bool:
         m = _as_mask(face)

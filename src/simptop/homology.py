@@ -3,7 +3,9 @@
 Boundary matrices are dense bit rows (Python ints); ranks come from plain
 Gaussian elimination.  Everything at catalog scale is at most tens of rows,
 so no sparse machinery is warranted.  The zeroth reduced Betti number is
-taken from the component count, which sidesteps the empty-face convention.
+taken from the component count, which sidesteps the empty-face convention;
+the same count gives rank d1 = f0 - components, so elimination starts at
+q = 2.
 """
 
 from __future__ import annotations
@@ -103,10 +105,12 @@ def reduced_betti(k: SimplicialComplex) -> Tuple[int, ...]:
         raise ValueError("reduced_betti needs a non-empty complex")
     dim = k.dim
     fvec = k.f_vector()
-    ranks = [
-        gf2_rank(_boundary_columns(k._faces_by_dim, q)) for q in range(1, dim + 1)
+    components = k.component_count()
+    # a spanning forest has f0 - components edges: rank d1 needs no elimination
+    ranks = [fvec[0] - components] + [
+        gf2_rank(_boundary_columns(k._faces_by_dim, q)) for q in range(2, dim + 1)
     ]
-    betti = [k.component_count() - 1]
+    betti = [components - 1]
     for q in range(1, dim + 1):
         kernel = fvec[q] - ranks[q - 1]
         image_above = ranks[q] if q < dim else 0

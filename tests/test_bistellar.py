@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -375,3 +376,66 @@ class TestPinnedWalks:
         assert (len(trace.moves), trace.end, digest) == PINNED_FLIPS[
             d, steps, seed, flip_seed
         ]
+
+
+# sha256 digests recorded before the walk and the flip search drew from
+# mask tuples instead of described moves; they pin every draw of many walks.
+GROWTH_WALKS_DIGEST = "269598b52306e284c5973bda394c491f26c2ae5c33aa78ab5d418221fc070d76"
+AT_CAP_DIGEST = "f153544011e98220c5315792a0cb1f05b8b7cecfae52e89659959bc4b7d6b5d1"
+
+
+def _stacked_sphere(d, n):
+    """The boundary of a (d+1)-simplex with its middle facet stellarly
+    subdivided n - d - 2 times, the start of the benchmark's walks."""
+    facets = [tuple(f) for f in itertools.combinations(range(d + 2), d + 1)]
+    for v in range(d + 2, n):
+        facet = facets.pop(len(facets) // 2)
+        facets += [tuple(sorted(set(facet) - {u} | {v})) for u in facet]
+    return from_facets(facets)
+
+
+def _move_text(m):
+    faces = (m.a_set, m.alpha, m.beta)
+    return "/".join(" ".join(map(str, f.vertices)) for f in faces) + "/%d/%s" % (
+        m.i,
+        m.classification,
+    )
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestWalkDigests:
+    def test_growth_walks(self):
+        # 60 walks that grow from the standard sphere up to d + 8 vertices
+        encodings = [
+            random_bistellar_walk(
+                standard_sphere(d), 30, seed=seed, max_vertices=d + 8
+            ).canonical_encoding()
+            for d in (2, 3, 4)
+            for seed in range(20)
+        ]
+        assert _digest(encodings) == GROWTH_WALKS_DIGEST
+
+    def test_at_cap_walks_and_flip_traces(self):
+        # the benchmark's sphere cases at seed 5: 150 walks that start at the
+        # vertex cap and a flip search after every 15th, every move described
+        plan = ((2, 10), (2, 10), (3, 6))
+        starts = {d: _stacked_sphere(d, d + 8) for d, _ in plan}
+        schedule = FlipSchedule(restarts=2, steps=200)
+        rng = random.Random(5)
+        lines = []
+        for i in range(150):
+            d, steps = plan[i % 3]
+            seed = rng.getrandbits(31)
+            walked = random_bistellar_walk(starts[d], steps, seed, max_vertices=d + 8)
+            lines.append(walked.canonical_encoding())
+            if i % 15 == 0:
+                trace = flip_search(walked, "standard-sphere", schedule, seed=seed)
+                if trace is None:
+                    lines.append("no trace")
+                else:
+                    moves = " | ".join(_move_text(m) for m in trace.moves)
+                    lines.append(moves + " -> " + trace.end)
+        assert _digest(lines) == AT_CAP_DIGEST

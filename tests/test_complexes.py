@@ -14,7 +14,13 @@ from simptop import (
     standard_ball,
     standard_sphere,
 )
-from simptop.complexes import SimplicialComplex
+from simptop.complexes import (
+    SimplicialComplex,
+    _antichain,
+    _bits,
+    _lex_key,
+    _mask_of,
+)
 
 from conftest import random_pure_complex, sc
 
@@ -36,6 +42,53 @@ class TestFace:
         assert not Face([1, 4]) <= Face([1, 2, 3])
         assert (Face([1, 2]) | Face([3])) == Face([1, 2, 3])
         assert (Face([1, 2, 3]) - Face([2])) == Face([1, 3])
+
+
+def _lex_sorted(masks):
+    return sorted(masks, key=_lex_key, reverse=True)
+
+
+class TestLexKey:
+    """Sorting by ``_lex_key`` in reverse is the ``key=_bits`` order on
+    antichains and on masks of one size."""
+
+    def test_bit_reversal(self):
+        assert _lex_key(1) == 1 << 63
+        assert _lex_key(1 << 63) == 1
+        assert _lex_key(0b1011) == 0b1101 << 60
+
+    def test_same_size_lists(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            size = rng.randint(1, 8)
+            masks = {
+                _mask_of(rng.sample(range(64), size)) for _ in range(rng.randint(1, 40))
+            }
+            masks.add(_mask_of(rng.sample(range(63), size - 1)) | 1 << 63)
+            assert _lex_sorted(masks) == sorted(masks, key=_bits)
+
+    def test_mixed_size_antichains(self):
+        rng = random.Random(12)
+        sizes = set()
+        for _ in range(300):
+            top = rng.choice((8, 16, 64))
+            masks = [
+                _mask_of(rng.sample(range(top), rng.randint(1, min(top, 6))))
+                for _ in range(rng.randint(1, 30))
+            ]
+            kept = _antichain(masks + [1 << 63])
+            sizes.add(len({m.bit_count() for m in kept}) > 1)
+            assert _lex_sorted(kept) == sorted(kept, key=_bits)
+            assert kept == sorted(kept, key=_bits)
+            facets = SimplicialComplex._from_facet_masks(reversed(kept)).facet_masks
+            assert list(facets) == kept
+        assert sizes == {False, True}
+
+    def test_prefix_comes_out_of_order(self):
+        # {0, 1} is a proper prefix of {0, 1, 2}: the documented limit
+        short, long = _mask_of((0, 1)), _mask_of((0, 1, 2))
+        assert sorted([short, long], key=_bits) == [short, long]
+        assert _lex_sorted([short, long]) == [long, short]
 
 
 class TestConstruction:

@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_h
 
 from simptop import (
+    CensusSpec,
     boundary_matrix,
     catalog,
+    enumerate_census,
     from_facets,
     is_z2_acyclic,
     is_z2_homology_sphere,
@@ -15,6 +18,7 @@ from simptop import (
     standard_ball,
     standard_sphere,
 )
+from simptop.census import CONSTRAINT_EVEN
 from simptop.homology import Gf2Matrix, gf2_rank
 
 from conftest import random_pure_complex, sc
@@ -148,3 +152,71 @@ class TestHomologyProperties:
         for _ in range(10):
             k = random_pure_complex(rng, dim=rng.choice((1, 2, 3)))
             assert len(reduced_betti(k)) == k.dim + 1
+
+
+def _betti_by_elimination(k):
+    """Oracle: every boundary rank by elimination, rank d1 included."""
+    fvec = k.f_vector()
+    ranks = [boundary_matrix(k, q).rank() for q in range(1, k.dim + 1)] + [0]
+    betti = [k.component_count() - 1]
+    for q in range(1, k.dim + 1):
+        betti.append(fvec[q] - ranks[q - 1] - ranks[q])
+    return tuple(betti)
+
+
+def _random_components(rng):
+    """A complex of dimension 0-3 made of up to three blocks on disjoint
+    vertex ranges plus up to two isolated vertices; blocks may split."""
+    facets = []
+    base = 0
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, 5)
+        top = rng.randint(0, 3)
+        for _ in range(rng.randint(1, 6)):
+            size = min(n, rng.randint(1, top + 1))
+            facets.append(tuple(rng.sample(range(base, base + n), size)))
+        base += n
+    facets += [(v,) for v in range(base, base + rng.randint(0, 2))]
+    return from_facets(facets)
+
+
+class TestRankOneFromComponents:
+    """reduced_betti takes rank d1 as f0 - components; check it against
+    elimination on ``boundary_matrix(k, 1)`` and the whole Betti vector."""
+
+    @staticmethod
+    def _check(k):
+        if k.dim >= 1:
+            assert boundary_matrix(k, 1).rank() == len(k.vertices) - k.component_count()
+        assert reduced_betti(k) == _betti_by_elimination(k)
+
+    def test_catalog(self):
+        for name in catalog.names():
+            self._check(catalog.get(name).complex)
+
+    @pytest.mark.parametrize(
+        "spec",
+        (
+            CensusSpec(n_vertices=6),
+            CensusSpec(n_vertices=7, max_facets=10, constraint=CONSTRAINT_EVEN),
+        ),
+        ids=("closed6", "even7"),
+    )
+    def test_census_classes(self, spec):
+        result = enumerate_census(spec)
+        assert result.class_count > 0
+        for k in result.representatives:
+            self._check(k)
+
+    def test_random_complexes(self):
+        rng = random.Random(20261018)
+        dims = set()
+        several = isolated = 0
+        for _ in range(500):
+            k = _random_components(rng)
+            self._check(k)
+            dims.add(k.dim)
+            several += k.component_count() > 1
+            isolated += any(f.bit_count() == 1 for f in k.facet_masks) and k.dim > 0
+        assert dims == {0, 1, 2, 3}
+        assert several > 100 and isolated > 100
