@@ -1,22 +1,24 @@
 """Brute-force census of small 2-dimensional complexes, plus sampled
 verification that small GF(2)-acyclic complexes collapse.
 
-One deficiency-driven backtracker serves every ridge-degree constraint.
-A partial complex with an edge at a deficient degree (1 for closed, odd
-for even) must eventually raise that edge, and raising the smallest
-deficient edge first gives every final facet set exactly one generation
-path: the next triangle is forced to contain that edge, and each closer
-tried is banned from the later branches.  When no edge is deficient the
-state is a finished complex; it is emitted and then extended by seeding a
-fresh triangle whose index exceeds every earlier seed.  The boundary
-constraint has no deficient degree, so every state is finished and the
-walk grows each set by seeds only; an emitted boundary complex must also
-have an edge of degree 1.  Symmetry breaking, when enabled, pins the
-first seed to the lexicographically least triangle, which every
-isomorphism class can be relabeled to contain.  The labeled complexes
-are then split into isomorphism classes by walking the orbit of each new
-representative under the permutations of the vertex pool; with the first
-seed pinned, only those that send one of its triangles onto triangle 0.
+One deficiency-driven walk function, ``_enumerate``, serves every
+ridge-degree constraint.  A partial complex with an edge at a deficient
+degree (1 for closed, odd for even) must eventually raise that edge, and
+raising the smallest deficient edge first gives every final facet set
+exactly one generation path: the next triangle is forced to contain that
+edge, and each closer tried is banned from the later branches.  When no
+edge is deficient the state is a finished complex; it is emitted and
+then extended by seeding a fresh triangle whose index exceeds every
+earlier seed.  One bitset of blocked (chosen or banned) triangles covers
+both rules.  The boundary constraint has no deficient degree, so every
+state is finished and the walk grows each set by seeds only; an emitted
+boundary complex must also have an edge of degree 1.  Symmetry breaking,
+when enabled, pins the first seed to the lexicographically least
+triangle, which every isomorphism class can be relabeled to contain.
+The labeled complexes are then split into isomorphism classes by walking
+the orbit of each new representative under the permutations of the
+vertex pool; with the first seed pinned, only those that send one of its
+triangles onto triangle 0.
 """
 
 from __future__ import annotations
@@ -184,133 +186,88 @@ class _Tables:
         return groups
 
 
-_TABLES: Dict[int, _Tables] = {}
+_tables = functools.cache(_Tables)
 
 
-def _tables(n: int) -> _Tables:
-    if n not in _TABLES:
-        _TABLES[n] = _Tables(n)
-    return _TABLES[n]
-
-
-class _Enumerator:
+def _enumerate(spec: CensusSpec) -> Tuple[List[Tuple[int, ...]], int]:
     """Deficiency-driven DFS for every ridge-degree constraint.
 
-    ``cap`` is the highest edge degree allowed and ``deficient[d]`` marks
-    the degrees an edge must still raise: {1} for closed, the odd degrees
-    for even, none for boundary.  A boundary state is never deficient, so
-    every state is finished and the walk grows it by seeds only; ``_emit``
-    then also asks for an edge of degree 1.
+    Returns the labeled facet-mask tuples in walk order and the node count.
+    ``cap`` is the highest edge degree allowed and ``deficient`` marks the
+    degrees an edge must still raise: {1} for closed, the odd degrees for
+    even, none for boundary.  A boundary state is never deficient, so the
+    walk grows it by seeds only, and an emitted boundary complex must also
+    have an edge of degree 1.  ``blocked`` is the bitset of triangles
+    chosen or banned; ``used`` is the vertex mask of the chosen triangles
+    and ``required`` the vertices an emitted complex must use.
     """
+    n = spec.n_vertices
+    if spec.constraint == CONSTRAINT_EVEN:
+        cap = n - 2 - n % 2  # the largest even degree <= n - 2
+        deficient = range(1, cap, 2)
+    else:
+        cap = 2
+        deficient = (1,) if spec.constraint == CONSTRAINT_CLOSED else ()
+    # a translate() table: byte d is 1 when degree d is deficient
+    translate = bytes(d in deficient for d in range(256))
+    needs_open_edge = spec.constraint == CONSTRAINT_BOUNDARY
+    tables = _tables(n)
+    triangles, tri_edges = tables.triangles, tables.tri_edges
+    required = tables.full_mask if spec.exact_vertices else 0
+    max_facets = spec.facet_cap
+    deg = bytearray(tables.edge_count)
+    chosen: List[int] = []
+    labeled: List[Tuple[int, ...]] = []
+    nodes = blocked = 0
 
-    def __init__(self, spec: CensusSpec):
-        self.spec = spec
-        self.tables = _tables(spec.n_vertices)
-        n = spec.n_vertices
-        if spec.constraint == CONSTRAINT_EVEN:
-            self.cap = n - 2 - n % 2  # the largest even degree <= n - 2
-            deficient = range(1, self.cap, 2)
-        else:
-            self.cap = 2
-            deficient = (1,) if spec.constraint == CONSTRAINT_CLOSED else ()
-        # a translate() table: byte d is 1 when degree d is deficient
-        self.deficient = bytes(d in deficient for d in range(256))
-        self.needs_open_edge = spec.constraint == CONSTRAINT_BOUNDARY
-        self.max_facets = spec.facet_cap
-        self.results: List[Tuple[int, ...]] = []
-        self.nodes = 0
-
-        t = self.tables
-        self.deg = bytearray(t.edge_count)
-        self.chosen: List[int] = []
-        self.chosen_flags = [False] * len(t.triangles)
-        self.banned = [False] * len(t.triangles)
-        self.used_mask = 0
-
-    def _compatible(self, t: int) -> bool:
-        deg = self.deg
-        for e in self.tables.tri_edges[t]:
-            if deg[e] >= self.cap:
-                return False
-        return True
-
-    def _emit(self) -> None:
-        spec = self.spec
-        if not self.chosen:
-            return
-        if spec.exact_vertices and self.used_mask != self.tables.full_mask:
-            return
-        if self.needs_open_edge and 1 not in self.deg:
-            return
-        self.results.append(
-            tuple(sorted(self.tables.triangles[t] for t in self.chosen))
-        )
-
-    def _push(self, t: int) -> int:
-        self.chosen.append(t)
-        self.chosen_flags[t] = True
-        old_mask = self.used_mask
-        self.used_mask |= self.tables.triangles[t]
-        for e in self.tables.tri_edges[t]:
-            self.deg[e] += 1
-        return old_mask
-
-    def _pop(self, t: int, old_mask: int) -> None:
-        self.chosen.pop()
-        self.chosen_flags[t] = False
-        self.used_mask = old_mask
-        for e in self.tables.tri_edges[t]:
-            self.deg[e] -= 1
-
-    def run(self) -> None:
-        self._walk(-1)
-
-    def _walk(self, floor: int) -> None:
-        self.nodes += 1
-        flags = self.deg.translate(self.deficient)
-        deficient = flags.find(1)
-
-        budget_left = self.max_facets - len(self.chosen)
-        if deficient >= 0:
+    def walk(floor: int, used: int) -> None:
+        nonlocal nodes, blocked
+        nodes += 1
+        flags = deg.translate(translate)
+        edge = flags.find(1)
+        budget_left = max_facets - len(chosen)
+        seeding = edge < 0
+        if not seeding:
             if (flags.count(1) + 2) // 3 > budget_left:
                 return
-            candidates = [
-                t
-                for t in self.tables.edge_tris[deficient]
-                if t > floor
-                and not self.chosen_flags[t]
-                and not self.banned[t]
-                and self._compatible(t)
-            ]
-            # banning each tried closer keeps the generation path unique
-            for t in candidates:
-                old_mask = self._push(t)
-                self._walk(floor)
-                self._pop(t, old_mask)
-                self.banned[t] = True
-            for t in candidates:
-                self.banned[t] = False
-            return
-
-        self._emit()
-        if budget_left <= 0:
-            return
-        if self.spec.exact_vertices:
-            missing = (self.tables.full_mask & ~self.used_mask).bit_count()
-            if (missing + 2) // 3 > budget_left:
-                return
-        if floor == -1 and self.spec.symmetry_breaking:
-            seeds: Sequence[int] = (0,)
+            # a closer keeps the floor: it is forced, not a seed
+            candidates: Sequence[int] = tables.edge_tris[edge]
         else:
-            seeds = range(floor + 1, len(self.tables.triangles))
-        for t in seeds:
-            if t <= floor or self.banned[t] or self.chosen_flags[t]:
+            missing = (required & ~used).bit_count()
+            if chosen and not missing and (not needs_open_edge or 1 in deg):
+                labeled.append(tuple(sorted(triangles[t] for t in chosen)))
+            if budget_left <= 0 or (missing + 2) // 3 > budget_left:
+                return
+            if floor == -1 and spec.symmetry_breaking:
+                candidates = (0,)
+            else:
+                candidates = range(floor + 1, len(triangles))
+        # each tried triangle stays blocked for the rest of the loop: that
+        # bans a tried closer from its later siblings, and a later seed's
+        # floor already excludes every earlier one
+        tried = 0
+        for t in candidates:
+            bit = 1 << t
+            if t <= floor or blocked & bit:
                 continue
-            if not self._compatible(t):
+            a, b, c = tri_edges[t]
+            if deg[a] >= cap or deg[b] >= cap or deg[c] >= cap:
                 continue
-            old_mask = self._push(t)
-            self._walk(t)
-            self._pop(t, old_mask)
+            blocked |= bit
+            tried |= bit
+            chosen.append(t)
+            deg[a] += 1
+            deg[b] += 1
+            deg[c] += 1
+            walk(t if seeding else floor, used | triangles[t])
+            deg[a] -= 1
+            deg[b] -= 1
+            deg[c] -= 1
+            chosen.pop()
+        blocked ^= tried
+
+    walk(-1, 0)
+    return labeled, nodes
 
 
 def _reduce_classes(
@@ -374,14 +331,12 @@ def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     spec = spec.validated()
     t0 = time.perf_counter()
 
-    walker = _Enumerator(spec)
-    walker.run()
-    labeled, nodes = walker.results, walker.nodes
+    labeled, nodes = _enumerate(spec)
     labeled.sort()
     t1 = time.perf_counter()
     images = 0
     if spec.reduce_iso:
-        reps, per_class, images = _reduce_classes(labeled, walker.tables)
+        reps, per_class, images = _reduce_classes(labeled, _tables(spec.n_vertices))
     else:
         reps = [SimplicialComplex._from_facet_masks(m) for m in labeled]
         per_class = [1] * len(reps)
@@ -466,12 +421,13 @@ def sample_acyclic_collapsibility(
     collapsible are counterexamples; those the search gave up on within
     ``budget`` nodes are listed under ``inconclusive``.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if not _is_int(n_samples) or n_samples < 1:
+        raise ValueError(f"sample count must be an int >= 1, not {n_samples!r}")
     if not _is_int(n_vertices) or not 1 <= n_vertices <= VERTEX_LIMIT:
         raise ValueError(
             f"sampler vertex count must be an int in 1..{VERTEX_LIMIT}"
         )
+    collapse_mod._check_budget(budget)
     rng = random.Random(seed)
     candidates = {
         d: [

@@ -153,9 +153,16 @@ class _SearchResult(NamedTuple):
     steps: Optional[List[Tuple[int, int]]]
     nodes: int
     exhausted: bool
+    # the face masks ``steps`` leave; None when ``steps`` is None
+    terminal: Optional[List[int]] = None
     memo_hits: int = 0
     memo_size: int = 0
     max_depth: int = 0
+
+
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0 or None, not {budget!r}")
 
 
 def _search(
@@ -167,11 +174,13 @@ def _search(
 
     The search ends at a single vertex when ``target`` is None, and
     otherwise at exactly the faces of ``target``, which it never removes.
-    ``steps`` lists the (tau, sigma) masks of the pairs removed, or is None;
-    ``exhausted`` is False exactly when the node budget or ``MEMO_CAP``
-    was hit first.  Towards a single vertex in dimension <= 2 the search
-    follows one greedy path (see the module docstring).
+    ``steps`` lists the (tau, sigma) masks of the pairs removed, or is None,
+    and ``terminal`` the faces they leave; ``exhausted`` is False exactly
+    when the node budget or ``MEMO_CAP`` was hit first.  Towards a single
+    vertex in dimension <= 2 the search follows one greedy path (see the
+    module docstring).  A negative ``budget`` is a ValueError.
     """
+    _check_budget(budget)
     ranked = _RankedFaces(k)
     masks, down, up = ranked.masks, ranked.down, ranked.up
     start = (1 << len(masks)) - 1
@@ -187,7 +196,7 @@ def _search(
         return closure & (closure - 1) == 0 if goal is None else closure == goal
 
     if is_terminal(start):
-        return _SearchResult([], 0, True)
+        return _SearchResult([], 0, True, masks)
     dead = set()
     path: List[Tuple[int, int]] = []
     free = ranked.free() & unprotected
@@ -212,11 +221,14 @@ def _search(
             path.append((masks[t], masks[s]))
             max_depth = max(max_depth, len(path))
             if is_terminal(child):
-                return _SearchResult(path, nodes, True, memo_hits, len(dead), max_depth)
+                terminal = [masks[i] for i in _bits(child)]
+                return _SearchResult(
+                    path, nodes, True, terminal, memo_hits, len(dead), max_depth
+                )
             nodes += 1
             if budget is not None and nodes > budget:
                 return _SearchResult(
-                    None, nodes, False, memo_hits, len(dead), max_depth
+                    None, nodes, False, None, memo_hits, len(dead), max_depth
                 )
             # only faces right below tau or sigma lost a cover
             child_free = free & ~(low | high)
@@ -231,7 +243,7 @@ def _search(
         else:
             if len(dead) >= MEMO_CAP:
                 return _SearchResult(
-                    None, nodes, False, memo_hits, len(dead), max_depth
+                    None, nodes, False, None, memo_hits, len(dead), max_depth
                 )
             dead.add(closure)
             if greedy:
@@ -239,16 +251,16 @@ def _search(
             stack.pop()
             if path:
                 path.pop()
-    return _SearchResult(None, nodes, True, memo_hits, len(dead), max_depth)
+    return _SearchResult(None, nodes, True, None, memo_hits, len(dead), max_depth)
 
 
-def _verdict_from_search(result: _SearchResult, terminal_of) -> CollapseVerdict:
+def _verdict_from_search(result: _SearchResult) -> CollapseVerdict:
     counters = (result.memo_hits, result.memo_size, result.max_depth)
     if result.steps is not None:
         cert_steps = tuple(
             CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in result.steps
         )
-        cert = CollapseCertificate(cert_steps, terminal_of(result.steps))
+        cert = CollapseCertificate(cert_steps, _complex_from_closure(result.terminal))
         return CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
     status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE
     return CollapseVerdict(status, result.nodes, None, *counters)
@@ -265,14 +277,7 @@ def is_collapsible(
     """
     if k.is_empty():
         raise ValueError("empty complex is not collapsible")
-
-    def terminal_of(found_steps) -> SimplicialComplex:
-        closure = set(k._face_set)
-        for t, s in found_steps:
-            closure -= {t, s}
-        return _complex_from_closure(closure)
-
-    return _verdict_from_search(_search(k, None, budget), terminal_of)
+    return _verdict_from_search(_search(k, None, budget))
 
 
 def collapses_to(
@@ -283,7 +288,7 @@ def collapses_to(
     """Decide whether k collapses to the subcomplex l (faces of l kept)."""
     if not l._face_set <= k._face_set:
         raise ValueError("collapses_to needs L to be a subcomplex of K")
-    return _verdict_from_search(_search(k, l, budget), lambda _: l)
+    return _verdict_from_search(_search(k, l, budget))
 
 
 def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:

@@ -124,7 +124,7 @@ def is_z2_acyclic(k: SimplicialComplex) -> bool:
 
 def is_z2_homology_sphere(k: SimplicialComplex, d: int) -> bool:
     """Reduced GF(2) homology equal to that of the d-sphere."""
-    if k.is_empty():
+    if k.is_empty() or d < 0:
         return False
     betti = reduced_betti(k)
     if d >= len(betti):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -21,6 +22,7 @@ from simptop.census import (
     CONSTRAINT_BOUNDARY,
     CONSTRAINT_CLOSED,
     CONSTRAINT_EVEN,
+    CONSTRAINTS,
 )
 from simptop.complexes import VERTEX_LIMIT, SimplicialComplex
 from simptop.reports import census_report, strip_timestamp
@@ -439,6 +441,75 @@ def _differential_specs():
     yield EVEN7
 
 
+# sha256 over the unreduced census of every spec in _walk_grid(), taken
+# before the walk became one function: per spec, each labeled complex's
+# sorted facet masks, then the labeled and node counts
+PINNED_WALK_DIGEST = "98c400b7222579710960b787bb36fab27451bd18737be13bae8083eaa563d781"
+
+
+def _walk_grid():
+    for n, constraint, sb, exact, max_facets in itertools.product(
+        (4, 5, 6), CONSTRAINTS, (True, False), (True, False), (None, 4)
+    ):
+        yield CensusSpec(
+            n_vertices=n,
+            constraint=constraint,
+            symmetry_breaking=sb,
+            exact_vertices=exact,
+            max_facets=max_facets,
+            reduce_iso=False,
+        )
+
+
+def tetrahedron_cycle_span(n_vertices):
+    """Every nonzero GF(2) 2-cycle of the full 2-skeleton on n vertices,
+    as sorted facet-mask tuples: the XOR span of the tetrahedron
+    boundaries, built without the census engine."""
+    span = {0}
+    for quad in itertools.combinations(range(n_vertices), 4):
+        boundary = 0
+        for tri in itertools.combinations(quad, 3):
+            boundary |= 1 << sum(1 << v for v in tri)
+        span |= {cycle ^ boundary for cycle in span}
+    return sorted(
+        tuple(m for m in range(1 << n_vertices) if cycle >> m & 1)
+        for cycle in span
+        if cycle
+    )
+
+
+class TestWalkGates:
+    def test_grid_digest_unchanged(self):
+        digest = hashlib.sha256()
+        specs = list(_walk_grid())
+        assert len(specs) == 72
+        for spec in specs:
+            result = enumerate_census(spec)
+            for rep in result.representatives:
+                digest.update(repr(tuple(sorted(rep.facet_masks))).encode())
+            digest.update(b"|%d|%d\n" % (result.labeled_count, result.nodes))
+        assert digest.hexdigest() == PINNED_WALK_DIGEST
+
+    @pytest.mark.parametrize("n, cycles, pinned", [(5, 15, 8), (6, 1023, 512)])
+    def test_even_census_is_the_cycle_space(self, n, cycles, pinned):
+        # deficient degree 3 occurs at 6 vertices (cap 4); no edge of the
+        # full 2-skeleton has degree above n - 2, so the unbounded even
+        # census is exactly the nonzero 2-cycles
+        span = tetrahedron_cycle_span(n)
+        assert len(span) == cycles
+        spec = CensusSpec(
+            n_vertices=n,
+            constraint=CONSTRAINT_EVEN,
+            symmetry_breaking=False,
+            reduce_iso=False,
+        )
+        assert _labeled(enumerate_census(spec)) == span
+        holding0 = [c for c in span if 0b111 in c]
+        assert len(holding0) == pinned
+        pinned_run = enumerate_census(dataclasses.replace(spec, symmetry_breaking=True))
+        assert _labeled(pinned_run) == holding0
+
+
 class TestOrbitReduction:
     @pytest.mark.parametrize("spec", list(_differential_specs()), ids=_spec_id)
     def test_matches_pairwise_oracle(self, spec):
@@ -590,8 +661,8 @@ class TestCollapsibilitySampling:
             b.collapsible_count,
         )
 
-    @pytest.mark.parametrize("n_vertices", [0, VERTEX_LIMIT + 2, 7.0, True])
-    def test_vertex_count_checked_before_drawing(self, monkeypatch, n_vertices):
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
         class NoDraws:
             def __init__(self, seed):
                 pass
@@ -600,8 +671,20 @@ class TestCollapsibilitySampling:
                 raise AssertionError("the sampler drew before checking its input")
 
         monkeypatch.setattr(census.random, "Random", NoDraws)
+
+    @pytest.mark.parametrize("n_vertices", [0, VERTEX_LIMIT + 2, 7.0, True])
+    def test_vertex_count_checked_before_drawing(self, no_draws, n_vertices):
         with pytest.raises(ValueError, match="vertex count"):
             sample_acyclic_collapsibility(3, seed=1, n_vertices=n_vertices)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_sample_count_checked_before_drawing(self, no_draws, n_samples):
+        with pytest.raises(ValueError, match="sample count"):
+            sample_acyclic_collapsibility(n_samples, seed=1)
+
+    def test_negative_budget_checked_before_drawing(self, no_draws):
+        with pytest.raises(ValueError, match="budget"):
+            sample_acyclic_collapsibility(50, seed=1, budget=-1)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):

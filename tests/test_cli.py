@@ -87,6 +87,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "collapse", str(path), "--budget", "1")
         assert code == EXIT_INCONCLUSIVE
 
+    def test_collapse_negative_budget_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "ball.fl"
+        path.write_text("1 2 3 4\n")
+        code, _, err = run_cli(capsys, "collapse", str(path), "--budget", "-3")
+        assert code == EXIT_ERROR
+        assert "budget" in err
+
     def test_collapse_graph_decided_within_small_budget_exits_2(
         self, capsys, tmp_path
     ):

@@ -126,6 +126,16 @@ class TestIsCollapsible:
         verdict = is_collapsible(k, budget=1)
         assert verdict.status == INCONCLUSIVE
 
+    def test_negative_budget_is_a_value_error(self, rp2):
+        with pytest.raises(ValueError, match="budget"):
+            is_collapsible(standard_ball(2), budget=-5)
+        with pytest.raises(ValueError, match="budget"):
+            collapses_to(rp2, rp2, budget=-1)
+
+    def test_zero_budget_is_valid(self):
+        assert is_collapsible(sc((5,)), budget=0).collapsible
+        assert is_collapsible(standard_ball(2), budget=0).status == INCONCLUSIVE
+
     def test_verdict_relabel_equivariant(self, rng):
         for _ in range(5):
             k = random_pure_complex(rng, n_vertices=6, dim=2, p=0.3)

@@ -112,6 +112,11 @@ class TestReducedBetti:
         assert not is_z2_homology_sphere(standard_sphere(2, (1, 2, 3, 4)), 1)
         assert is_z2_homology_sphere(standard_sphere(0, (3, 4)), 0)
 
+    def test_negative_sphere_dimension_is_false(self):
+        for k in (standard_ball(0, (3,)), standard_ball(2), sc((1,), (2,))):
+            assert not is_z2_homology_sphere(k, -1)
+            assert not is_z2_homology_sphere(k, -2)
+
     def test_disconnected(self):
         two_points = sc((1,), (2,))
         assert reduced_betti(two_points) == (1,)
