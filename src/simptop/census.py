@@ -34,7 +34,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import collapse as collapse_mod
 from . import homology
-from .complexes import VERTEX_LIMIT, SimplicialComplex, _bits, are_isomorphic
+from .complexes import (
+    VERTEX_LIMIT,
+    SimplicialComplex,
+    _bits,
+    _is_int,
+    are_isomorphic,
+)
 
 CONSTRAINT_CLOSED = "ridge-degree-exactly-2"
 CONSTRAINT_EVEN = "ridge-degree-even"
@@ -48,11 +54,6 @@ MAX_CENSUS_VERTICES = 7
 # so that GF(2)-acyclic hits stay frequent at 7 vertices (roughly 17% of
 # 2-dimensional and 48% of 3-dimensional draws).
 SAMPLER_P = {2: 0.22, 3: 0.18}
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass; True would pass as 1
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

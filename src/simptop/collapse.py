@@ -26,14 +26,19 @@ so the lowest untried bit names the next pair.  Removing a pair
 or sigma, so a child re-tests just those.  The memo stores the closure
 ints themselves, never hashes of them: a collision would mark a live node
 dead and fake "not collapsible".
+
+A positive verdict's certificate holds the search's (tau, sigma) masks and
+terminal face masks; its ``CollapseStep`` list and terminal complex are
+built the first time either is read.  Callers that only read the status,
+such as the sampler, never pay for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .complexes import Face, SimplicialComplex, _antichain, _bits
+from .complexes import Face, SimplicialComplex, _antichain, _bits, _is_int
 
 COLLAPSIBLE = "collapsible-with-certificate"
 NOT_COLLAPSIBLE = "not-collapsible-exhausted"
@@ -56,12 +61,75 @@ class CollapseStep:
             raise ValueError("coface must cover the free face by one dimension")
 
 
-@dataclass(frozen=True)
 class CollapseCertificate:
-    """An ordered list of free pairs whose removal ends at ``terminal``."""
+    """An ordered list of free pairs whose removal ends at ``terminal``.
 
-    steps: Tuple[CollapseStep, ...]
-    terminal: SimplicialComplex
+    ``CollapseCertificate(steps, terminal)`` holds the given values.  A
+    certificate from the search holds masks instead and builds ``steps``
+    and ``terminal`` the first time either is read; equality, hashing,
+    repr and pickling read them, so both kinds behave alike.
+    """
+
+    __slots__ = ("_steps", "_terminal", "_pairs", "_closure")
+
+    def __init__(
+        self, steps: Tuple[CollapseStep, ...], terminal: SimplicialComplex
+    ) -> None:
+        self._fill(steps, terminal, None, None)
+
+    @classmethod
+    def _from_masks(
+        cls, pairs: List[Tuple[int, int]], closure: List[int]
+    ) -> "CollapseCertificate":
+        """Trusted constructor: ``pairs`` are the (tau, sigma) masks of a
+        valid collapse sequence and ``closure`` the face masks it leaves."""
+        cert = object.__new__(cls)
+        cert._fill(None, None, pairs, closure)
+        return cert
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def steps(self) -> Tuple[CollapseStep, ...]:
+        if self._steps is None:
+            steps = tuple(
+                CollapseStep(Face.from_mask(t), Face.from_mask(s))
+                for t, s in self._pairs
+            )
+            object.__setattr__(self, "_steps", steps)
+        return self._steps
+
+    @property
+    def terminal(self) -> SimplicialComplex:
+        if self._terminal is None:
+            terminal = _complex_from_closure(self._closure)
+            object.__setattr__(self, "_terminal", terminal)
+        return self._terminal
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.terminal) == (other.steps, other.terminal)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.terminal))
+
+    def __repr__(self) -> str:
+        return "CollapseCertificate(steps=%r, terminal=%r)" % (
+            self.steps,
+            self.terminal,
+        )
+
+    def __reduce__(self):
+        return (CollapseCertificate, (self.steps, self.terminal))
 
 
 @dataclass(frozen=True)
@@ -161,8 +229,8 @@ class _SearchResult(NamedTuple):
 
 
 def _check_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 0:
-        raise ValueError(f"node budget must be >= 0 or None, not {budget!r}")
+    if budget is not None and (not _is_int(budget) or budget < 0):
+        raise ValueError(f"node budget must be an int >= 0 or None, not {budget!r}")
 
 
 def _search(
@@ -178,7 +246,7 @@ def _search(
     and ``terminal`` the faces they leave; ``exhausted`` is False exactly
     when the node budget or ``MEMO_CAP`` was hit first.  Towards a single
     vertex in dimension <= 2 the search follows one greedy path (see the
-    module docstring).  A negative ``budget`` is a ValueError.
+    module docstring).  A negative or non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
     ranked = _RankedFaces(k)
@@ -257,10 +325,7 @@ def _search(
 def _verdict_from_search(result: _SearchResult) -> CollapseVerdict:
     counters = (result.memo_hits, result.memo_size, result.max_depth)
     if result.steps is not None:
-        cert_steps = tuple(
-            CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in result.steps
-        )
-        cert = CollapseCertificate(cert_steps, _complex_from_closure(result.terminal))
+        cert = CollapseCertificate._from_masks(result.steps, result.terminal)
         return CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
     status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE
     return CollapseVerdict(status, result.nodes, None, *counters)

@@ -10,12 +10,21 @@ immutable; every operation returns a fresh complex.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 VERTEX_LIMIT = 64
 
 ISO_SEARCH_CAP = 12
+
+# entries of the _lex_key memo; full of 64-bit masks it holds about 3.5 MB,
+# under 5 MB while its table resizes
+LEX_KEY_CACHE = 1 << 14
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass; True would pass as 1
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _mask_of(vertices: Iterable[int]) -> int:
@@ -42,6 +51,7 @@ def _bits(mask: int) -> Tuple[int, ...]:
 REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+@lru_cache(maxsize=LEX_KEY_CACHE)
 def _lex_key(mask: int) -> int:
     """The 64-bit bit reversal of ``mask``: vertex v becomes bit 63 - v.
 
@@ -49,6 +59,10 @@ def _lex_key(mask: int) -> int:
     order, the order of ``key=_bits``, provided no mask's vertex tuple is a
     proper prefix of another's.  That holds for any antichain and for any
     list of masks of one size; otherwise the longer tuple comes first.
+
+    Memoized: the sorts see the same few face masks over and over.  The
+    memo is bounded; it keeps the ``LEX_KEY_CACHE`` most recently used
+    masks, about 210 bytes each when mask and key are 64-bit ints.
     """
     return int.from_bytes(mask.to_bytes(8, "little").translate(REV8), "big")
 
@@ -77,6 +91,10 @@ class Face:
 
     def __setattr__(self, name, value):
         raise AttributeError("Face is immutable")
+
+    def __reduce__(self):
+        # the default slot-state restore would go through __setattr__
+        return (Face, (self.vertices,))
 
     @property
     def mask(self) -> int:

@@ -686,6 +686,11 @@ class TestCollapsibilitySampling:
         with pytest.raises(ValueError, match="budget"):
             sample_acyclic_collapsibility(50, seed=1, budget=-1)
 
+    @pytest.mark.parametrize("budget", [True, 1.5])
+    def test_budget_type_checked_before_drawing(self, no_draws, budget):
+        with pytest.raises(ValueError, match="budget"):
+            sample_acyclic_collapsibility(50, seed=1, budget=budget)
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             sample_acyclic_collapsibility(0, seed=1)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -135,6 +136,14 @@ class TestIsCollapsible:
     def test_zero_budget_is_valid(self):
         assert is_collapsible(sc((5,)), budget=0).collapsible
         assert is_collapsible(standard_ball(2), budget=0).status == INCONCLUSIVE
+
+    @pytest.mark.parametrize("budget", [True, False, 1.5, "3"])
+    def test_non_int_budget_is_a_value_error(self, budget, rp2):
+        # True used to act as a budget of 1, and 1.5 like 1
+        with pytest.raises(ValueError, match="budget"):
+            is_collapsible(standard_ball(3), budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            collapses_to(rp2, rp2, budget=budget)
 
     def test_verdict_relabel_equivariant(self, rng):
         for _ in range(5):
@@ -318,8 +327,9 @@ def _random_complexes(seed, count):
 
 
 @functools.lru_cache(maxsize=None)
-def _sampled_inputs():
-    """Every (complex, budget) the sampler hands to is_collapsible, seeds 1-3."""
+def _sampled_inputs(n_samples=200, seeds=(1, 2, 3)):
+    """Every (complex, budget) the sampler hands to is_collapsible: its
+    acyclic draws."""
     seen = []
 
     def recording(k, budget=collapse.DEFAULT_BUDGET):
@@ -328,8 +338,8 @@ def _sampled_inputs():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census.collapse_mod, "is_collapsible", recording)
-        for seed in (1, 2, 3):
-            census.sample_acyclic_collapsibility(200, seed=seed)
+        for seed in seeds:
+            census.sample_acyclic_collapsibility(n_samples, seed=seed)
     return tuple(seen)
 
 
@@ -459,6 +469,118 @@ class TestGreedyMatchesExhaustive:
             assert verdict is not None
             negatives += not verdict.collapsible
         assert negatives >= 100
+
+
+# -- certificates built on first read against the eager build ------------
+
+
+def _eager_verdict(result):
+    """``_verdict_from_search`` as it was before certificates were lazy:
+    every step and the terminal complex built at once."""
+    counters = (result.memo_hits, result.memo_size, result.max_depth)
+    if result.steps is not None:
+        cert_steps = tuple(
+            CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in result.steps
+        )
+        cert = CollapseCertificate(
+            cert_steps, collapse._complex_from_closure(result.terminal)
+        )
+        return collapse.CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
+    status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE
+    return collapse.CollapseVerdict(status, result.nodes, None, *counters)
+
+
+def _report_bytes(k, verdict):
+    return reports.strip_timestamp(reports.collapse_report(k, verdict))
+
+
+def _assert_lazy_matches_eager(k, budget, target=None):
+    """Each check reads a fresh lazy verdict, so steps and terminal are
+    built in every order the readers use."""
+    result = _search(k, target, budget)
+    eager = _eager_verdict(result)
+
+    def lazy():
+        return collapse._verdict_from_search(result)
+
+    found = (
+        is_collapsible(k, budget)
+        if target is None
+        else collapses_to(k, target, budget)
+    )
+    assert found == eager, (k, target, budget)
+    if not eager.collapsible:
+        return
+    cert, expected = lazy().certificate, eager.certificate
+    assert cert.terminal == expected.terminal
+    assert cert.steps == expected.steps
+    assert verify_certificate(k, lazy().certificate)
+    assert verify_certificate(k, expected)
+    assert _report_bytes(k, lazy()) == _report_bytes(k, eager)
+
+
+class TestLazyCertificates:
+    def test_catalog(self):
+        for k in _catalog_variants():
+            _assert_lazy_matches_eager(k, 3000)
+            _assert_lazy_matches_eager(k, 3000, k)
+
+    def test_sampled_acyclic_complexes(self):
+        seen = _sampled_inputs(2000, (1,))
+        assert len(seen) > 500
+        for k, budget in seen:
+            _assert_lazy_matches_eager(k, budget)
+
+    def test_random_complexes(self):
+        for i, k in enumerate(_random_complexes(20261019, 500)):
+            _assert_lazy_matches_eager(k, 3000)
+            if i % 5 == 0:
+                _assert_lazy_matches_eager(k, 300, sc((k.vertices[-1],)))
+                edges = sorted(k.faces(1), key=lambda f: f.vertices)
+                if edges:
+                    _assert_lazy_matches_eager(k, 300, sc(edges[0].vertices))
+
+    def test_behaves_like_the_public_constructor(self):
+        for k in (standard_ball(1), standard_ball(3), sc((5,))):
+            result = _search(k, None, None)
+            built = _eager_verdict(result).certificate
+
+            def lazy():
+                return collapse._verdict_from_search(result).certificate
+
+            assert lazy() == built and built == lazy()
+            assert hash(lazy()) == hash(built)
+            assert repr(lazy()) == repr(built)
+            restored = pickle.loads(pickle.dumps(lazy()))
+            assert restored == built
+            assert repr(restored) == repr(built)
+            assert lazy() != CollapseCertificate(built.steps, sc((7,)))
+            assert lazy() != built.steps
+            with pytest.raises(AttributeError):
+                lazy().steps = ()
+
+    def test_repr_is_the_dataclass_repr(self):
+        cert = is_collapsible(standard_ball(1)).certificate
+        assert repr(cert) == (
+            "CollapseCertificate(steps=(CollapseStep(free_face=Face(0), "
+            "coface=Face(0, 1)),), terminal=SimplicialComplex(1))"
+        )
+
+    def test_sampler_builds_no_steps(self, monkeypatch):
+        built = []
+        post_init = CollapseStep.__post_init__
+
+        def counting(step):
+            built.append(step)
+            post_init(step)
+
+        monkeypatch.setattr(CollapseStep, "__post_init__", counting)
+        report = census.sample_acyclic_collapsibility(200, seed=1)
+        assert report.collapsible_count > 0
+        assert built == []
+        # reading a certificate builds its steps, and the count sees them
+        assert len(is_collapsible(standard_ball(2)).certificate.steps) == 3
+        assert len(built) == 3
 
 
 class TestWorkCounters:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from simptop import (
     standard_ball,
     standard_sphere,
 )
+from simptop import complexes
 from simptop.complexes import (
     SimplicialComplex,
     _antichain,
@@ -42,6 +44,11 @@ class TestFace:
         assert not Face([1, 4]) <= Face([1, 2, 3])
         assert (Face([1, 2]) | Face([3])) == Face([1, 2, 3])
         assert (Face([1, 2, 3]) - Face([2])) == Face([1, 3])
+
+    def test_pickle_round_trip(self):
+        for face in (Face([]), Face([3]), Face([0, 5, 63])):
+            restored = pickle.loads(pickle.dumps(face))
+            assert restored == face and restored.vertices == face.vertices
 
 
 def _lex_sorted(masks):
@@ -89,6 +96,21 @@ class TestLexKey:
         short, long = _mask_of((0, 1)), _mask_of((0, 1, 2))
         assert sorted([short, long], key=_bits) == [short, long]
         assert _lex_sorted([short, long]) == [long, short]
+
+    def test_memo_matches_the_plain_key(self):
+        rng = random.Random(13)
+        masks = [0, 1 << 63, 2**64 - 1] + [
+            rng.getrandbits(rng.randint(1, 64)) for _ in range(9_997)
+        ]
+        hits = _lex_key.cache_info().hits
+        # the second pass reads every mask back from the memo
+        for m in masks + masks:
+            assert _lex_key(m) == _lex_key.__wrapped__(m), m
+        assert _lex_key.cache_info().hits >= hits + len(masks)
+
+    def test_memo_is_bounded(self):
+        assert complexes.LEX_KEY_CACHE == 1 << 14
+        assert _lex_key.cache_info().maxsize == complexes.LEX_KEY_CACHE
 
 
 class TestConstruction:
