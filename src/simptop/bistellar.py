@@ -37,7 +37,6 @@ from .complexes import (
     _as_mask,
     _bits,
     _lex_key,
-    _submasks_nonempty,
     are_isomorphic,
 )
 from .structure import is_weak_pseudomanifold
@@ -198,9 +197,12 @@ def _moves(
     d = k.dim
     facets = k.facet_masks
     star: Dict[int, int] = {}
+    get = star.get
     for f in facets:
-        for sub in _submasks_nonempty(f):
-            star[sub] = star.get(sub, 0) | f
+        sub = f
+        while sub:
+            star[sub] = get(sub, 0) | f
+            sub = (sub - 1) & f
     if wanted <= _BISTELLAR_KINDS:
         # inside V(k) a bistellar A is alpha | V(lk alpha) = star[alpha]
         candidates = {a for a in star.values() if a.bit_count() == d + 2}

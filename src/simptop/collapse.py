@@ -36,9 +36,9 @@ such as the sampler, never pay for them.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .complexes import Face, SimplicialComplex, _antichain, _bits, _is_int
+from .complexes import Face, SimplicialComplex, _bits, _is_int
 
 COLLAPSIBLE = "collapsible-with-certificate"
 NOT_COLLAPSIBLE = "not-collapsible-exhausted"
@@ -104,7 +104,7 @@ class CollapseCertificate:
     @property
     def terminal(self) -> SimplicialComplex:
         if self._terminal is None:
-            terminal = _complex_from_closure(self._closure)
+            terminal = SimplicialComplex._from_faces(self._closure)
             object.__setattr__(self, "_terminal", terminal)
         return self._terminal
 
@@ -163,7 +163,7 @@ class _RankedFaces:
     __slots__ = ("masks", "rank", "down", "up")
 
     def __init__(self, k: SimplicialComplex) -> None:
-        by_dim = k._lex_faces_by_dim
+        by_dim = k._faces_by_dim
         self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
         self.rank = rank = {m: i for i, m in enumerate(masks)}
         self.down: List[List[int]] = []
@@ -189,10 +189,6 @@ class _RankedFaces:
         return out
 
 
-def _complex_from_closure(closure: Iterable[int]) -> SimplicialComplex:
-    return SimplicialComplex._from_facet_masks(_antichain(closure))
-
-
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     """All free pairs of k in deterministic best-first order."""
     ranked = _RankedFaces(k)
@@ -214,7 +210,7 @@ def elementary_collapse(k: SimplicialComplex, step: CollapseStep) -> SimplicialC
     ]
     if not tau or covers != [sigma]:
         raise ValueError("not a free pair: %r" % (step,))
-    return _complex_from_closure(closure - {tau, sigma})
+    return SimplicialComplex._from_faces(closure - {tau, sigma})
 
 
 class _SearchResult(NamedTuple):
@@ -371,4 +367,4 @@ def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:
         if len(supers) != 1 or supers[0] != sigma:
             return False
         closure -= {tau, sigma}
-    return _complex_from_closure(closure) == cert.terminal
+    return SimplicialComplex._from_faces(closure) == cert.terminal

@@ -3,8 +3,10 @@
 A complex is stored as the antichain of its facets; every face query is
 answered against the downward closure of that antichain.  Faces are small
 integer sets held as single-word bit masks, so subset tests, links and
-induced subcomplexes are a handful of machine operations.  All values are
-immutable; every operation returns a fresh complex.
+induced subcomplexes are a handful of machine operations.  The closure is
+grouped by dimension into one face table, each list in lexicographic vertex
+order, which counts, ranks, boundary matrices and collapse searches all
+read.  All values are immutable; every operation returns a fresh complex.
 """
 
 from __future__ import annotations
@@ -65,14 +67,6 @@ def _lex_key(mask: int) -> int:
     masks, about 210 bytes each when mask and key are 64-bit ints.
     """
     return int.from_bytes(mask.to_bytes(8, "little").translate(REV8), "big")
-
-
-def _submasks_nonempty(mask: int) -> Iterator[int]:
-    """All non-empty submasks of ``mask``."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
 
 
 class Face:
@@ -161,7 +155,8 @@ def _as_mask(face) -> int:
 
 
 def _antichain(masks: Iterable[int]) -> List[int]:
-    """Drop every mask contained in another; result sorted by vertex tuple."""
+    """Drop every mask contained in another; the antichain left is sorted by
+    vertex tuple (its ``_lex_key`` order), so callers need not sort again."""
     uniq = sorted(set(masks), key=lambda m: -m.bit_count())
     kept: List[int] = []
     for m in uniq:
@@ -192,6 +187,14 @@ class SimplicialComplex:
         which is also what makes the ``_lex_key`` sort lexicographic."""
         k = object.__new__(cls)
         k._facets = tuple(sorted(masks, key=_lex_key, reverse=True))
+        return k
+
+    @classmethod
+    def _from_faces(cls, masks: Iterable[int]) -> "SimplicialComplex":
+        """Trusted constructor from non-empty face masks, such as a closure:
+        keeps the maximal ones, which ``_antichain`` already sorts."""
+        k = object.__new__(cls)
+        k._facets = tuple(_antichain(masks))
         return k
 
     # -- basic queries ------------------------------------------------
@@ -232,28 +235,25 @@ class SimplicialComplex:
     @cached_property
     def _face_set(self) -> Set[int]:
         closure: Set[int] = set()
+        add = closure.add
         for f in self._facets:
-            for sub in _submasks_nonempty(f):
-                closure.add(sub)
+            sub = f
+            while sub:
+                add(sub)
+                sub = (sub - 1) & f
         return closure
 
     @cached_property
     def _faces_by_dim(self) -> Dict[int, List[int]]:
-        """Face masks by dimension, in no particular order: for counts and
-        ranks."""
+        """The face table: face masks by dimension, each list sorted by vertex
+        tuple (one size per list, so ``_lex_key`` sorts it), the order that
+        boundary matrices and collapse certificates print in."""
         grouped: Dict[int, List[int]] = {}
         for m in self._face_set:
             grouped.setdefault(m.bit_count() - 1, []).append(m)
+        for ms in grouped.values():
+            ms.sort(key=_lex_key, reverse=True)
         return grouped
-
-    @cached_property
-    def _lex_faces_by_dim(self) -> Dict[int, List[int]]:
-        """Face masks by dimension in lexicographic vertex order: for the
-        tables whose order reaches output."""
-        return {
-            q: sorted(ms, key=_lex_key, reverse=True)
-            for q, ms in self._faces_by_dim.items()
-        }
 
     def has_face(self, face) -> bool:
         m = _as_mask(face)
@@ -296,9 +296,7 @@ class SimplicialComplex:
                 "induced subcomplex needs U within the vertex set, extra: %s"
                 % (_bits(u & ~self.vertex_mask),)
             )
-        return SimplicialComplex._from_facet_masks(
-            _antichain(m for f in self._facets if (m := f & u))
-        )
+        return SimplicialComplex._from_faces(m for f in self._facets if (m := f & u))
 
     def pure_part(self) -> "SimplicialComplex":
         d = self.dim
@@ -390,6 +388,8 @@ def standard_sphere(d: int, labels: Optional[Sequence[int]] = None) -> Simplicia
     labels = tuple(range(d + 2)) if labels is None else tuple(labels)
     if len(labels) != d + 2:
         raise ValueError(f"standard {d}-sphere needs {d + 2} labels, got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"repeated labels: {labels}")
     return SimplicialComplex(itertools.combinations(labels, d + 1))
 
 
@@ -400,6 +400,8 @@ def standard_ball(d: int, labels: Optional[Sequence[int]] = None) -> SimplicialC
     labels = tuple(range(d + 1)) if labels is None else tuple(labels)
     if len(labels) != d + 1:
         raise ValueError(f"standard {d}-ball needs {d + 1} labels, got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"repeated labels: {labels}")
     return SimplicialComplex([labels])
 
 
@@ -410,6 +412,8 @@ def cycle(n: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
     labels = tuple(range(n)) if labels is None else tuple(labels)
     if len(labels) != n:
         raise ValueError(f"cycle({n}) needs {n} labels")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"repeated labels: {labels}")
     return SimplicialComplex(
         [(labels[i], labels[(i + 1) % n]) for i in range(n)]
     )
@@ -417,11 +421,14 @@ def cycle(n: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
 
 def relabel(k: SimplicialComplex, mapping: Dict[int, int]) -> SimplicialComplex:
     """Apply a vertex bijection; mapping must cover V(k) injectively."""
+    missing = [v for v in k.vertices if v not in mapping]
+    if missing:
+        raise ValueError(f"relabeling does not cover vertices {missing}")
     images = [mapping[v] for v in k.vertices]
     if len(set(images)) != len(images):
         raise ValueError("relabeling is not injective")
-    return SimplicialComplex._from_facet_masks(
-        _antichain(_mask_of(mapping[v] for v in _bits(f)) for f in k.facet_masks)
+    return SimplicialComplex._from_faces(
+        _mask_of(mapping[v] for v in _bits(f)) for f in k.facet_masks
     )
 
 

@@ -88,7 +88,7 @@ def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """
     if q < 1 or q > k.dim:
         raise ValueError(f"boundary matrix needs 1 <= q <= dim, got q={q}")
-    by_dim = k._lex_faces_by_dim
+    by_dim = k._faces_by_dim
     cols = _boundary_columns(by_dim, q)
     rows = [0] * len(by_dim.get(q - 1, []))
     for j, col in enumerate(cols):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .complexes import SimplicialComplex, _antichain
+from .complexes import SimplicialComplex
 
 
 def _ridge_degrees(k: SimplicialComplex) -> Dict[int, int]:
@@ -131,13 +131,6 @@ class Decomposition:
     shared_boundary: SimplicialComplex
 
 
-def _intersection(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    common = a._face_set & b._face_set
-    if not common:
-        return SimplicialComplex._from_facet_masks(())
-    return SimplicialComplex._from_facet_masks(_antichain(common))
-
-
 def decompose(y: SimplicialComplex, y1: SimplicialComplex) -> Decomposition:
     """Split y as y1 plus the neighbourhood of the complement of y1.
 
@@ -167,7 +160,7 @@ def decompose(y: SimplicialComplex, y1: SimplicialComplex) -> Decomposition:
     b2 = boundary_complex(y2)
     if b1 != b2:
         raise RuntimeError("decompose self-check failed: boundaries differ")
-    if _intersection(y1, y2) != b1:
+    if SimplicialComplex._from_faces(y1._face_set & y2._face_set) != b1:
         raise RuntimeError("decompose self-check failed: y1 n y2 != shared boundary")
     if y2.induced(y2.vertex_mask & y1.vertex_mask) != b2:
         raise RuntimeError("decompose self-check failed: boundary not induced in y2")

@@ -24,7 +24,7 @@ from simptop import (
 )
 from simptop import census, collapse, reports
 from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE, _search
-from simptop.complexes import _bits
+from simptop.complexes import SimplicialComplex, _antichain, _bits
 
 from conftest import random_pure_complex, sc
 
@@ -198,6 +198,14 @@ class TestVerifyCertificate:
         cert = is_collapsible(k).certificate
         wrong = CollapseCertificate(cert.steps, sc((1, 2)))
         assert not verify_certificate(k, wrong)
+
+    def test_repeated_step_fails(self):
+        # the second copy of the first step names faces already removed
+        k = standard_ball(3)
+        cert = is_collapsible(k).certificate
+        repeated = CollapseCertificate(cert.steps[:1] + cert.steps, cert.terminal)
+        assert verify_certificate(k, cert)
+        assert not verify_certificate(k, repeated)
 
     def test_relabeled_replay(self, rng):
         k = cycle(4, (1, 2, 3, 4)).cone(9)
@@ -483,7 +491,8 @@ def _eager_verdict(result):
             CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in result.steps
         )
         cert = CollapseCertificate(
-            cert_steps, collapse._complex_from_closure(result.terminal)
+            cert_steps,
+            SimplicialComplex._from_facet_masks(_antichain(result.terminal)),
         )
         return collapse.CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
     status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -10,19 +11,22 @@ from simptop import (
     catalog,
     cycle,
     from_facets,
+    is_collapsible,
     join,
     relabel,
     standard_ball,
     standard_sphere,
 )
-from simptop import complexes
+from simptop import complexes, reports
 from simptop.complexes import (
+    EMPTY_COMPLEX,
     SimplicialComplex,
     _antichain,
     _bits,
     _lex_key,
     _mask_of,
 )
+from simptop.homology import boundary_matrix
 
 from conftest import random_pure_complex, sc
 
@@ -385,3 +389,92 @@ class TestStandardComplexes:
             standard_sphere(2, (1, 2, 3))
         with pytest.raises(ValueError):
             standard_ball(2, (1, 2))
+
+    def test_repeated_sphere_labels(self):
+        with pytest.raises(ValueError, match="repeated labels"):
+            standard_sphere(1, (0, 0, 1))
+        with pytest.raises(ValueError, match="repeated labels"):
+            standard_sphere(0, (1, 1))
+
+    def test_repeated_ball_labels(self):
+        with pytest.raises(ValueError, match="repeated labels"):
+            standard_ball(2, (0, 1, 1))
+
+    def test_repeated_cycle_labels(self):
+        with pytest.raises(ValueError, match="repeated labels"):
+            cycle(3, (0, 1, 1))
+
+
+class TestRelabel:
+    def test_uncovered_vertices_named(self):
+        with pytest.raises(ValueError, match=r"does not cover vertices \[2\]"):
+            relabel(standard_sphere(1), {0: 5, 1: 6})
+        with pytest.raises(ValueError, match=r"does not cover vertices \[0, 2\]"):
+            relabel(standard_sphere(1), {1: 6})
+
+
+def _catalog_complexes():
+    return [catalog.get(name).complex for name in catalog.names()]
+
+
+def _random_mixed_complexes(seed, count):
+    """Random complexes whose facets have one to five vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        yield from_facets(
+            rng.sample(range(n), rng.randint(1, min(n, 5)))
+            for _ in range(rng.randint(1, 12))
+        )
+
+
+# sha256 digests recorded before the face table was merged: the boundary
+# matrices of every catalog entry, and the collapse reports (timestamp
+# stripped) of every catalog entry and its cone; face order reaches both
+BOUNDARY_DIGEST = "e420e340f6baf1d5d07a1a64e81b64e613ce994bb8ee67d798be610bde1082ad"
+COLLAPSE_REPORT_DIGEST = "3761bd39d392887221a0c63a1dbc8862879994a39c261fb41c9a5d75f59555cf"
+
+
+class TestFaceTable:
+    def test_lists_in_lex_order(self):
+        ks = _catalog_complexes() + list(_random_mixed_complexes(14, 300))
+        assert len({k.dim for k in ks}) >= 4
+        for k in ks:
+            table = k._faces_by_dim
+            assert sorted(table) == list(range(k.dim + 1)), k
+            for q, masks in table.items():
+                assert masks == sorted(masks, key=_bits), (k, q)
+            assert sorted(m for ms in table.values() for m in ms) == sorted(k._face_set)
+
+    def test_from_faces_matches_constructor(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            masks = [
+                _mask_of(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 20))
+            ]
+            assert SimplicialComplex._from_faces(masks) == SimplicialComplex(masks)
+        for k in _catalog_complexes() + list(_random_mixed_complexes(16, 100)):
+            closure = k._face_set
+            assert SimplicialComplex._from_faces(closure) == SimplicialComplex(closure) == k
+
+    def test_from_no_faces_is_empty(self):
+        k = SimplicialComplex._from_faces(())
+        assert k == EMPTY_COMPLEX and k.is_empty() and k.dim == -1
+
+    def test_boundary_matrix_digest(self):
+        digest = hashlib.sha256()
+        for name in catalog.names():
+            k = catalog.get(name).complex
+            for q in range(1, k.dim + 1):
+                digest.update(f"{name} {q}: {boundary_matrix(k, q).row_bits}\n".encode())
+        assert digest.hexdigest() == BOUNDARY_DIGEST
+
+    def test_collapse_report_digest(self):
+        digest = hashlib.sha256()
+        for k in _catalog_complexes():
+            for x in (k, k.cone(max(k.vertices) + 1)):
+                report = reports.collapse_report(x, is_collapsible(x))
+                digest.update(reports.strip_timestamp(report).encode() + b"\n")
+        assert digest.hexdigest() == COLLAPSE_REPORT_DIGEST

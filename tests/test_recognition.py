@@ -29,6 +29,7 @@ from simptop.census import (
 )
 from simptop.homology import reduced_betti
 from simptop.recognition import (
+    INCONCLUSIVE,
     MANIFOLD_NO,
     MANIFOLD_YES,
     NO_PROPER_MOVE,
@@ -148,6 +149,16 @@ class TestCertifySphere:
             k = catalog.get(name).complex
             image = relabel(k, {v: v + 20 for v in k.vertices})
             assert certify_sphere(k).verdict == certify_sphere(image).verdict
+
+    def test_zero_budget_is_inconclusive(self):
+        cert = certify_sphere(catalog.get("Sigma2").complex, budget=0)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.reason == "collapse budget exhausted"
+
+    def test_assumed_manifold_that_is_no_pseudomanifold(self):
+        cert = certify_sphere(catalog.get("R").complex, assume_manifold=True)
+        assert cert.verdict == PRECONDITION_FAILED
+        assert cert.reason == "decomposition failed: decompose: y is not a pseudomanifold"
 
     def test_assume_manifold_mode(self):
         s = catalog.get("Sigma3").complex
