@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .complexes import (
+    ISO_SEARCH_CAP,
     VERTEX_LIMIT,
     Face,
     SimplicialComplex,
@@ -142,13 +143,7 @@ def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
         classification = PROPER_BISTELLAR
     else:
         classification = BISTELLAR
-    return MoveDescriptor(
-        a_set=Face.from_mask(a_mask),
-        alpha=Face.from_mask(alpha_mask),
-        beta=Face.from_mask(beta_mask),
-        i=i,
-        classification=classification,
-    )
+    return _descriptor((a_mask, alpha_mask, beta_mask, i, classification))
 
 
 def _fresh_vertex(k: SimplicialComplex) -> int:
@@ -267,10 +262,12 @@ def enumerate_moves(
 
 @dataclass(frozen=True)
 class FlipSchedule:
+    """How long :func:`flip_search` anneals: ``restarts`` runs of at most
+    ``steps`` moves each.  Every run starts at temperature 2.0 and cools
+    by a factor 0.999 per step."""
+
     restarts: int = 10
     steps: int = 10_000
-    start_temperature: float = 2.0
-    cooling: float = 0.999
 
 
 def _energy(k: SimplicialComplex) -> float:
@@ -292,7 +289,7 @@ def _goal_reached(k: SimplicialComplex, goal) -> bool:
         return len(k.facet_masks) <= goal[1]
     if kind == "reach":
         target = goal[1]
-        if k.f_vector() != target.f_vector() or len(k.vertices) > 12:
+        if k.f_vector() != target.f_vector() or len(k.vertices) > ISO_SEARCH_CAP:
             return False
         return are_isomorphic(k, target) is not None
     raise ValueError(f"unknown flip goal {goal!r}")
@@ -318,15 +315,16 @@ def flip_search(
     goal,
     schedule: Optional[FlipSchedule] = None,
     seed: Optional[int] = None,
-    allow_expanding: bool = False,
 ) -> Optional[FlipTrace]:
     """Simulated-annealing search through bistellar moves.
 
     Only moves classified bistellar are ever applied, so a returned trace
     replays; failure returns None and proves nothing.  The seed is
-    mandatory: every run is reproducible.  Each step draws from the moves
-    as mask tuples; only an accepted move is described, as the
-    :class:`MoveDescriptor` the trace records.
+    mandatory: every run is reproducible.  Moves stay inside V(k): no step
+    stars in a fresh vertex.  The schedule is fixed but for its length (see
+    :class:`FlipSchedule`).  Each step draws from the moves as mask tuples;
+    only an accepted move is described, as the :class:`MoveDescriptor` the
+    trace records.
     """
     if seed is None:
         raise ValueError("flip_search needs an explicit seed")
@@ -341,10 +339,10 @@ def flip_search(
         rng = random.Random(seed * 1_000_003 + restart)
         current = k
         trace: List[MoveDescriptor] = []
-        temperature = sched.start_temperature
+        temperature = 2.0
         energy = _energy(current)
         for _ in range(sched.steps):
-            moves = _moves(current, _BISTELLAR_KINDS, allow_expanding)
+            moves = _moves(current, _BISTELLAR_KINDS, include_expanding=False)
             if not moves:
                 break
             move = rng.choice(moves)
@@ -358,7 +356,7 @@ def flip_search(
                     return FlipTrace(
                         tuple(trace), start_enc, current.canonical_encoding()
                     )
-            temperature *= sched.cooling
+            temperature *= 0.999
     return None
 
 

@@ -10,8 +10,9 @@ the census lives in the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import bistellar, homology, structure
 from .complexes import SimplicialComplex, cycle, from_facets, join, standard_ball, standard_sphere
@@ -257,7 +258,8 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     return entries
 
 
-_ENTRIES: Optional[Dict[str, CatalogEntry]] = None
+# built once, on first use
+_entries = functools.cache(_build_entries)
 _VALIDATED: set = set()
 
 
@@ -297,22 +299,17 @@ def _validate(entry: CatalogEntry) -> None:
 
 
 def names() -> Tuple[str, ...]:
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build_entries()
-    return tuple(sorted(_ENTRIES))
+    return tuple(sorted(_entries()))
 
 
 def get(name: str) -> CatalogEntry:
     """Fetch a validated catalog entry by name."""
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build_entries()
-    if name not in _ENTRIES:
+    entries = _entries()
+    if name not in entries:
         raise KeyError(
-            f"unknown catalog entry {name!r}; valid names: {', '.join(sorted(_ENTRIES))}"
+            f"unknown catalog entry {name!r}; valid names: {', '.join(sorted(entries))}"
         )
-    entry = _ENTRIES[name]
+    entry = entries[name]
     if name not in _VALIDATED:
         _validate(entry)
         _VALIDATED.add(name)

@@ -34,13 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import collapse as collapse_mod
 from . import homology
-from .complexes import (
-    VERTEX_LIMIT,
-    SimplicialComplex,
-    _bits,
-    _is_int,
-    are_isomorphic,
-)
+from .complexes import SimplicialComplex, _bits, _is_int, are_isomorphic
 
 CONSTRAINT_CLOSED = "ridge-degree-exactly-2"
 CONSTRAINT_EVEN = "ridge-degree-even"
@@ -64,14 +58,14 @@ class CensusSpec:
     ``exact_vertices`` keeps only complexes that use every vertex.  The
     walk prunes on it only through the facet budget, so without
     ``max_facets`` it visits the same nodes with the flag on or off and
-    the flag just filters the emitted complexes.
+    the flag just filters the emitted complexes.  The census always
+    reduces to isomorphism classes; the labeled list is ``_enumerate``'s.
     """
 
     n_vertices: int
     constraint: str = CONSTRAINT_CLOSED
     max_facets: Optional[int] = None
     exact_vertices: bool = False
-    reduce_iso: bool = True
     symmetry_breaking: bool = True
 
     def validated(self) -> "CensusSpec":
@@ -322,10 +316,10 @@ def _reduce_classes(
 def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     """Run the census described by ``spec``.
 
-    The labeled enumeration is exact and duplicate-free; with
-    ``reduce_iso`` the result keeps one representative per isomorphism
-    class, in canonical encoding order.  The census runs in one process;
-    ``workers`` is accepted only as 1.
+    The labeled enumeration is exact and duplicate-free; the result keeps
+    one representative per isomorphism class, sorted by (f-vector,
+    facets), with the labeled count of each class.  The census runs in
+    one process; ``workers`` is accepted only as 1.
     """
     if workers != 1:
         raise ValueError("the census runs in one process: workers must be 1")
@@ -335,12 +329,7 @@ def enumerate_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     labeled, nodes = _enumerate(spec)
     labeled.sort()
     t1 = time.perf_counter()
-    images = 0
-    if spec.reduce_iso:
-        reps, per_class, images = _reduce_classes(labeled, _tables(spec.n_vertices))
-    else:
-        reps = [SimplicialComplex._from_facet_masks(m) for m in labeled]
-        per_class = [1] * len(reps)
+    reps, per_class, images = _reduce_classes(labeled, _tables(spec.n_vertices))
     t2 = time.perf_counter()
     return CensusResult(
         spec=spec,
@@ -410,13 +399,14 @@ class CollapsibilitySampleReport:
 def sample_acyclic_collapsibility(
     n_samples: int,
     seed: int,
-    n_vertices: int = 7,
     budget: int = 2_000_000,
 ) -> CollapsibilitySampleReport:
     """Sample random pure complexes; every acyclic one must collapse.
 
-    Each sample draws a dimension in {2, 3} and keeps each candidate facet
-    with the calibrated probability for that dimension.  Acyclic samples go
+    Samples live on the lemma's bound of ``collapse.ACYCLIC_VERTEX_BOUND``
+    = 7 vertices, where ``SAMPLER_P`` was calibrated.  Each sample draws a
+    dimension in {2, 3} and keeps each candidate facet with the calibrated
+    probability for that dimension.  Acyclic samples go
     through the exhaustive collapsibility search; a counterexample list
     that stays empty is the verification.  Only samples proved not
     collapsible are counterexamples; those the search gave up on within
@@ -424,16 +414,14 @@ def sample_acyclic_collapsibility(
     """
     if not _is_int(n_samples) or n_samples < 1:
         raise ValueError(f"sample count must be an int >= 1, not {n_samples!r}")
-    if not _is_int(n_vertices) or not 1 <= n_vertices <= VERTEX_LIMIT:
-        raise ValueError(
-            f"sampler vertex count must be an int in 1..{VERTEX_LIMIT}"
-        )
     collapse_mod._check_budget(budget)
     rng = random.Random(seed)
     candidates = {
         d: [
             sum(1 << v for v in combo)
-            for combo in itertools.combinations(range(n_vertices), d + 1)
+            for combo in itertools.combinations(
+                range(collapse_mod.ACYCLIC_VERTEX_BOUND), d + 1
+            )
         ]
         for d in (2, 3)
     }

@@ -45,6 +45,9 @@ NOT_COLLAPSIBLE = "not-collapsible-exhausted"
 INCONCLUSIVE = "inconclusive-budget"
 
 DEFAULT_BUDGET = 50_000_000
+# the lemma's bound: a GF(2)-acyclic complex on at most this many vertices
+# collapses, so an induced ball whose complement is that small certifies
+ACYCLIC_VERTEX_BOUND = 7
 # dead complexes the exhaustive search may hold before it gives up
 MEMO_CAP = 1_000_000
 
@@ -201,14 +204,16 @@ def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     ]
 
 
+def _superfaces(closure, tau: int) -> List[int]:
+    """The faces of ``closure`` that properly contain ``tau``, by a scan."""
+    return [f for f in closure if f != tau and tau & ~f == 0]
+
+
 def elementary_collapse(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the free pair {tau, sigma} from the downward closure."""
     closure = k._face_set
     tau, sigma = step.free_face.mask, step.coface.mask
-    covers = [
-        tau | 1 << v for v in _bits(k.vertex_mask & ~tau) if tau | 1 << v in closure
-    ]
-    if not tau or covers != [sigma]:
+    if not tau or _superfaces(closure, tau) != [sigma]:
         raise ValueError("not a free pair: %r" % (step,))
     return SimplicialComplex._from_faces(closure - {tau, sigma})
 
@@ -361,10 +366,7 @@ def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:
     closure = set(k._face_set)
     for step in cert.steps:
         tau, sigma = step.free_face.mask, step.coface.mask
-        if tau not in closure or sigma not in closure:
-            return False
-        supers = [f for f in closure if f != tau and tau & ~f == 0]
-        if len(supers) != 1 or supers[0] != sigma:
+        if tau not in closure or _superfaces(closure, tau) != [sigma]:
             return False
         closure -= {tau, sigma}
     return SimplicialComplex._from_faces(closure) == cert.terminal

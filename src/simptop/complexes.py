@@ -32,7 +32,7 @@ def _is_int(value) -> bool:
 def _mask_of(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ValueError(f"vertex id must be an integer, got {v!r}")
         if v < 0 or v >= VERTEX_LIMIT:
             raise ValueError(f"vertex cap: id {v} outside 0..{VERTEX_LIMIT - 1}")

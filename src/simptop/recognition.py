@@ -195,14 +195,18 @@ def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
 
 
 def find_induced_ball(
-    m: SimplicialComplex, policy: str = "facet"
+    m: SimplicialComplex,
+    policy: str = "facet",
+    budget: int = collapse_mod.DEFAULT_BUDGET,
 ) -> Optional[Tuple[SimplicialComplex, str]]:
-    """An induced combinatorial ball whose complement has <= 7 vertices.
+    """An induced combinatorial ball whose complement has at most
+    ``collapse.ACYCLIC_VERTEX_BOUND`` = 7 vertices.
 
     The facet policy takes one facet's span, which is always the standard
     ball; it realizes the n <= d+8 bound.  The greedy policy grows the
     vertex set while the induced subcomplex keeps verifiable ball evidence,
-    shrinking the complement the collapse stage must handle.
+    shrinking the complement the collapse stage must handle; each of its
+    collapse searches (dimension >= 3) runs within ``budget`` nodes.
     """
     if m.is_empty() or not m.is_pure():
         raise ValueError("find_induced_ball needs a pure non-empty complex")
@@ -214,7 +218,7 @@ def find_induced_ball(
     base = m.facet_masks[0]
     evidence = "facet span equals the standard ball"
     if policy == "facet":
-        if n <= (d + 1) + 7:
+        if n <= (d + 1) + collapse_mod.ACYCLIC_VERTEX_BOUND:
             return m.induced(base), evidence
         return None
 
@@ -228,7 +232,7 @@ def find_induced_ball(
             candidate = m.induced(candidate_mask)
             if candidate.dim != d:
                 continue
-            if is_combinatorial_ball(candidate):
+            if is_combinatorial_ball(candidate, budget):
                 grown = candidate_mask
                 break
         if grown is None:
@@ -237,7 +241,7 @@ def find_induced_ball(
     ball = m.induced(current_mask)
     if current_mask != base:
         evidence = "greedily grown; manifold-with-boundary and collapsible"
-    if n <= current_mask.bit_count() + 7:
+    if n <= current_mask.bit_count() + collapse_mod.ACYCLIC_VERTEX_BOUND:
         return ball, evidence
     return None
 
@@ -271,7 +275,7 @@ def certify_sphere(
             PRECONDITION_FAILED, "not a Z2-homology sphere", manifold
         )
 
-    found = find_induced_ball(m, ball_policy)
+    found = find_induced_ball(m, ball_policy, budget)
     if found is None:
         return SphereCertificate(
             INCONCLUSIVE,

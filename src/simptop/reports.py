@@ -43,13 +43,11 @@ def build_report(
     body: Tree,
     input_encoding: Optional[str] = None,
     seed: Optional[int] = None,
-    timestamp: bool = True,
 ) -> str:
     header: Tree = {"report": kind, "tool-version": __version__}
-    if timestamp:
-        header["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        )
+    header["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
+        timespec="seconds"
+    )
     header["input"] = input_encoding if input_encoding is not None else "-"
     header["seed"] = str(seed) if seed is not None else "-"
     header.update(body)

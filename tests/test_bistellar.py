@@ -243,8 +243,6 @@ class TestFaceDrivenEnumeration:
         full = cycle(64)
         with pytest.raises(ValueError, match="vertex cap"):
             enumerate_moves(full, include_expanding=True)
-        with pytest.raises(ValueError, match="vertex cap"):
-            flip_search(full, "standard-sphere", seed=1, allow_expanding=True)
         # without expanding moves the full pool is no obstacle
         assert len(enumerate_moves(full, (BISTELLAR,))) == 64
 

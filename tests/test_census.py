@@ -24,7 +24,7 @@ from simptop.census import (
     CONSTRAINT_EVEN,
     CONSTRAINTS,
 )
-from simptop.complexes import VERTEX_LIMIT, SimplicialComplex
+from simptop.complexes import SimplicialComplex
 from simptop.reports import census_report, strip_timestamp
 
 CLOSED7 = CensusSpec(n_vertices=7, max_facets=10, exact_vertices=True)
@@ -205,8 +205,10 @@ def naive_sweep(n_vertices):
     return tuple(closed), tuple(boundary)
 
 
-def _labeled(result):
-    return sorted(tuple(sorted(rep.facet_masks)) for rep in result.representatives)
+def _labeled(spec):
+    """The labeled complexes of a census before reduction, sorted as the
+    reduction reads them."""
+    return sorted(census._enumerate(spec)[0])
 
 
 class TestEnumerationSmall:
@@ -226,18 +228,14 @@ class TestEnumerationSmall:
 
     def test_naive_sweep_agrees_at_five_vertices(self):
         closed, _ = naive_sweep(5)
-        engine = enumerate_census(
-            CensusSpec(n_vertices=5, symmetry_breaking=False, reduce_iso=False)
-        )
-        assert sorted(closed) == _labeled(engine)
+        engine = _labeled(CensusSpec(n_vertices=5, symmetry_breaking=False))
+        assert sorted(closed) == engine
 
     def test_naive_sweep_agrees_at_six_vertices(self):
         # the full 2^20 sweep; the census engine must match it exactly
         closed, _ = naive_sweep(6)
-        engine = enumerate_census(
-            CensusSpec(n_vertices=6, symmetry_breaking=False, reduce_iso=False)
-        )
-        assert sorted(closed) == _labeled(engine)
+        engine = _labeled(CensusSpec(n_vertices=6, symmetry_breaking=False))
+        assert sorted(closed) == engine
 
     @pytest.mark.parametrize("exact", [False, True], ids=["any", "exact"])
     @pytest.mark.parametrize("n", [5, 6])
@@ -249,16 +247,15 @@ class TestEnumerationSmall:
             for s in boundary
             if not exact or functools.reduce(operator.or_, s) == full
         )
-        engine = enumerate_census(
+        engine = _labeled(
             CensusSpec(
                 n_vertices=n,
                 constraint=CONSTRAINT_BOUNDARY,
                 symmetry_breaking=False,
-                reduce_iso=False,
                 exact_vertices=exact,
             )
         )
-        assert expected == _labeled(engine)
+        assert expected == engine
 
     @pytest.mark.parametrize(
         "constraint",
@@ -313,18 +310,15 @@ class TestEnumerationSmall:
                             )
                         )
                     )
-        engine = enumerate_census(
+        engine = _labeled(
             CensusSpec(
                 n_vertices=5,
                 constraint=CONSTRAINT_EVEN,
                 max_facets=10,
                 symmetry_breaking=False,
-                reduce_iso=False,
             )
         )
-        assert sorted(map(tuple, map(sorted, found))) == sorted(
-            tuple(sorted(rep.facet_masks)) for rep in engine.representatives
-        )
+        assert sorted(map(tuple, map(sorted, found))) == engine
 
     def test_boundary_constraint(self):
         result = enumerate_census(
@@ -441,9 +435,9 @@ def _differential_specs():
     yield EVEN7
 
 
-# sha256 over the unreduced census of every spec in _walk_grid(), taken
+# sha256 over the labeled census of every spec in _walk_grid(), taken
 # before the walk became one function: per spec, each labeled complex's
-# sorted facet masks, then the labeled and node counts
+# sorted facet masks in sorted order, then the labeled and node counts
 PINNED_WALK_DIGEST = "98c400b7222579710960b787bb36fab27451bd18737be13bae8083eaa563d781"
 
 
@@ -457,7 +451,6 @@ def _walk_grid():
             symmetry_breaking=sb,
             exact_vertices=exact,
             max_facets=max_facets,
-            reduce_iso=False,
         )
 
 
@@ -484,10 +477,10 @@ class TestWalkGates:
         specs = list(_walk_grid())
         assert len(specs) == 72
         for spec in specs:
-            result = enumerate_census(spec)
-            for rep in result.representatives:
-                digest.update(repr(tuple(sorted(rep.facet_masks))).encode())
-            digest.update(b"|%d|%d\n" % (result.labeled_count, result.nodes))
+            labeled, nodes = census._enumerate(spec)
+            for masks in sorted(labeled):
+                digest.update(repr(masks).encode())
+            digest.update(b"|%d|%d\n" % (len(labeled), nodes))
         assert digest.hexdigest() == PINNED_WALK_DIGEST
 
     @pytest.mark.parametrize("n, cycles, pinned", [(5, 15, 8), (6, 1023, 512)])
@@ -501,26 +494,23 @@ class TestWalkGates:
             n_vertices=n,
             constraint=CONSTRAINT_EVEN,
             symmetry_breaking=False,
-            reduce_iso=False,
         )
-        assert _labeled(enumerate_census(spec)) == span
+        assert _labeled(spec) == span
         holding0 = [c for c in span if 0b111 in c]
         assert len(holding0) == pinned
-        pinned_run = enumerate_census(dataclasses.replace(spec, symmetry_breaking=True))
-        assert _labeled(pinned_run) == holding0
+        pinned_run = _labeled(dataclasses.replace(spec, symmetry_breaking=True))
+        assert pinned_run == holding0
 
 
 class TestOrbitReduction:
     @pytest.mark.parametrize("spec", list(_differential_specs()), ids=_spec_id)
     def test_matches_pairwise_oracle(self, spec):
         fast = enumerate_census(spec)
-        unreduced = enumerate_census(dataclasses.replace(spec, reduce_iso=False))
-        # the labeled list in enumeration order, as the reduction sees it
-        labeled = [tuple(sorted(r.facet_masks)) for r in unreduced.representatives]
+        labeled = _labeled(spec)
         reps, per_class = pairwise_reduce_classes(labeled)
         assert fast.representatives == tuple(reps)
         assert fast.labeled_per_class == tuple(per_class)
-        assert fast.labeled_count == unreduced.labeled_count == len(labeled)
+        assert fast.labeled_count == len(labeled)
         assert sum(per_class) == len(labeled)
         assert fast.images_checked == _images_tried(labeled, reps, spec.n_vertices)
         if spec.symmetry_breaking:
@@ -530,12 +520,8 @@ class TestOrbitReduction:
         # closed complexes on 6 vertices that miss triangle {0, 1, 2}: an
         # orbit may leave a representative's row groups, so the reduction
         # must try all n! rows per class
-        spec = CensusSpec(n_vertices=6, symmetry_breaking=False, reduce_iso=False)
-        labeled = sorted(
-            tuple(sorted(r.facet_masks))
-            for r in enumerate_census(spec).representatives
-            if 0b111 not in r.facet_masks
-        )
+        spec = CensusSpec(n_vertices=6, symmetry_breaking=False)
+        labeled = [m for m in _labeled(spec) if 0b111 not in m]
         assert labeled
         reps, per_class, images = census._reduce_classes(labeled, census._tables(6))
         oracle_reps, oracle_per_class = pairwise_reduce_classes(labeled)
@@ -589,8 +575,6 @@ class TestOrbitReduction:
         assert result.seconds == pytest.approx(
             result.enumeration_seconds + result.reduction_seconds
         )
-        unreduced = enumerate_census(CensusSpec(n_vertices=5, reduce_iso=False))
-        assert unreduced.images_checked == 0
 
 
 class TestPinnedReports:
@@ -671,11 +655,6 @@ class TestCollapsibilitySampling:
                 raise AssertionError("the sampler drew before checking its input")
 
         monkeypatch.setattr(census.random, "Random", NoDraws)
-
-    @pytest.mark.parametrize("n_vertices", [0, VERTEX_LIMIT + 2, 7.0, True])
-    def test_vertex_count_checked_before_drawing(self, no_draws, n_vertices):
-        with pytest.raises(ValueError, match="vertex count"):
-            sample_acyclic_collapsibility(3, seed=1, n_vertices=n_vertices)
 
     @pytest.mark.parametrize("n_samples", [2.5, True])
     def test_sample_count_checked_before_drawing(self, no_draws, n_samples):

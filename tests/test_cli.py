@@ -126,6 +126,51 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestUsageAndInconclusiveExits:
+    def test_moves_singular_filter(self, capsys, tmp_path):
+        path = tmp_path / "upsilon2.fl"
+        path.write_text(write_facets(catalog.get("Upsilon2").complex))
+        code, out, _ = run_cli(capsys, "moves", str(path), "--filter", "singular")
+        assert code == EXIT_OK
+        assert "count: 29" in out.splitlines()
+
+    def test_moves_unknown_filter(self, capsys, sigma2_file):
+        code, _, err = run_cli(capsys, "moves", sigma2_file, "--filter", "bogus")
+        assert code == EXIT_ERROR
+        assert "unknown move filter 'bogus'" in err
+
+    def test_apply_move_needs_integers(self, capsys, sigma2_file):
+        code, _, err = run_cli(capsys, "apply-move", sigma2_file, "--a-set", "1,x")
+        assert code == EXIT_ERROR
+        assert "--a-set needs integers like 2,3,4,6" in err
+
+    def test_census_needs_vertices_or_preset(self, capsys):
+        code, _, err = run_cli(capsys, "census")
+        assert code == EXIT_ERROR
+        assert "census needs --vertices or a preset" in err
+
+    def test_catalog_needs_name_or_list(self, capsys):
+        code, _, err = run_cli(capsys, "catalog")
+        assert code == EXIT_ERROR
+        assert "catalog needs --name or --list" in err
+
+    def test_info_bad_label_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.fl"
+        path.write_text("0 1 2\n1 %\n")
+        code, _, err = run_cli(capsys, "info", str(path))
+        assert code == EXIT_ERROR
+        assert "input error: line 2: bad label '%'" in err
+
+    def test_certify_ten_cycle_is_inconclusive(self, capsys, tmp_path):
+        path = tmp_path / "c10.fl"
+        path.write_text("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+        code, out, _ = run_cli(capsys, "certify", str(path))
+        assert code == EXIT_INCONCLUSIVE
+        assert "reason: no induced ball found with a <= 7 vertex complement" in (
+            out.splitlines()
+        )
+
+
 class TestCensusCommand:
     def test_closed6_preset(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--preset", "closed6")

@@ -19,6 +19,7 @@ from simptop import (
     standard_sphere,
     verify_certificate,
 )
+from simptop import census
 from simptop import collapse as collapse_mod
 from simptop.bistellar import apply_generalized_move
 from simptop.census import (
@@ -154,6 +155,21 @@ class TestCertifySphere:
         cert = certify_sphere(catalog.get("Sigma2").complex, budget=0)
         assert cert.verdict == INCONCLUSIVE
         assert cert.reason == "collapse budget exhausted"
+
+    def test_budget_reaches_the_greedy_ball_stage(self, monkeypatch):
+        m = random_bistellar_walk(standard_sphere(3), 40, seed=3, max_vertices=11)
+        budgets = []
+        search = collapse_mod.is_collapsible
+
+        def recording(k, budget=collapse_mod.DEFAULT_BUDGET):
+            budgets.append(budget)
+            return search(k, budget)
+
+        monkeypatch.setattr(collapse_mod, "is_collapsible", recording)
+        cert = certify_sphere(m, ball_policy="greedy", budget=5000)
+        assert cert.verdict == SPHERE
+        assert len(budgets) > 1
+        assert budgets == [5000] * len(budgets)
 
     def test_assumed_manifold_that_is_no_pseudomanifold(self):
         cert = certify_sphere(catalog.get("R").complex, assume_manifold=True)
@@ -360,13 +376,14 @@ def _family_census():
         "closed6": CensusSpec(n_vertices=6),
         "even7": CensusSpec(n_vertices=7, max_facets=10, constraint=CONSTRAINT_EVEN),
         "boundary6": CensusSpec(n_vertices=6, constraint=CONSTRAINT_BOUNDARY),
-        "boundary5-labeled": CensusSpec(
-            n_vertices=5, constraint=CONSTRAINT_BOUNDARY, reduce_iso=False
-        ),
     }
     for label, spec in specs.items():
         for i, k in enumerate(enumerate_census(spec).representatives):
             yield f"{label}:{i}", k
+    boundary5 = CensusSpec(n_vertices=5, constraint=CONSTRAINT_BOUNDARY)
+    labeled, _ = census._enumerate(boundary5)
+    for i, masks in enumerate(sorted(labeled)):
+        yield f"boundary5-labeled:{i}", SimplicialComplex._from_facet_masks(masks)
 
 
 def _family_walked():
