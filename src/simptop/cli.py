@@ -225,12 +225,6 @@ def _cmd_verify(args) -> int:
             print(f"  failed: {failure}")
         if not suite.passed:
             failed = True
-    probe = verification.collapse_question_probe()
-    print(
-        "collapse-question (open; reported only): "
-        f"{probe.collapsed}/{probe.instances} instances collapse simplicially, "
-        f"{probe.inconclusive} inconclusive"
-    )
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 

@@ -18,10 +18,16 @@ search never backtracks, and the first node without a free face proves
 Each search ranks the faces of its input once, in that best-first order
 (dimension descending, then lexicographic vertex tuple), and builds two
 tables over the ranks: the codimension-one faces of every face, and the
-bitset of faces covering it.  A node is then its closure as a bitset over
-ranks and its free faces (exactly one cover in the closure) as a bitset
-too, plus the free faces it has yet to try.  A free face has one coface,
-so the lowest untried bit names the next pair.  Removing a pair
+bitset of faces covering it.  On at most ``TABLE_VERTICES`` = 7 vertices
+nothing is sorted: the fixed face tables of ``complexes`` are numbered in
+that order, so the set bits of the complex's table closure, ascending, are
+its faces ranked, and the tables give their codimension-one faces.  The
+search still runs on those compact per-complex ranks, not on the 127 table
+ranks, so its bitsets stay as short as the complex; backtracking searches
+would pay for the longer ones.  A node is then its closure as a bitset
+over ranks and its free faces (exactly one cover in the closure) as a
+bitset too, plus the free faces it has yet to try.  A free face has one
+coface, so the lowest untried bit names the next pair.  Removing a pair
 (tau, sigma) can only change the cover counts of faces directly below tau
 or sigma, so a child re-tests just those.  The memo stores the closure
 ints themselves, never hashes of them: a collision would mark a live node
@@ -38,7 +44,16 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from .complexes import Face, SimplicialComplex, _bits, _is_int
+from .complexes import (
+    TABLE_VERTICES,
+    Face,
+    SimplicialComplex,
+    _bits,
+    _face_tables,
+    _is_int,
+    _pack,
+    _unpack,
+)
 
 COLLAPSIBLE = "collapsible-with-certificate"
 NOT_COLLAPSIBLE = "not-collapsible-exhausted"
@@ -161,15 +176,43 @@ class _RankedFaces:
 
     ``masks[i]`` is face i; ``down[i]`` lists the ranks of its faces one
     dimension lower and ``up[i]`` is the bitset of the ranks covering it.
+    ``labels`` is None when ``masks`` hold the complex's own vertex ids,
+    and otherwise the vertex ids that ``_pack`` relabeled to 0..n-1, which
+    ``original`` maps back.
+
+    On at most ``TABLE_VERTICES`` vertices the faces are the set bits of
+    the complex's table closure, ascending, and ``down`` is read off the
+    tables through a local index; no face is sorted or ranked here.  Larger
+    complexes number their own sorted face table.
     """
 
-    __slots__ = ("masks", "rank", "down", "up")
+    __slots__ = ("masks", "down", "up", "labels", "_local")
 
     def __init__(self, k: SimplicialComplex) -> None:
+        closure = k._table_closure
+        if closure is None:
+            self._build(k)
+            return
+        t = _face_tables()
+        ranks = _bits(closure)
+        self._local = local = [0] * len(t.masks)
+        for i, g in enumerate(ranks):
+            local[g] = i
+        self.labels = None if k.vertex_mask >> TABLE_VERTICES == 0 else k.vertices
+        self.masks = [t.masks[g] for g in ranks]
+        down_in = t.down_in
+        self.down = down = [down_in[g](local) for g in ranks]
+        self.up = up = [0] * len(ranks)
+        for i, below in enumerate(down):
+            for j in below:
+                up[j] |= 1 << i
+
+    def _build(self, k: SimplicialComplex) -> None:
         by_dim = k._faces_by_dim
+        self.labels = self._local = None
         self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
-        self.rank = rank = {m: i for i, m in enumerate(masks)}
-        self.down: List[List[int]] = []
+        rank = {m: i for i, m in enumerate(masks)}
+        self.down = []
         self.up = up = [0] * len(masks)
         for i, m in enumerate(masks):
             below = []
@@ -191,14 +234,35 @@ class _RankedFaces:
                 out |= 1 << i
         return out
 
+    def bits_of(self, sub: SimplicialComplex) -> int:
+        """The bitset of the ranks of the faces of ``sub``, a subcomplex of
+        the complex these faces were ranked from."""
+        if self._local is None:
+            rank = {m: i for i, m in enumerate(self.masks)}
+            return sum(1 << rank[m] for m in sub._face_set)
+        facets = sub.facet_masks
+        if self.labels is not None:
+            support = sum(1 << v for v in self.labels)
+            facets = [_pack(f, support) for f in facets]
+        downset, local = _face_tables().downset, self._local
+        closure = 0
+        for f in facets:
+            closure |= downset[f]
+        return sum(1 << local[g] for g in _bits(closure))
+
+    def original(self, mask: int) -> int:
+        """A face mask of ``masks`` on the complex's own vertex ids."""
+        return mask if self.labels is None else _unpack(mask, self.labels)
+
 
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     """All free pairs of k in deterministic best-first order."""
     ranked = _RankedFaces(k)
-    masks, up = ranked.masks, ranked.up
+    masks, up, original = ranked.masks, ranked.up, ranked.original
     return [
         CollapseStep(
-            Face.from_mask(masks[t]), Face.from_mask(masks[up[t].bit_length() - 1])
+            Face.from_mask(original(masks[t])),
+            Face.from_mask(original(masks[up[t].bit_length() - 1])),
         )
         for t in _bits(ranked.free())
     ]
@@ -229,6 +293,18 @@ class _SearchResult(NamedTuple):
     max_depth: int = 0
 
 
+def _outputs(
+    ranked: _RankedFaces, path: List[Tuple[int, int]], closure: int
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """The pairs of ``path`` and the faces of ``closure`` as masks on the
+    complex's own vertex ids."""
+    terminal = [ranked.masks[i] for i in _bits(closure)]
+    if ranked.labels is None:
+        return path, terminal
+    original = ranked.original
+    return [(original(t), original(s)) for t, s in path], list(map(original, terminal))
+
+
 def _check_budget(budget: Optional[int]) -> None:
     if budget is not None and (not _is_int(budget) or budget < 0):
         raise ValueError(f"node budget must be an int >= 0 or None, not {budget!r}")
@@ -253,10 +329,7 @@ def _search(
     ranked = _RankedFaces(k)
     masks, down, up = ranked.masks, ranked.down, ranked.up
     start = (1 << len(masks)) - 1
-    if target is None:
-        goal = None
-    else:
-        goal = sum(1 << ranked.rank[m] for m in target._face_set)
+    goal = None if target is None else ranked.bits_of(target)
     unprotected = ~(goal or 0)
     greedy = goal is None and k.dim <= 2
 
@@ -264,8 +337,10 @@ def _search(
         # the only downward-closed set of one face is a single vertex
         return closure & (closure - 1) == 0 if goal is None else closure == goal
 
+    limit = float("inf") if budget is None else budget
     if is_terminal(start):
-        return _SearchResult([], 0, True, masks)
+        steps, terminal = _outputs(ranked, [], start)
+        return _SearchResult(steps, 0, True, terminal)
     dead = set()
     path: List[Tuple[int, int]] = []
     free = ranked.free() & unprotected
@@ -288,14 +363,16 @@ def _search(
             node[2] = untried
             s = high.bit_length() - 1
             path.append((masks[t], masks[s]))
-            max_depth = max(max_depth, len(path))
-            if is_terminal(child):
-                terminal = [masks[i] for i in _bits(child)]
+            if len(path) > max_depth:
+                max_depth = len(path)
+            # is_terminal(child), written out: the loop's hottest call
+            if child & (child - 1) == 0 if goal is None else child == goal:
+                steps, terminal = _outputs(ranked, path, child)
                 return _SearchResult(
-                    path, nodes, True, terminal, memo_hits, len(dead), max_depth
+                    steps, nodes, True, terminal, memo_hits, len(dead), max_depth
                 )
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 return _SearchResult(
                     None, nodes, False, None, memo_hits, len(dead), max_depth
                 )

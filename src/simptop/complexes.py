@@ -3,16 +3,27 @@
 A complex is stored as the antichain of its facets; every face query is
 answered against the downward closure of that antichain.  Faces are small
 integer sets held as single-word bit masks, so subset tests, links and
-induced subcomplexes are a handful of machine operations.  The closure is
-grouped by dimension into one face table, each list in lexicographic vertex
-order, which counts, ranks, boundary matrices and collapse searches all
-read.  All values are immutable; every operation returns a fresh complex.
+induced subcomplexes are a handful of machine operations.
+
+A complex on at most ``TABLE_VERTICES`` = 7 vertices is counted, ranked
+and collapsed without a face list of its own.  The 127 non-empty subsets of
+seven vertices are numbered once, best-first (dimension descending, then
+lexicographic), in fixed tables built on first use; the complex's closure
+is one bitset over those ranks, the OR of its facets' down-sets.  Labels
+above 6 are first relabeled monotonically onto 0..n-1, which keeps the
+lexicographic order.  f-vectors, GF(2) ranks and collapse searches read
+that bitset.  Larger complexes group their closure by dimension, unsorted
+for counts and ranks, and sorted lexicographically into one face table for
+boundary matrices and collapse searches.  All values are immutable; every
+operation returns a fresh complex.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cache, lru_cache
+from operator import itemgetter
+from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 VERTEX_LIMIT = 64
@@ -67,6 +78,103 @@ def _lex_key(mask: int) -> int:
     masks, about 210 bytes each when mask and key are 64-bit ints.
     """
     return int.from_bytes(mask.to_bytes(8, "little").translate(REV8), "big")
+
+
+# complexes on at most this many vertices read the fixed face tables below
+# instead of building their own; it is the lemma's bound,
+# collapse.ACYCLIC_VERTEX_BOUND, so every complex the acyclicity sampler and
+# the sphere pipeline's complements hand to homology and collapse fits
+TABLE_VERTICES = 7
+
+
+@cache
+def _face_tables() -> SimpleNamespace:
+    """The non-empty subsets of 0..TABLE_VERTICES-1 numbered best-first:
+    dimension descending, then lexicographic vertex tuple.  Built on first
+    use (about 1 ms), never at import.
+
+    ``masks[r]`` is the face of rank r and ``downset[m]`` the bitset of the
+    ranks of the non-empty subsets of mask m.  ``down[r]`` lists the ranks
+    of the codimension-one faces of face r, and ``down_in[r](index)``
+    returns ``tuple(index[j] for j in down[r])``, a translation that runs
+    in C.  ``boundary[r]`` is ``down[r]`` as a bitset: the GF(2) boundary
+    column of face r, 0 for a vertex.  ``level[q]`` is the bitset of the
+    ranks of the q-faces.  The covers of a face are not tabled: a search
+    inverts ``down`` over its own compact ranks.
+    """
+    n = TABLE_VERTICES
+    masks = sorted(range(1, 1 << n), key=lambda m: (-m.bit_count(), _bits(m)))
+    rank = [0] * (1 << n)
+    for r, m in enumerate(masks):
+        rank[m] = r
+    down = [
+        tuple(rank[m ^ 1 << v] for v in _bits(m)) if m.bit_count() > 1 else ()
+        for m in masks
+    ]
+    # a mask's proper subsets are smaller ints, so they are filled in first
+    downset = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        downset[m] = 1 << rank[m]
+        for v in _bits(m):
+            downset[m] |= downset[m ^ 1 << v]
+    level = [0] * n
+    for r, m in enumerate(masks):
+        level[m.bit_count() - 1] |= 1 << r
+    # a vertex has no codimension-one face; every other face has at least
+    # two, so itemgetter returns a tuple
+    down_in = tuple(itemgetter(*below) if below else _no_faces for below in down)
+    boundary = tuple(sum(1 << j for j in below) for below in down)
+    return SimpleNamespace(
+        masks=tuple(masks),
+        downset=tuple(downset),
+        down=tuple(down),
+        down_in=down_in,
+        boundary=boundary,
+        level=tuple(level),
+    )
+
+
+def _no_faces(index: Sequence[int]) -> Tuple[int, ...]:
+    return ()
+
+
+def _pack(mask: int, support: int) -> int:
+    """``mask`` relabeled monotonically: the i-th vertex of ``support``
+    becomes vertex i."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (support & (low - 1)).bit_count()
+        mask ^= low
+    return out
+
+
+def _unpack(mask: int, labels: Sequence[int]) -> int:
+    """The inverse of ``_pack``: vertex i becomes ``labels[i]``."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << labels[i]
+    return out
+
+
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first read (about 0.7 us each on a 2-core host), three
+    or four times per sampled complex.  The first read stores the value in the instance dict,
+    where later reads find it before this descriptor.  Two threads racing
+    on one complex would only compute a value twice: every value depends
+    on the facets alone."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Face:
@@ -210,7 +318,7 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self._facets
 
-    @cached_property
+    @_cached
     def vertex_mask(self) -> int:
         mask = 0
         for f in self._facets:
@@ -225,14 +333,14 @@ class SimplicialComplex:
     def vertex_set(self) -> Set[int]:
         return set(self.vertices)
 
-    @cached_property
+    @_cached
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
         if not self._facets:
             return -1
-        return max(m.bit_count() for m in self._facets) - 1
+        return max(map(int.bit_count, self._facets)) - 1
 
-    @cached_property
+    @_cached
     def _face_set(self) -> Set[int]:
         closure: Set[int] = set()
         add = closure.add
@@ -243,17 +351,47 @@ class SimplicialComplex:
                 sub = (sub - 1) & f
         return closure
 
-    @cached_property
+    @_cached
+    def _face_groups(self) -> Dict[int, List[int]]:
+        """Face masks by dimension, in no particular order: enough for
+        counts and ranks."""
+        grouped: Dict[int, List[int]] = {}
+        for m in self._face_set:
+            grouped.setdefault(m.bit_count() - 1, []).append(m)
+        return grouped
+
+    @_cached
     def _faces_by_dim(self) -> Dict[int, List[int]]:
         """The face table: face masks by dimension, each list sorted by vertex
         tuple (one size per list, so ``_lex_key`` sorts it), the order that
         boundary matrices and collapse certificates print in."""
-        grouped: Dict[int, List[int]] = {}
-        for m in self._face_set:
-            grouped.setdefault(m.bit_count() - 1, []).append(m)
-        for ms in grouped.values():
-            ms.sort(key=_lex_key, reverse=True)
-        return grouped
+        return {
+            q: sorted(ms, key=_lex_key, reverse=True)
+            for q, ms in self._face_groups.items()
+        }
+
+    @_cached
+    def _table_closure(self) -> Optional[int]:
+        """The closure as a bitset over the ranks of ``_face_tables``, or
+        None above ``TABLE_VERTICES`` vertices.
+
+        When a vertex id lies above the tables, the faces are first
+        relabeled monotonically onto 0..n-1 (``_pack``).  That keeps the
+        lexicographic order, so the ranks come in the same order as on the
+        original labels.
+        """
+        support = self.vertex_mask
+        if support >> TABLE_VERTICES == 0:
+            packed: Iterable[int] = self._facets
+        elif support.bit_count() <= TABLE_VERTICES:
+            packed = [_pack(f, support) for f in self._facets]
+        else:
+            return None
+        downset = _face_tables().downset
+        closure = 0
+        for f in packed:
+            closure |= downset[f]
+        return closure
 
     def has_face(self, face) -> bool:
         m = _as_mask(face)
@@ -271,7 +409,12 @@ class SimplicialComplex:
         return len(self._face_set)
 
     def f_vector(self) -> Tuple[int, ...]:
-        return tuple(len(self._faces_by_dim.get(q, ())) for q in range(self.dim + 1))
+        closure = self._table_closure
+        if closure is None:
+            groups = self._face_groups
+            return tuple(len(groups.get(q, ())) for q in range(self.dim + 1))
+        level = _face_tables().level
+        return tuple((closure & level[q]).bit_count() for q in range(self.dim + 1))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * n for q, n in enumerate(self.f_vector()))

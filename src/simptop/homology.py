@@ -6,6 +6,13 @@ so no sparse machinery is warranted.  The zeroth reduced Betti number is
 taken from the component count, which sidesteps the empty-face convention;
 the same count gives rank d1 = f0 - components, so elimination starts at
 q = 2.
+
+A complex on at most ``complexes.TABLE_VERTICES`` = 7 vertices takes its
+boundary columns from the fixed face tables: the columns of its q-faces
+are the tables' columns at the set bits of its closure in level q, so no
+face is listed, sorted or indexed.  Larger complexes group their face set
+by dimension, unsorted: ranks need no order.  Only ``boundary_matrix``,
+whose rows and columns are printed, reads the sorted face table.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _bits, _face_tables
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,8 @@ def gf2_rank(vectors: Iterable[int]) -> int:
 
 def _boundary_columns(faces_by_dim: Dict[int, List[int]], q: int) -> List[int]:
     """The q-th boundary map column-wise: bit i of column j marks face i of
-    dimension q-1 inside face j of dimension q, both in ``faces_by_dim``
-    order."""
+    dimension q-1 inside face j of dimension q, both in the order of the
+    lists in ``faces_by_dim``."""
     index = {m: i for i, m in enumerate(faces_by_dim.get(q - 1, []))}
     cols = []
     for face in faces_by_dim.get(q, []):
@@ -107,9 +114,17 @@ def reduced_betti(k: SimplicialComplex) -> Tuple[int, ...]:
     fvec = k.f_vector()
     components = k.component_count()
     # a spanning forest has f0 - components edges: rank d1 needs no elimination
-    ranks = [fvec[0] - components] + [
-        gf2_rank(_boundary_columns(k._faces_by_dim, q)) for q in range(2, dim + 1)
-    ]
+    closure = k._table_closure
+    if closure is None:
+        groups = k._face_groups
+        cols = [_boundary_columns(groups, q) for q in range(2, dim + 1)]
+    else:
+        t = _face_tables()
+        cols = [
+            map(t.boundary.__getitem__, _bits(closure & t.level[q]))
+            for q in range(2, dim + 1)
+        ]
+    ranks = [fvec[0] - components] + [gf2_rank(c) for c in cols]
     betti = [components - 1]
     for q in range(1, dim + 1):
         kernel = fvec[q] - ranks[q - 1]

@@ -1,6 +1,5 @@
-"""Executable invariant suites: the two-sided decomposition self-checks,
-the six recorded singular/proper move identities, and a report-only probe
-of the open simplicial-collapse question.
+"""Executable invariant suites: the two-sided decomposition self-checks
+and the six recorded singular/proper move identities.
 
 These back the ``verify`` CLI subcommand and the acceptance tests.  Every
 suite returns a structured result; nothing here prints.
@@ -12,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from . import catalog, collapse, homology, structure
+from . import catalog, homology, structure
 from .bistellar import (
     PROPER_BISTELLAR,
     SINGULAR_BS1,
@@ -186,45 +185,6 @@ def acyclic_complement_suite() -> SuiteResult:
             if not homology.is_z2_acyclic(l):
                 result.failures.append(f"{name}/{policy}: complement not acyclic")
     return result
-
-
-@dataclass
-class CollapseQuestionReport:
-    """Outcome tally for the open question whether the neighbourhood side
-    collapses simplicially onto the complement; instances only, no claim."""
-
-    instances: int = 0
-    collapsed: int = 0
-    not_collapsed: int = 0
-    inconclusive: int = 0
-    details: List[str] = field(default_factory=list)
-
-
-def collapse_question_probe(budget: int = 200_000) -> CollapseQuestionReport:
-    report = CollapseQuestionReport()
-    for name in _HOMOLOGY_SPHERE_POOL:
-        m = catalog.get(name).complex
-        found = find_induced_ball(m, "facet")
-        if found is None:
-            continue
-        ball, _ = found
-        l = simplicial_complement(ball, m)
-        if l.is_empty():
-            continue
-        x2 = simplicial_neighbourhood(l, m)
-        report.instances += 1
-        verdict = collapse.collapses_to(x2, l, budget)
-        if verdict.collapsible:
-            report.collapsed += 1
-            outcome = "collapses"
-        elif verdict.status == collapse.NOT_COLLAPSIBLE:
-            report.not_collapsed += 1
-            outcome = "does not collapse"
-        else:
-            report.inconclusive += 1
-            outcome = "budget exhausted"
-        report.details.append(f"{name}: N(L,M) -> L {outcome}")
-    return report
 
 
 def run_all(seed: int = 20260808, pairs: int = 50) -> List[SuiteResult]:

@@ -1,8 +1,10 @@
+import contextlib
 import random
 
 import pytest
 
-from simptop import catalog, from_facets
+from simptop import catalog, census, from_facets, homology, relabel
+from simptop.complexes import SimplicialComplex
 
 
 def sc(*facets):
@@ -35,3 +37,36 @@ def random_pure_complex(rng, n_vertices=7, dim=2, p=0.3):
         ]
         if facets:
             return from_facets(facets)
+
+
+@contextlib.contextmanager
+def per_complex_faces():
+    """Every complex builds its own face table, as complexes above
+    ``complexes.TABLE_VERTICES`` vertices do: the oracle of the fixed face
+    tables.  A property on the class hides any closure already cached."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimplicialComplex, "_table_closure", property(lambda k: None))
+        yield
+
+
+def sampler_draws(seeds=(1, 2, 3), n_samples=200):
+    """Every non-empty complex the acyclicity sampler draws, in draw order."""
+    drawn = []
+
+    def recording(k):
+        drawn.append(k)
+        return is_z2_acyclic(k)
+
+    is_z2_acyclic = homology.is_z2_acyclic
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census.homology, "is_z2_acyclic", recording)
+        for seed in seeds:
+            census.sample_acyclic_collapsibility(n_samples, seed=seed)
+    return drawn
+
+
+def spread_labels(k, rng):
+    """k relabeled onto random distinct vertex ids up to 63, 63 among them."""
+    images = rng.sample(range(63), len(k.vertices) - 1) + [63]
+    rng.shuffle(images)
+    return relabel(k, dict(zip(k.vertices, images)))

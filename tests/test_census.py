@@ -611,7 +611,29 @@ class TestMatchCatalog:
         assert not match.unexpected
 
 
+def _sampler_digest(report):
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(report):
+        digest.update(f"{f.name}: {getattr(report, f.name)!r}\n".encode())
+    return digest.hexdigest()
+
+
+# sha256 over every field of the sampler's reports, recorded before complexes
+# on at most 7 vertices read fixed face tables
+SAMPLER_DIGESTS = {
+    (20_000, 1, None): "4b354be9ac1ecb332694bbb2cbc0babb24cce33d3ba03dff3c99ecef00184381",
+    (2000, 11, None): "6b254c36d824fe3ab1b2469c1d6382e78d63e7f7ccfbe53783a6845ac11ec549",
+    (300, 1, 3): "128bb429bcb929b954b53cd2cff1d6572df64dfae58a57258a055aa12df5186e",
+}
+
+
 class TestCollapsibilitySampling:
+    @pytest.mark.parametrize("n_samples, seed, budget", list(SAMPLER_DIGESTS))
+    def test_reports_pinned(self, n_samples, seed, budget):
+        kwargs = {} if budget is None else {"budget": budget}
+        report = sample_acyclic_collapsibility(n_samples, seed=seed, **kwargs)
+        assert _sampler_digest(report) == SAMPLER_DIGESTS[n_samples, seed, budget]
+
     def test_small_run_no_counterexamples(self):
         report = sample_acyclic_collapsibility(2000, seed=11)
         assert report.consistent

@@ -205,7 +205,8 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--pairs", "10")
         assert code == EXIT_OK
         assert "example-moves: pass" in out
-        assert "collapse-question" in out
+        # the report-only collapse-question probe is gone
+        assert "collapse-question" not in out
 
 
 class TestMoreFlags:

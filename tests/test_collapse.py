@@ -26,7 +26,13 @@ from simptop import census, collapse, reports
 from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE, _search
 from simptop.complexes import SimplicialComplex, _antichain, _bits
 
-from conftest import random_pure_complex, sc
+from conftest import (
+    per_complex_faces,
+    random_pure_complex,
+    sampler_draws,
+    sc,
+    spread_labels,
+)
 
 
 def same_betti(a, b):
@@ -406,6 +412,91 @@ class TestSearchMatchesOracle:
     def test_empty_free_face_rejected(self):
         with pytest.raises(ValueError, match="not a free pair"):
             elementary_collapse(sc((5,)), CollapseStep(Face([]), Face([5])))
+
+
+# -- fixed face tables against the per-complex build ----------------------
+
+
+def _ranked_view(k):
+    """Face order (as masks on k's labels), cover tables and free faces."""
+    ranked = collapse._RankedFaces(k)
+    masks = [ranked.original(m) for m in ranked.masks]
+    return masks, [list(d) for d in ranked.down], ranked.up, free_faces(k)
+
+
+def _assert_tables_match(cases):
+    """``cases`` are (k, target, budget) on at most TABLE_VERTICES vertices:
+    the table path gives the per-complex build's face order, cover tables,
+    free faces and full search result (steps, nodes, exhaustion, terminal,
+    memo hits, memo size and max depth)."""
+    assert all(k._table_closure is not None for k, _, _ in cases)
+    table = [(_ranked_view(k), _search(k, t, b)) for k, t, b in cases]
+    with per_complex_faces():
+        oracle = [(_ranked_view(k), _search(k, t, b)) for k, t, b in cases]
+    for (k, target, budget), got, expected in zip(cases, table, oracle):
+        assert got == expected, (k, target, budget)
+
+
+def _with_targets(ks, rng, budget):
+    """Each complex towards a single vertex, a vertex and an edge."""
+    for k in ks:
+        yield k, None, budget
+        yield k, sc((rng.choice(k.vertices),)), budget
+        edges = sorted(k.faces(1), key=lambda f: f.vertices)
+        if edges:
+            yield k, sc(rng.choice(edges).vertices), budget
+
+
+def _neg_complexes(seed, count):
+    """Non-acyclic 3-complexes of 3 or 4 random tetrahedra on 7 vertices,
+    built like the collapse_neg benchmark's: their searches backtrack."""
+    rng = random.Random(seed)
+    pool = list(itertools.combinations(range(7), 4))
+    out = []
+    while len(out) < count:
+        k = from_facets(rng.sample(pool, 3 + len(out) % 2))
+        if any(reduced_betti(k)):
+            out.append(k)
+    return out
+
+
+class TestTablesMatchPerComplexBuild:
+    """On at most 7 vertices the search ranks faces off the fixed tables;
+    everything it returns equals the per-complex build's."""
+
+    def test_catalog(self):
+        ks = [k for k in _catalog_variants() if len(k.vertices) <= 7]
+        assert len(ks) > 20
+        _assert_tables_match(list(_with_targets(ks, random.Random(1), 3000)))
+
+    def test_sampler_draws(self):
+        draws = sampler_draws()
+        assert len(draws) > 500
+        _assert_tables_match([(k, None, 50) for k in draws])
+        seen = _sampled_inputs()
+        _assert_tables_match([(k, None, budget) for k, budget in seen])
+
+    def test_backtracking_three_complexes(self):
+        ks = _neg_complexes(5, 30)
+        verdicts = {is_collapsible(k, 3000).status for k in ks}
+        assert verdicts == {NOT_COLLAPSIBLE, INCONCLUSIVE}
+        _assert_tables_match([(k, None, 3000) for k in ks])
+
+    def test_labels_spread_up_to_63(self):
+        rng = random.Random(63)
+        ks = [spread_labels(k, rng) for k in _random_complexes(64, 40)]
+        negs = [spread_labels(k, rng) for k in _neg_complexes(11, 6)]
+        assert max(max(k.vertices) for k in ks + negs) == 63
+        cases = list(_with_targets(ks, rng, 3000)) + [(k, None, 3000) for k in negs]
+        _assert_tables_match(cases)
+        for k in ks:
+            verdict = is_collapsible(k, 3000)
+            if verdict.collapsible:
+                assert verify_certificate(k, verdict.certificate)
+
+    def test_larger_complexes_build_their_own(self, dunce_hat):
+        assert dunce_hat._table_closure is None
+        assert collapse._RankedFaces(dunce_hat).labels is None
 
 
 # -- one greedy path against the exhaustive oracle in dimension <= 2 ------

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import math
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,18 +20,26 @@ from simptop import (
     standard_ball,
     standard_sphere,
 )
-from simptop import complexes, reports
+from simptop import collapse, complexes, reports
 from simptop.complexes import (
     EMPTY_COMPLEX,
+    TABLE_VERTICES,
     SimplicialComplex,
     _antichain,
     _bits,
+    _face_tables,
     _lex_key,
     _mask_of,
 )
-from simptop.homology import boundary_matrix
+from simptop.homology import boundary_matrix, reduced_betti
 
-from conftest import random_pure_complex, sc
+from conftest import (
+    per_complex_faces,
+    random_pure_complex,
+    sampler_draws,
+    sc,
+    spread_labels,
+)
 
 
 class TestFace:
@@ -478,3 +489,106 @@ class TestFaceTable:
                 report = reports.collapse_report(x, is_collapsible(x))
                 digest.update(reports.strip_timestamp(report).encode() + b"\n")
         assert digest.hexdigest() == COLLAPSE_REPORT_DIGEST
+
+
+class TestFixedFaceTables:
+    """The tables' own invariants, independent of any complex."""
+
+    def test_cover_the_lemma(self):
+        assert TABLE_VERTICES >= collapse.ACYCLIC_VERTEX_BOUND
+
+    def test_ranks_in_dimension_then_lex_order(self):
+        masks = _face_tables().masks
+        assert len(masks) == 127 == 2**TABLE_VERTICES - 1
+        assert set(masks) == set(range(1, 128))
+        keys = [(-m.bit_count(), _bits(m)) for m in masks]
+        assert keys == sorted(keys)
+
+    def test_downsets(self):
+        t = _face_tables()
+        assert t.downset[0] == 0
+        for m in range(1, 128):
+            closure = {t.masks[r] for r in _bits(t.downset[m])}
+            assert len(closure) == 2 ** m.bit_count() - 1
+            assert closure == {f for f in range(1, 128) if f & ~m == 0}
+
+    def test_covers_and_boundaries(self):
+        t = _face_tables()
+        for r, m in enumerate(t.masks):
+            below = {m ^ 1 << v for v in _bits(m)} - {0}
+            assert {t.masks[j] for j in t.down[r]} == below
+            assert t.boundary[r] == sum(1 << j for j in t.down[r])
+            # |m| bits, one per codimension-one face; none for a vertex
+            size = m.bit_count()
+            assert t.boundary[r].bit_count() == (size if size > 1 else 0)
+            assert t.down_in[r](range(127)) == t.down[r]
+            covers = {t.masks[j] for j, below in enumerate(t.down) if r in below}
+            assert covers == {m | 1 << v for v in range(TABLE_VERTICES)} - {m}
+
+    def test_levels(self):
+        t = _face_tables()
+        for q, level in enumerate(t.level):
+            assert level.bit_count() == math.comb(TABLE_VERTICES, q + 1)
+            assert all(t.masks[r].bit_count() == q + 1 for r in _bits(level))
+        assert sum(t.level) == 2**127 - 1
+
+    def test_built_on_first_use(self):
+        code = (
+            "import simptop\n"
+            "from simptop import complexes\n"
+            "assert complexes._face_tables.cache_info().currsize == 0\n"
+            "simptop.standard_ball(2).f_vector()\n"
+            "assert complexes._face_tables.cache_info().currsize == 1\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _small_complexes():
+    """Catalog entries on at most 7 vertices, mixed-dimension random
+    complexes and the same relabeled onto vertex ids up to 63."""
+    rng = random.Random(16)
+    ks = [k for k in _catalog_complexes() if len(k.vertices) <= 7]
+    ks += [k for k in _random_mixed_complexes(17, 300) if len(k.vertices) <= 7]
+    return ks + [spread_labels(k, rng) for k in ks]
+
+
+class TestTablesMatchPerComplexBuild:
+    """f-vectors, Euler characteristics and reduced Betti numbers read off
+    the fixed tables equal the per-complex build's."""
+
+    def _assert_match(self, ks):
+        assert all(k._table_closure is not None for k in ks)
+        table = [(k.f_vector(), k.euler_characteristic(), reduced_betti(k)) for k in ks]
+        with per_complex_faces():
+            oracle = [
+                (k.f_vector(), k.euler_characteristic(), reduced_betti(k)) for k in ks
+            ]
+        for k, got, expected in zip(ks, table, oracle):
+            assert got == expected, k
+
+    def test_small_and_relabeled_complexes(self):
+        ks = _small_complexes()
+        assert max(max(k.vertices) for k in ks) == 63
+        assert len({k.dim for k in ks}) >= 4
+        self._assert_match(ks)
+
+    def test_sampler_draws(self):
+        self._assert_match(sampler_draws())
+
+    def test_closure_is_the_face_set(self):
+        t = _face_tables()
+        for k in _small_complexes():
+            packed = {
+                collapse._RankedFaces(k).original(t.masks[r])
+                for r in _bits(k._table_closure)
+            }
+            assert packed == k._face_set, k
+
+    def test_larger_complexes_count_without_the_tables(self):
+        ks = [k for k in _catalog_complexes() if len(k.vertices) > 7]
+        ks += [k for k in _random_mixed_complexes(18, 100) if len(k.vertices) > 7]
+        assert ks
+        for k in ks:
+            assert k._table_closure is None
+            table = k._faces_by_dim
+            assert k.f_vector() == tuple(len(table[q]) for q in range(k.dim + 1))
