@@ -51,7 +51,6 @@ from .complexes import (
     _bits,
     _face_tables,
     _is_int,
-    _pack,
     _unpack,
 )
 
@@ -61,8 +60,9 @@ INCONCLUSIVE = "inconclusive-budget"
 
 DEFAULT_BUDGET = 50_000_000
 # the lemma's bound: a GF(2)-acyclic complex on at most this many vertices
-# collapses, so an induced ball whose complement is that small certifies
-ACYCLIC_VERTEX_BOUND = 7
+# collapses, so an induced ball whose complement is that small certifies;
+# the fixed face tables cover exactly these complexes
+ACYCLIC_VERTEX_BOUND = TABLE_VERTICES
 # dead complexes the exhaustive search may hold before it gives up
 MEMO_CAP = 1_000_000
 
@@ -186,7 +186,7 @@ class _RankedFaces:
     complexes number their own sorted face table.
     """
 
-    __slots__ = ("masks", "down", "up", "labels", "_local")
+    __slots__ = ("masks", "down", "up", "labels")
 
     def __init__(self, k: SimplicialComplex) -> None:
         closure = k._table_closure
@@ -195,7 +195,7 @@ class _RankedFaces:
             return
         t = _face_tables()
         ranks = _bits(closure)
-        self._local = local = [0] * len(t.masks)
+        local = [0] * len(t.masks)
         for i, g in enumerate(ranks):
             local[g] = i
         self.labels = None if k.vertex_mask >> TABLE_VERTICES == 0 else k.vertices
@@ -209,7 +209,7 @@ class _RankedFaces:
 
     def _build(self, k: SimplicialComplex) -> None:
         by_dim = k._faces_by_dim
-        self.labels = self._local = None
+        self.labels = None
         self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
         rank = {m: i for i, m in enumerate(masks)}
         self.down = []
@@ -237,18 +237,8 @@ class _RankedFaces:
     def bits_of(self, sub: SimplicialComplex) -> int:
         """The bitset of the ranks of the faces of ``sub``, a subcomplex of
         the complex these faces were ranked from."""
-        if self._local is None:
-            rank = {m: i for i, m in enumerate(self.masks)}
-            return sum(1 << rank[m] for m in sub._face_set)
-        facets = sub.facet_masks
-        if self.labels is not None:
-            support = sum(1 << v for v in self.labels)
-            facets = [_pack(f, support) for f in facets]
-        downset, local = _face_tables().downset, self._local
-        closure = 0
-        for f in facets:
-            closure |= downset[f]
-        return sum(1 << local[g] for g in _bits(closure))
+        rank = {self.original(m): i for i, m in enumerate(self.masks)}
+        return sum(1 << rank[m] for m in sub._face_set)
 
     def original(self, mask: int) -> int:
         """A face mask of ``masks`` on the complex's own vertex ids."""
@@ -333,12 +323,9 @@ def _search(
     unprotected = ~(goal or 0)
     greedy = goal is None and k.dim <= 2
 
-    def is_terminal(closure: int) -> bool:
-        # the only downward-closed set of one face is a single vertex
-        return closure & (closure - 1) == 0 if goal is None else closure == goal
-
-    limit = float("inf") if budget is None else budget
-    if is_terminal(start):
+    # terminal: a single vertex, the only downward-closed set of one face,
+    # or exactly the target's faces; the loop below repeats this test inline
+    if start & (start - 1) == 0 if goal is None else start == goal:
         steps, terminal = _outputs(ranked, [], start)
         return _SearchResult(steps, 0, True, terminal)
     dead = set()
@@ -365,14 +352,13 @@ def _search(
             path.append((masks[t], masks[s]))
             if len(path) > max_depth:
                 max_depth = len(path)
-            # is_terminal(child), written out: the loop's hottest call
             if child & (child - 1) == 0 if goal is None else child == goal:
                 steps, terminal = _outputs(ranked, path, child)
                 return _SearchResult(
                     steps, nodes, True, terminal, memo_hits, len(dead), max_depth
                 )
             nodes += 1
-            if nodes > limit:
+            if budget is not None and nodes > budget:
                 return _SearchResult(
                     None, nodes, False, None, memo_hits, len(dead), max_depth
                 )

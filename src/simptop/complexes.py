@@ -21,7 +21,7 @@ operation returns a fresh complex.
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -81,9 +81,9 @@ def _lex_key(mask: int) -> int:
 
 
 # complexes on at most this many vertices read the fixed face tables below
-# instead of building their own; it is the lemma's bound,
-# collapse.ACYCLIC_VERTEX_BOUND, so every complex the acyclicity sampler and
-# the sphere pipeline's complements hand to homology and collapse fits
+# instead of building their own.  It is the lemma's bound, which collapse
+# exports as ACYCLIC_VERTEX_BOUND, so every complex the acyclicity sampler
+# and the sphere pipeline's complements hand to homology and collapse fits
 TABLE_VERTICES = 7
 
 
@@ -155,26 +155,6 @@ def _unpack(mask: int, labels: Sequence[int]) -> int:
     for i in _bits(mask):
         out |= 1 << labels[i]
     return out
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.11
-    takes on every first read (about 0.7 us each on a 2-core host), three
-    or four times per sampled complex.  The first read stores the value in the instance dict,
-    where later reads find it before this descriptor.  Two threads racing
-    on one complex would only compute a value twice: every value depends
-    on the facets alone."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 class Face:
@@ -318,7 +298,7 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self._facets
 
-    @_cached
+    @cached_property
     def vertex_mask(self) -> int:
         mask = 0
         for f in self._facets:
@@ -333,14 +313,14 @@ class SimplicialComplex:
     def vertex_set(self) -> Set[int]:
         return set(self.vertices)
 
-    @_cached
+    @cached_property
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
         if not self._facets:
             return -1
-        return max(map(int.bit_count, self._facets)) - 1
+        return max(m.bit_count() for m in self._facets) - 1
 
-    @_cached
+    @cached_property
     def _face_set(self) -> Set[int]:
         closure: Set[int] = set()
         add = closure.add
@@ -351,7 +331,7 @@ class SimplicialComplex:
                 sub = (sub - 1) & f
         return closure
 
-    @_cached
+    @cached_property
     def _face_groups(self) -> Dict[int, List[int]]:
         """Face masks by dimension, in no particular order: enough for
         counts and ranks."""
@@ -360,7 +340,7 @@ class SimplicialComplex:
             grouped.setdefault(m.bit_count() - 1, []).append(m)
         return grouped
 
-    @_cached
+    @cached_property
     def _faces_by_dim(self) -> Dict[int, List[int]]:
         """The face table: face masks by dimension, each list sorted by vertex
         tuple (one size per list, so ``_lex_key`` sorts it), the order that
@@ -370,7 +350,7 @@ class SimplicialComplex:
             for q, ms in self._face_groups.items()
         }
 
-    @_cached
+    @cached_property
     def _table_closure(self) -> Optional[int]:
         """The closure as a bitset over the ranks of ``_face_tables``, or
         None above ``TABLE_VERTICES`` vertices.

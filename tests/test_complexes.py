@@ -494,9 +494,6 @@ class TestFaceTable:
 class TestFixedFaceTables:
     """The tables' own invariants, independent of any complex."""
 
-    def test_cover_the_lemma(self):
-        assert TABLE_VERTICES >= collapse.ACYCLIC_VERTEX_BOUND
-
     def test_ranks_in_dimension_then_lex_order(self):
         masks = _face_tables().masks
         assert len(masks) == 127 == 2**TABLE_VERTICES - 1
