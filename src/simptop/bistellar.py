@@ -37,6 +37,7 @@ from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits,
+    _is_int,
     _lex_key,
     are_isomorphic,
 )
@@ -260,6 +261,11 @@ def enumerate_moves(
     return [_descriptor(m) for m in _moves(k, classifications, include_expanding)]
 
 
+def _check_count(name: str, value) -> None:
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FlipSchedule:
     """How long :func:`flip_search` anneals: ``restarts`` runs of at most
@@ -268,6 +274,10 @@ class FlipSchedule:
 
     restarts: int = 10
     steps: int = 10_000
+
+    def __post_init__(self):
+        _check_count("restarts", self.restarts)
+        _check_count("steps", self.steps)
 
 
 def _energy(k: SimplicialComplex) -> float:
@@ -371,7 +381,13 @@ def random_bistellar_walk(
     Every step is a classified-bistellar move, so the result is bistellar
     equivalent to the start; with a sphere as start it stays one.  A step
     draws its move from the mask tuples and applies it; no move is described.
+    The seed is mandatory, so every walk is reproducible.
     """
+    if seed is None:
+        raise ValueError("random_bistellar_walk needs an explicit seed")
+    _check_count("steps", steps)
+    if max_vertices is not None:
+        _check_count("max_vertices", max_vertices)
     rng = random.Random(seed)
     current = k
     for _ in range(steps):

@@ -18,7 +18,7 @@ search never backtracks, and the first node without a free face proves
 Each search ranks the faces of its input once, in that best-first order
 (dimension descending, then lexicographic vertex tuple), and builds two
 tables over the ranks: the codimension-one faces of every face, and the
-bitset of faces covering it.  On at most ``TABLE_VERTICES`` = 7 vertices
+bitset of faces covering it.  On vertex ids below ``TABLE_VERTICES`` = 7
 nothing is sorted: the fixed face tables of ``complexes`` are numbered in
 that order, so the set bits of the complex's table closure, ascending, are
 its faces ranked, and the tables give their codimension-one faces.  The
@@ -51,7 +51,6 @@ from .complexes import (
     _bits,
     _face_tables,
     _is_int,
-    _unpack,
 )
 
 COLLAPSIBLE = "collapsible-with-certificate"
@@ -61,7 +60,7 @@ INCONCLUSIVE = "inconclusive-budget"
 DEFAULT_BUDGET = 50_000_000
 # the lemma's bound: a GF(2)-acyclic complex on at most this many vertices
 # collapses, so an induced ball whose complement is that small certifies;
-# the fixed face tables cover exactly these complexes
+# the fixed face tables cover these complexes only on vertex ids 0..6
 ACYCLIC_VERTEX_BOUND = TABLE_VERTICES
 # dead complexes the exhaustive search may hold before it gives up
 MEMO_CAP = 1_000_000
@@ -176,17 +175,14 @@ class _RankedFaces:
 
     ``masks[i]`` is face i; ``down[i]`` lists the ranks of its faces one
     dimension lower and ``up[i]`` is the bitset of the ranks covering it.
-    ``labels`` is None when ``masks`` hold the complex's own vertex ids,
-    and otherwise the vertex ids that ``_pack`` relabeled to 0..n-1, which
-    ``original`` maps back.
 
-    On at most ``TABLE_VERTICES`` vertices the faces are the set bits of
+    On vertex ids below ``TABLE_VERTICES`` the faces are the set bits of
     the complex's table closure, ascending, and ``down`` is read off the
-    tables through a local index; no face is sorted or ranked here.  Larger
-    complexes number their own sorted face table.
+    tables through a local index; no face is sorted or ranked here.  Every
+    other complex numbers its own sorted face table.
     """
 
-    __slots__ = ("masks", "down", "up", "labels")
+    __slots__ = ("masks", "down", "up")
 
     def __init__(self, k: SimplicialComplex) -> None:
         closure = k._table_closure
@@ -198,7 +194,6 @@ class _RankedFaces:
         local = [0] * len(t.masks)
         for i, g in enumerate(ranks):
             local[g] = i
-        self.labels = None if k.vertex_mask >> TABLE_VERTICES == 0 else k.vertices
         self.masks = [t.masks[g] for g in ranks]
         down_in = t.down_in
         self.down = down = [down_in[g](local) for g in ranks]
@@ -209,7 +204,6 @@ class _RankedFaces:
 
     def _build(self, k: SimplicialComplex) -> None:
         by_dim = k._faces_by_dim
-        self.labels = None
         self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
         rank = {m: i for i, m in enumerate(masks)}
         self.down = []
@@ -237,22 +231,17 @@ class _RankedFaces:
     def bits_of(self, sub: SimplicialComplex) -> int:
         """The bitset of the ranks of the faces of ``sub``, a subcomplex of
         the complex these faces were ranked from."""
-        rank = {self.original(m): i for i, m in enumerate(self.masks)}
+        rank = {m: i for i, m in enumerate(self.masks)}
         return sum(1 << rank[m] for m in sub._face_set)
-
-    def original(self, mask: int) -> int:
-        """A face mask of ``masks`` on the complex's own vertex ids."""
-        return mask if self.labels is None else _unpack(mask, self.labels)
 
 
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     """All free pairs of k in deterministic best-first order."""
     ranked = _RankedFaces(k)
-    masks, up, original = ranked.masks, ranked.up, ranked.original
+    masks, up = ranked.masks, ranked.up
     return [
         CollapseStep(
-            Face.from_mask(original(masks[t])),
-            Face.from_mask(original(masks[up[t].bit_length() - 1])),
+            Face.from_mask(masks[t]), Face.from_mask(masks[up[t].bit_length() - 1])
         )
         for t in _bits(ranked.free())
     ]
@@ -281,18 +270,6 @@ class _SearchResult(NamedTuple):
     memo_hits: int = 0
     memo_size: int = 0
     max_depth: int = 0
-
-
-def _outputs(
-    ranked: _RankedFaces, path: List[Tuple[int, int]], closure: int
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """The pairs of ``path`` and the faces of ``closure`` as masks on the
-    complex's own vertex ids."""
-    terminal = [ranked.masks[i] for i in _bits(closure)]
-    if ranked.labels is None:
-        return path, terminal
-    original = ranked.original
-    return [(original(t), original(s)) for t, s in path], list(map(original, terminal))
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -326,8 +303,7 @@ def _search(
     # terminal: a single vertex, the only downward-closed set of one face,
     # or exactly the target's faces; the loop below repeats this test inline
     if start & (start - 1) == 0 if goal is None else start == goal:
-        steps, terminal = _outputs(ranked, [], start)
-        return _SearchResult(steps, 0, True, terminal)
+        return _SearchResult([], 0, True, [masks[i] for i in _bits(start)])
     dead = set()
     path: List[Tuple[int, int]] = []
     free = ranked.free() & unprotected
@@ -353,9 +329,9 @@ def _search(
             if len(path) > max_depth:
                 max_depth = len(path)
             if child & (child - 1) == 0 if goal is None else child == goal:
-                steps, terminal = _outputs(ranked, path, child)
+                terminal = [masks[i] for i in _bits(child)]
                 return _SearchResult(
-                    steps, nodes, True, terminal, memo_hits, len(dead), max_depth
+                    path, nodes, True, terminal, memo_hits, len(dead), max_depth
                 )
             nodes += 1
             if budget is not None and nodes > budget:

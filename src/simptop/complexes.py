@@ -5,17 +5,16 @@ answered against the downward closure of that antichain.  Faces are small
 integer sets held as single-word bit masks, so subset tests, links and
 induced subcomplexes are a handful of machine operations.
 
-A complex on at most ``TABLE_VERTICES`` = 7 vertices is counted, ranked
+A complex on vertex ids below ``TABLE_VERTICES`` = 7 is counted, ranked
 and collapsed without a face list of its own.  The 127 non-empty subsets of
-seven vertices are numbered once, best-first (dimension descending, then
+0..6 are numbered once, best-first (dimension descending, then
 lexicographic), in fixed tables built on first use; the complex's closure
-is one bitset over those ranks, the OR of its facets' down-sets.  Labels
-above 6 are first relabeled monotonically onto 0..n-1, which keeps the
-lexicographic order.  f-vectors, GF(2) ranks and collapse searches read
-that bitset.  Larger complexes group their closure by dimension, unsorted
-for counts and ranks, and sorted lexicographically into one face table for
-boundary matrices and collapse searches.  All values are immutable; every
-operation returns a fresh complex.
+is one bitset over those ranks, the OR of its facets' down-sets.  f-vectors,
+GF(2) ranks and collapse searches read that bitset.  Every other complex,
+even one on few vertices with a higher id, groups its closure by dimension,
+unsorted for counts and ranks, and sorted lexicographically into one face
+table for boundary matrices and collapse searches.  All values are
+immutable; every operation returns a fresh complex.
 """
 
 from __future__ import annotations
@@ -80,10 +79,10 @@ def _lex_key(mask: int) -> int:
     return int.from_bytes(mask.to_bytes(8, "little").translate(REV8), "big")
 
 
-# complexes on at most this many vertices read the fixed face tables below
-# instead of building their own.  It is the lemma's bound, which collapse
-# exports as ACYCLIC_VERTEX_BOUND, so every complex the acyclicity sampler
-# and the sphere pipeline's complements hand to homology and collapse fits
+# complexes whose vertex ids all lie below this read the fixed face tables
+# below instead of building their own.  It is the lemma's bound, exported as
+# collapse.ACYCLIC_VERTEX_BOUND; the sampler draws on ids 0..6, while the
+# sphere pipeline's complements keep the sphere's labels
 TABLE_VERTICES = 7
 
 
@@ -136,25 +135,6 @@ def _face_tables() -> SimpleNamespace:
 
 def _no_faces(index: Sequence[int]) -> Tuple[int, ...]:
     return ()
-
-
-def _pack(mask: int, support: int) -> int:
-    """``mask`` relabeled monotonically: the i-th vertex of ``support``
-    becomes vertex i."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (support & (low - 1)).bit_count()
-        mask ^= low
-    return out
-
-
-def _unpack(mask: int, labels: Sequence[int]) -> int:
-    """The inverse of ``_pack``: vertex i becomes ``labels[i]``."""
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << labels[i]
-    return out
 
 
 class Face:
@@ -353,23 +333,12 @@ class SimplicialComplex:
     @cached_property
     def _table_closure(self) -> Optional[int]:
         """The closure as a bitset over the ranks of ``_face_tables``, or
-        None above ``TABLE_VERTICES`` vertices.
-
-        When a vertex id lies above the tables, the faces are first
-        relabeled monotonically onto 0..n-1 (``_pack``).  That keeps the
-        lexicographic order, so the ranks come in the same order as on the
-        original labels.
-        """
-        support = self.vertex_mask
-        if support >> TABLE_VERTICES == 0:
-            packed: Iterable[int] = self._facets
-        elif support.bit_count() <= TABLE_VERTICES:
-            packed = [_pack(f, support) for f in self._facets]
-        else:
+        None when some vertex id is ``TABLE_VERTICES`` or more."""
+        if self.vertex_mask >> TABLE_VERTICES:
             return None
         downset = _face_tables().downset
         closure = 0
-        for f in packed:
+        for f in self._facets:
             closure |= downset[f]
         return closure
 

@@ -7,11 +7,11 @@ taken from the component count, which sidesteps the empty-face convention;
 the same count gives rank d1 = f0 - components, so elimination starts at
 q = 2.
 
-A complex on at most ``complexes.TABLE_VERTICES`` = 7 vertices takes its
+A complex on vertex ids below ``complexes.TABLE_VERTICES`` = 7 takes its
 boundary columns from the fixed face tables: the columns of its q-faces
 are the tables' columns at the set bits of its closure in level q, so no
-face is listed, sorted or indexed.  Larger complexes group their face set
-by dimension, unsorted: ranks need no order.  Only ``boundary_matrix``,
+face is listed, sorted or indexed.  Every other complex groups its face
+set by dimension, unsorted: ranks need no order.  Only ``boundary_matrix``,
 whose rows and columns are printed, reads the sorted face table.
 """
 

@@ -128,6 +128,7 @@ def is_combinatorial_ball(
     decided exactly only for d = 3; for d >= 4 the first link of the right
     dimension leaves the question open.
     """
+    collapse_mod._check_budget(budget)
     if k.is_empty():
         return False
     d = k.dim
@@ -208,6 +209,7 @@ def find_induced_ball(
     shrinking the complement the collapse stage must handle; each of its
     collapse searches (dimension >= 3) runs within ``budget`` nodes.
     """
+    collapse_mod._check_budget(budget)
     if m.is_empty() or not m.is_pure():
         raise ValueError("find_induced_ball needs a pure non-empty complex")
     d = m.dim
@@ -253,6 +255,7 @@ def certify_sphere(
     budget: int = collapse_mod.DEFAULT_BUDGET,
 ) -> SphereCertificate:
     """Run the full certification pipeline and return the witness chain."""
+    collapse_mod._check_budget(budget)
     if m.is_empty():
         raise ValueError("certify_sphere needs a non-empty complex")
     d = m.dim

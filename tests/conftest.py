@@ -4,7 +4,7 @@ import random
 import pytest
 
 from simptop import catalog, census, from_facets, homology, relabel
-from simptop.complexes import SimplicialComplex
+from simptop.complexes import SimplicialComplex, _bits
 
 
 def sc(*facets):
@@ -65,8 +65,27 @@ def sampler_draws(seeds=(1, 2, 3), n_samples=200):
     return drawn
 
 
+def spread_mapping(k, rng, monotone=False):
+    """Random distinct vertex ids up to 63, 63 among them, for the vertices
+    of k; with ``monotone`` the mapping keeps the order of the vertices."""
+    images = rng.sample(range(63), len(k.vertices) - 1) + [63]
+    if monotone:
+        images.sort()
+    else:
+        rng.shuffle(images)
+    return dict(zip(k.vertices, images))
+
+
 def spread_labels(k, rng):
     """k relabeled onto random distinct vertex ids up to 63, 63 among them."""
-    images = rng.sample(range(63), len(k.vertices) - 1) + [63]
-    rng.shuffle(images)
-    return relabel(k, dict(zip(k.vertices, images)))
+    return relabel(k, spread_mapping(k, rng))
+
+
+def low_labels(k):
+    """k relabeled monotonically onto vertex ids 0..n-1."""
+    return relabel(k, {v: i for i, v in enumerate(k.vertices)})
+
+
+def image_mask(mask, mapping):
+    """A face mask with each vertex v replaced by ``mapping[v]``."""
+    return sum(1 << mapping[v] for v in _bits(mask))

@@ -309,6 +309,39 @@ class TestFlipSearch:
         assert is_weak_pseudomanifold(walked)
 
 
+class TestBadWalkAndScheduleInput:
+    def test_walk_needs_a_seed(self):
+        with pytest.raises(ValueError, match="needs an explicit seed"):
+            random_bistellar_walk(standard_sphere(2), 5, None)
+
+    @pytest.mark.parametrize("steps", [-1, 2.0, True, "3", None])
+    def test_walk_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be an int >= 0"):
+            random_bistellar_walk(standard_sphere(2), steps, seed=1)
+
+    @pytest.mark.parametrize("cap", [-3, 8.0, True])
+    def test_walk_vertex_cap(self, cap):
+        with pytest.raises(ValueError, match="max_vertices must be an int >= 0"):
+            random_bistellar_walk(standard_sphere(2), 5, seed=1, max_vertices=cap)
+
+    def test_zero_steps_and_zero_cap_are_valid(self):
+        # the standard sphere admits only moves that star in a fresh vertex
+        s = standard_sphere(2)
+        assert random_bistellar_walk(s, 0, seed=1) == s
+        assert random_bistellar_walk(s, 5, seed=1, max_vertices=0) == s
+        assert random_bistellar_walk(s, 1, seed=1) != s
+
+    @pytest.mark.parametrize("field", ["restarts", "steps"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True, None])
+    def test_schedule_lengths(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int >= 0"):
+            FlipSchedule(**{field: value})
+
+    def test_empty_schedule_is_valid(self):
+        sigma3 = catalog.get("Sigma3").complex
+        assert flip_search(sigma3, "standard-sphere", FlipSchedule(0, 0), seed=5) is None
+
+
 # Walk and flip results recorded before move enumeration became face-driven.
 # ``rng.choice`` reads the move list by position, so any change in the order
 # or content of ``enumerate_moves`` output changes these values.

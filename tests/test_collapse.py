@@ -27,11 +27,14 @@ from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE, _search
 from simptop.complexes import SimplicialComplex, _antichain, _bits
 
 from conftest import (
+    image_mask,
+    low_labels,
     per_complex_faces,
     random_pure_complex,
     sampler_draws,
     sc,
     spread_labels,
+    spread_mapping,
 )
 
 
@@ -418,14 +421,13 @@ class TestSearchMatchesOracle:
 
 
 def _ranked_view(k):
-    """Face order (as masks on k's labels), cover tables and free faces."""
+    """Face order (as masks), cover tables and free faces."""
     ranked = collapse._RankedFaces(k)
-    masks = [ranked.original(m) for m in ranked.masks]
-    return masks, [list(d) for d in ranked.down], ranked.up, free_faces(k)
+    return ranked.masks, [list(d) for d in ranked.down], ranked.up, free_faces(k)
 
 
 def _assert_tables_match(cases):
-    """``cases`` are (k, target, budget) on at most TABLE_VERTICES vertices:
+    """``cases`` are (k, target, budget) on vertex ids below TABLE_VERTICES:
     the table path gives the per-complex build's face order, cover tables,
     free faces and full search result (steps, nodes, exhaustion, terminal,
     memo hits, memo size and max depth)."""
@@ -460,12 +462,22 @@ def _neg_complexes(seed, count):
     return out
 
 
+def _mapped_search(result, mapping):
+    """A ``_search`` result with its step and terminal masks mapped."""
+    if result.steps is None:
+        return result
+    steps = [(image_mask(t, mapping), image_mask(s, mapping)) for t, s in result.steps]
+    terminal = [image_mask(m, mapping) for m in result.terminal]
+    return result._replace(steps=steps, terminal=terminal)
+
+
 class TestTablesMatchPerComplexBuild:
-    """On at most 7 vertices the search ranks faces off the fixed tables;
+    """On vertex ids 0..6 the search ranks faces off the fixed tables;
     everything it returns equals the per-complex build's."""
 
     def test_catalog(self):
-        ks = [k for k in _catalog_variants() if len(k.vertices) <= 7]
+        # entries with a vertex id above 6 are relabeled monotonically
+        ks = [low_labels(k) for k in _catalog_variants() if len(k.vertices) <= 7]
         assert len(ks) > 20
         _assert_tables_match(list(_with_targets(ks, random.Random(1), 3000)))
 
@@ -483,20 +495,36 @@ class TestTablesMatchPerComplexBuild:
         _assert_tables_match([(k, None, 3000) for k in ks])
 
     def test_labels_spread_up_to_63(self):
+        """The table path on ids 0..6 and the per-complex build on a
+        monotone image with ids up to 63 run the same search: equal steps
+        and terminal after mapping, equal nodes and memo counters."""
         rng = random.Random(63)
-        ks = [spread_labels(k, rng) for k in _random_complexes(64, 40)]
-        negs = [spread_labels(k, rng) for k in _neg_complexes(11, 6)]
-        assert max(max(k.vertices) for k in ks + negs) == 63
+        ks = list(_random_complexes(64, 40))
+        negs = _neg_complexes(11, 6)
         cases = list(_with_targets(ks, rng, 3000)) + [(k, None, 3000) for k in negs]
-        _assert_tables_match(cases)
+        mappings = {k: spread_mapping(k, rng, monotone=True) for k in ks + negs}
+        for k, target, budget in cases:
+            mapping = mappings[k]
+            image = relabel(k, mapping)
+            assert max(image.vertices) == 63
+            image_target = None if target is None else relabel(target, mapping)
+            assert k._table_closure is not None and image._table_closure is None
+            got = _mapped_search(_search(k, target, budget), mapping)
+            assert got == _search(image, image_target, budget), (k, target)
         for k in ks:
-            verdict = is_collapsible(k, 3000)
+            image = spread_labels(k, rng)
+            verdict = is_collapsible(image, 3000)
             if verdict.collapsible:
-                assert verify_certificate(k, verdict.certificate)
+                assert verify_certificate(image, verdict.certificate)
 
     def test_larger_complexes_build_their_own(self, dunce_hat):
         assert dunce_hat._table_closure is None
-        assert collapse._RankedFaces(dunce_hat).labels is None
+        assert sc((0, 1, 6), (2, 5))._table_closure is not None
+        for k in (sc((0, 1, 7)), sc((10, 20, 30, 40)), sc((2, 3), (3, 8))):
+            assert len(k.vertices) <= 7 and k._table_closure is None
+            by_dim = k._faces_by_dim
+            own = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
+            assert collapse._RankedFaces(k).masks == own
 
 
 # -- one greedy path against the exhaustive oracle in dimension <= 2 ------

@@ -20,7 +20,7 @@ from simptop import (
     standard_ball,
     standard_sphere,
 )
-from simptop import collapse, complexes, reports
+from simptop import complexes, reports
 from simptop.complexes import (
     EMPTY_COMPLEX,
     TABLE_VERTICES,
@@ -34,11 +34,13 @@ from simptop.complexes import (
 from simptop.homology import boundary_matrix, reduced_betti
 
 from conftest import (
+    image_mask,
+    low_labels,
     per_complex_faces,
     random_pure_complex,
     sampler_draws,
     sc,
-    spread_labels,
+    spread_mapping,
 )
 
 
@@ -541,45 +543,55 @@ class TestFixedFaceTables:
 
 
 def _small_complexes():
-    """Catalog entries on at most 7 vertices, mixed-dimension random
-    complexes and the same relabeled onto vertex ids up to 63."""
+    """Catalog entries and mixed-dimension random complexes on at most 7
+    vertices, relabeled monotonically onto vertex ids 0..n-1, each with a
+    relabeling onto random vertex ids up to 63."""
     rng = random.Random(16)
     ks = [k for k in _catalog_complexes() if len(k.vertices) <= 7]
     ks += [k for k in _random_mixed_complexes(17, 300) if len(k.vertices) <= 7]
-    return ks + [spread_labels(k, rng) for k in ks]
+    ks = [low_labels(k) for k in ks]
+    return [(k, spread_mapping(k, rng)) for k in ks]
 
 
 class TestTablesMatchPerComplexBuild:
     """f-vectors, Euler characteristics and reduced Betti numbers read off
     the fixed tables equal the per-complex build's."""
 
+    @staticmethod
+    def _counts(k):
+        return k.f_vector(), k.euler_characteristic(), reduced_betti(k)
+
     def _assert_match(self, ks):
         assert all(k._table_closure is not None for k in ks)
-        table = [(k.f_vector(), k.euler_characteristic(), reduced_betti(k)) for k in ks]
+        table = [self._counts(k) for k in ks]
         with per_complex_faces():
-            oracle = [
-                (k.f_vector(), k.euler_characteristic(), reduced_betti(k)) for k in ks
-            ]
+            oracle = [self._counts(k) for k in ks]
         for k, got, expected in zip(ks, table, oracle):
             assert got == expected, k
 
     def test_small_and_relabeled_complexes(self):
-        ks = _small_complexes()
-        assert max(max(k.vertices) for k in ks) == 63
+        pairs = _small_complexes()
+        ks = [k for k, _ in pairs]
         assert len({k.dim for k in ks}) >= 4
         self._assert_match(ks)
+        # their images on ids up to 63 take the per-complex build
+        for k, mapping in pairs:
+            image = relabel(k, mapping)
+            assert max(image.vertices) == 63 and image._table_closure is None
+            assert self._counts(image) == self._counts(k), image
 
     def test_sampler_draws(self):
         self._assert_match(sampler_draws())
 
     def test_closure_is_the_face_set(self):
         t = _face_tables()
-        for k in _small_complexes():
-            packed = {
-                collapse._RankedFaces(k).original(t.masks[r])
-                for r in _bits(k._table_closure)
-            }
-            assert packed == k._face_set, k
+        for k, mapping in _small_complexes():
+            faces = {t.masks[r] for r in _bits(k._table_closure)}
+            assert faces == k._face_set, k
+            # relabeled, the table closure is the image's own face set
+            image = relabel(k, mapping)
+            assert image._table_closure is None
+            assert {image_mask(m, mapping) for m in faces} == image._face_set, image
 
     def test_larger_complexes_count_without_the_tables(self):
         ks = [k for k in _catalog_complexes() if len(k.vertices) > 7]

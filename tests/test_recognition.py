@@ -489,6 +489,32 @@ class TestRecognizerMatchesOracle:
             assert ("sphere", d, True) in seen and ("sphere", d, False) in seen
 
 
+class TestBudgetCheckedUpFront:
+    """A bad budget fails even where no collapse search would run."""
+
+    @pytest.mark.parametrize("budget", ["x", -1, 2.5, True])
+    def test_ball_test(self, budget):
+        with pytest.raises(ValueError, match="node budget"):
+            is_combinatorial_ball(standard_ball(3), budget=budget)
+        with pytest.raises(ValueError, match="node budget"):
+            is_combinatorial_ball(standard_ball(2), budget=budget)
+
+    @pytest.mark.parametrize("policy", ["facet", "greedy"])
+    def test_find_induced_ball(self, policy):
+        octa = catalog.get("octahedron").complex
+        with pytest.raises(ValueError, match="node budget"):
+            find_induced_ball(octa, policy, budget="x")
+
+    def test_certify_sphere(self, rp2):
+        with pytest.raises(ValueError, match="node budget"):
+            certify_sphere(rp2, budget="x")
+
+    def test_none_is_unbounded(self):
+        assert is_combinatorial_ball(standard_ball(3), budget=None) is True
+        octa = catalog.get("octahedron").complex
+        assert find_induced_ball(octa, "greedy", budget=None) is not None
+
+
 class TestBallEdgeCases:
     def test_three_balls(self):
         assert is_combinatorial_ball(standard_ball(3)) is True
