@@ -266,6 +266,11 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an int >= 0, not {value!r}")
 
 
+def _check_seed(caller: str, seed) -> None:
+    if not _is_int(seed):
+        raise ValueError(f"{caller} needs an explicit seed: an int, not {seed!r}")
+
+
 @dataclass(frozen=True)
 class FlipSchedule:
     """How long :func:`flip_search` anneals: ``restarts`` runs of at most
@@ -336,8 +341,7 @@ def flip_search(
     only an accepted move is described, as the :class:`MoveDescriptor` the
     trace records.
     """
-    if seed is None:
-        raise ValueError("flip_search needs an explicit seed")
+    _check_seed("flip_search", seed)
     if not is_weak_pseudomanifold(k):
         raise ValueError("flip_search needs a weak pseudomanifold")
     sched = schedule or FlipSchedule()
@@ -383,8 +387,7 @@ def random_bistellar_walk(
     draws its move from the mask tuples and applies it; no move is described.
     The seed is mandatory, so every walk is reproducible.
     """
-    if seed is None:
-        raise ValueError("random_bistellar_walk needs an explicit seed")
+    _check_seed("random_bistellar_walk", seed)
     _check_count("steps", steps)
     if max_vertices is not None:
         _check_count("max_vertices", max_vertices)

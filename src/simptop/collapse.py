@@ -15,23 +15,17 @@ collapses exactly when it is a tree (Joswig and Pfetsch 2006).  There the
 search never backtracks, and the first node without a free face proves
 "not collapsible".  A search towards a protected target stays exhaustive.
 
-Each search ranks the faces of its input once, in that best-first order
-(dimension descending, then lexicographic vertex tuple), and builds two
-tables over the ranks: the codimension-one faces of every face, and the
-bitset of faces covering it.  On vertex ids below ``TABLE_VERTICES`` = 7
-nothing is sorted: the fixed face tables of ``complexes`` are numbered in
-that order, so the set bits of the complex's table closure, ascending, are
-its faces ranked, and the tables give their codimension-one faces.  The
-search still runs on those compact per-complex ranks, not on the 127 table
-ranks, so its bitsets stay as short as the complex; backtracking searches
-would pay for the longer ones.  A node is then its closure as a bitset
-over ranks and its free faces (exactly one cover in the closure) as a
-bitset too, plus the free faces it has yet to try.  A free face has one
-coface, so the lowest untried bit names the next pair.  Removing a pair
-(tau, sigma) can only change the cover counts of faces directly below tau
-or sigma, so a child re-tests just those.  The memo stores the closure
-ints themselves, never hashes of them: a collision would mark a live node
-dead and fake "not collapsible".
+Each search takes the faces of its input from the complex, ranked in that
+best-first order (dimension descending, then lexicographic vertex tuple)
+with the codimension-one faces of every face, and inverts those into the
+bitset of faces covering it.  A node is then its closure as a bitset over
+ranks and its free faces (exactly one cover in the closure) as a bitset
+too, plus the free faces it has yet to try.  A free face has one coface,
+so the lowest untried bit names the next pair.  Removing a pair (tau,
+sigma) can only change the cover counts of faces directly below tau or
+sigma, so a child re-tests just those.  The memo stores the closure ints
+themselves, never hashes of them: a collision would mark a live node dead
+and fake "not collapsible".
 
 A positive verdict's certificate holds the search's (tau, sigma) masks and
 terminal face masks; its ``CollapseStep`` list and terminal complex are
@@ -44,14 +38,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from .complexes import (
-    TABLE_VERTICES,
-    Face,
-    SimplicialComplex,
-    _bits,
-    _face_tables,
-    _is_int,
-)
+from .complexes import TABLE_VERTICES, Face, SimplicialComplex, _bits, _is_int
 
 COLLAPSIBLE = "collapsible-with-certificate"
 NOT_COLLAPSIBLE = "not-collapsible-exhausted"
@@ -59,8 +46,7 @@ INCONCLUSIVE = "inconclusive-budget"
 
 DEFAULT_BUDGET = 50_000_000
 # the lemma's bound: a GF(2)-acyclic complex on at most this many vertices
-# collapses, so an induced ball whose complement is that small certifies;
-# the fixed face tables cover these complexes only on vertex ids 0..6
+# collapses, so an induced ball whose complement is that small certifies
 ACYCLIC_VERTEX_BOUND = TABLE_VERTICES
 # dead complexes the exhaustive search may hold before it gives up
 MEMO_CAP = 1_000_000
@@ -175,50 +161,16 @@ class _RankedFaces:
 
     ``masks[i]`` is face i; ``down[i]`` lists the ranks of its faces one
     dimension lower and ``up[i]`` is the bitset of the ranks covering it.
-
-    On vertex ids below ``TABLE_VERTICES`` the faces are the set bits of
-    the complex's table closure, ascending, and ``down`` is read off the
-    tables through a local index; no face is sorted or ranked here.  Every
-    other complex numbers its own sorted face table.
     """
 
     __slots__ = ("masks", "down", "up")
 
     def __init__(self, k: SimplicialComplex) -> None:
-        closure = k._table_closure
-        if closure is None:
-            self._build(k)
-            return
-        t = _face_tables()
-        ranks = _bits(closure)
-        local = [0] * len(t.masks)
-        for i, g in enumerate(ranks):
-            local[g] = i
-        self.masks = [t.masks[g] for g in ranks]
-        down_in = t.down_in
-        self.down = down = [down_in[g](local) for g in ranks]
-        self.up = up = [0] * len(ranks)
-        for i, below in enumerate(down):
+        self.masks, self.down = k._ranked_faces()
+        self.up = up = [0] * len(self.masks)
+        for i, below in enumerate(self.down):
             for j in below:
                 up[j] |= 1 << i
-
-    def _build(self, k: SimplicialComplex) -> None:
-        by_dim = k._faces_by_dim
-        self.masks = masks = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
-        rank = {m: i for i, m in enumerate(masks)}
-        self.down = []
-        self.up = up = [0] * len(masks)
-        for i, m in enumerate(masks):
-            below = []
-            rest = m
-            while rest:
-                bit = rest & -rest
-                if m != bit:
-                    j = rank[m ^ bit]
-                    below.append(j)
-                    up[j] |= 1 << i
-                rest ^= bit
-            self.down.append(below)
 
     def free(self) -> int:
         """Bitset of the faces with exactly one cover in the whole complex."""

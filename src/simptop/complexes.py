@@ -5,15 +5,18 @@ answered against the downward closure of that antichain.  Faces are small
 integer sets held as single-word bit masks, so subset tests, links and
 induced subcomplexes are a handful of machine operations.
 
-A complex on vertex ids below ``TABLE_VERTICES`` = 7 is counted, ranked
-and collapsed without a face list of its own.  The 127 non-empty subsets of
-0..6 are numbered once, best-first (dimension descending, then
-lexicographic), in fixed tables built on first use; the complex's closure
-is one bitset over those ranks, the OR of its facets' down-sets.  f-vectors,
-GF(2) ranks and collapse searches read that bitset.  Every other complex,
-even one on few vertices with a higher id, groups its closure by dimension,
-unsorted for counts and ranks, and sorted lexicographically into one face
-table for boundary matrices and collapse searches.  All values are
+One routine, ``_rank_faces``, numbers faces best-first: dimension
+descending, then lexicographic vertex tuple.  Collapse searches run on that
+numbering and boundary matrices print in it.  A complex on vertex ids below
+``TABLE_VERTICES`` = 7 lists no faces of its own: the 127 non-empty subsets
+of 0..6 are ranked once, in fixed tables built on first use, and the
+complex's closure is one bitset over those ranks, the OR of its facets'
+down-sets.  Its f-vector, GF(2) boundary columns and ranked faces are read
+off that bitset.  Every other complex, even one on few vertices with a
+higher id, groups its closure by dimension, unsorted for counts and
+boundary columns, and ranks those groups for searches and matrices.  This
+module alone makes that choice: ``homology`` and ``collapse`` read faces
+through ``_boundary_columns`` and ``_ranked_faces``.  All values are
 immutable; every operation returns a fresh complex.
 """
 
@@ -86,30 +89,50 @@ def _lex_key(mask: int) -> int:
 TABLE_VERTICES = 7
 
 
+def _rank_faces(
+    groups: Dict[int, List[int]]
+) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """Number a downward-closed set of faces best-first: dimension
+    descending, then lexicographic vertex tuple.  ``groups`` maps each
+    dimension to its face masks, in any order.
+
+    Returns ``masks``, the faces in rank order, and ``down``: ``down[r]``
+    lists the ranks of the codimension-one faces of face r by the vertex
+    they omit, ascending, and is empty for a vertex.
+    """
+    masks: List[int] = []
+    for q in sorted(groups, reverse=True):
+        # one size per group, so _lex_key sorts it lexicographically
+        masks += sorted(groups[q], key=_lex_key, reverse=True)
+    rank = {m: r for r, m in enumerate(masks)}
+    down = [
+        tuple(rank[m ^ 1 << v] for v in _bits(m)) if m & (m - 1) else ()
+        for m in masks
+    ]
+    return masks, down
+
+
 @cache
 def _face_tables() -> SimpleNamespace:
-    """The non-empty subsets of 0..TABLE_VERTICES-1 numbered best-first:
-    dimension descending, then lexicographic vertex tuple.  Built on first
-    use (about 1 ms), never at import.
+    """The non-empty subsets of 0..TABLE_VERTICES-1 ranked by
+    ``_rank_faces``.  Built on first use (about 1 ms), never at import.
 
-    ``masks[r]`` is the face of rank r and ``downset[m]`` the bitset of the
-    ranks of the non-empty subsets of mask m.  ``down[r]`` lists the ranks
-    of the codimension-one faces of face r, and ``down_in[r](index)``
-    returns ``tuple(index[j] for j in down[r])``, a translation that runs
-    in C.  ``boundary[r]`` is ``down[r]`` as a bitset: the GF(2) boundary
-    column of face r, 0 for a vertex.  ``level[q]`` is the bitset of the
-    ranks of the q-faces.  The covers of a face are not tabled: a search
-    inverts ``down`` over its own compact ranks.
+    ``masks[r]`` is the face of rank r and ``down[r]`` the ranks of its
+    codimension-one faces; ``downset[m]`` is the bitset of the ranks of the
+    non-empty subsets of mask m.  ``down_in[r](index)`` returns
+    ``tuple(index[j] for j in down[r])``, a translation that runs in C.
+    ``boundary[r]`` is ``down[r]`` as a bitset: the GF(2) boundary column
+    of face r, 0 for a vertex.  ``level[q]`` is the bitset of the ranks of
+    the q-faces.  The covers of a face are not tabled: a search inverts
+    ``down`` over its own compact ranks.
     """
     n = TABLE_VERTICES
-    masks = sorted(range(1, 1 << n), key=lambda m: (-m.bit_count(), _bits(m)))
+    subsets = range(1, 1 << n)
+    groups = {q: [m for m in subsets if m.bit_count() == q + 1] for q in range(n)}
+    masks, down = _rank_faces(groups)
     rank = [0] * (1 << n)
     for r, m in enumerate(masks):
         rank[m] = r
-    down = [
-        tuple(rank[m ^ 1 << v] for v in _bits(m)) if m.bit_count() > 1 else ()
-        for m in masks
-    ]
     # a mask's proper subsets are smaller ints, so they are filled in first
     downset = [0] * (1 << n)
     for m in range(1, 1 << n):
@@ -321,16 +344,6 @@ class SimplicialComplex:
         return grouped
 
     @cached_property
-    def _faces_by_dim(self) -> Dict[int, List[int]]:
-        """The face table: face masks by dimension, each list sorted by vertex
-        tuple (one size per list, so ``_lex_key`` sorts it), the order that
-        boundary matrices and collapse certificates print in."""
-        return {
-            q: sorted(ms, key=_lex_key, reverse=True)
-            for q, ms in self._face_groups.items()
-        }
-
-    @cached_property
     def _table_closure(self) -> Optional[int]:
         """The closure as a bitset over the ranks of ``_face_tables``, or
         None when some vertex id is ``TABLE_VERTICES`` or more."""
@@ -342,6 +355,51 @@ class SimplicialComplex:
             closure |= downset[f]
         return closure
 
+    def _ranked_faces(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """The faces numbered best-first, as ``_rank_faces`` returns them;
+        the q-faces are contiguous and in lexicographic order.
+
+        On the tables the faces are the set bits of the table closure,
+        ascending, and ``down`` is translated to those compact ranks, so a
+        collapse search's bitsets stay as short as the complex.
+        """
+        closure = self._table_closure
+        if closure is None:
+            return _rank_faces(self._face_groups)
+        t = _face_tables()
+        ranks = _bits(closure)
+        local = [0] * len(t.masks)
+        for i, g in enumerate(ranks):
+            local[g] = i
+        down_in = t.down_in
+        return [t.masks[g] for g in ranks], [down_in[g](local) for g in ranks]
+
+    def _boundary_columns(self) -> List[Iterable[int]]:
+        """The GF(2) boundary maps for q = 2..dim: entry q-2 yields one
+        column per q-face, a bitset of its (q-1)-faces under some fixed
+        numbering.  Faces come in no particular order: enough for ranks."""
+        dims = range(2, self.dim + 1)
+        closure = self._table_closure
+        if closure is not None:
+            t = _face_tables()
+            column = t.boundary.__getitem__
+            return [map(column, _bits(closure & t.level[q])) for q in dims]
+        groups = self._face_groups
+        maps = []
+        for q in dims:
+            index = {m: i for i, m in enumerate(groups[q - 1])}
+            cols = []
+            for face in groups[q]:
+                col = 0
+                rest = face
+                while rest:
+                    bit = rest & -rest
+                    col |= 1 << index[face ^ bit]
+                    rest ^= bit
+                cols.append(col)
+            maps.append(cols)
+        return maps
+
     def has_face(self, face) -> bool:
         m = _as_mask(face)
         # the empty face lies in every non-empty complex
@@ -352,7 +410,7 @@ class SimplicialComplex:
 
     def faces(self, q: int) -> Set[Face]:
         """All q-dimensional faces; empty set when q is out of range."""
-        return {Face.from_mask(m) for m in self._faces_by_dim.get(q, ())}
+        return {Face.from_mask(m) for m in self._face_groups.get(q, ())}
 
     def face_count(self) -> int:
         return len(self._face_set)

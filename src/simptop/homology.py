@@ -5,22 +5,16 @@ Gaussian elimination.  Everything at catalog scale is at most tens of rows,
 so no sparse machinery is warranted.  The zeroth reduced Betti number is
 taken from the component count, which sidesteps the empty-face convention;
 the same count gives rank d1 = f0 - components, so elimination starts at
-q = 2.
-
-A complex on vertex ids below ``complexes.TABLE_VERTICES`` = 7 takes its
-boundary columns from the fixed face tables: the columns of its q-faces
-are the tables' columns at the set bits of its closure in level q, so no
-face is listed, sorted or indexed.  Every other complex groups its face
-set by dimension, unsorted: ranks need no order.  Only ``boundary_matrix``,
-whose rows and columns are printed, reads the sorted face table.
+q = 2.  The complex supplies the other boundary columns and, for printed
+matrices, its faces ranked in lexicographic order within each dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
-from .complexes import SimplicialComplex, _bits, _face_tables
+from .complexes import SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -71,23 +65,6 @@ def gf2_rank(vectors: Iterable[int]) -> int:
     return rank
 
 
-def _boundary_columns(faces_by_dim: Dict[int, List[int]], q: int) -> List[int]:
-    """The q-th boundary map column-wise: bit i of column j marks face i of
-    dimension q-1 inside face j of dimension q, both in the order of the
-    lists in ``faces_by_dim``."""
-    index = {m: i for i, m in enumerate(faces_by_dim.get(q - 1, []))}
-    cols = []
-    for face in faces_by_dim.get(q, []):
-        col = 0
-        rest = face
-        while rest:
-            bit = rest & -rest
-            col |= 1 << index[face ^ bit]
-            rest ^= bit
-        cols.append(col)
-    return cols
-
-
 def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """The GF(2) boundary map from q-faces to (q-1)-faces.
 
@@ -95,15 +72,16 @@ def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """
     if q < 1 or q > k.dim:
         raise ValueError(f"boundary matrix needs 1 <= q <= dim, got q={q}")
-    by_dim = k._faces_by_dim
-    cols = _boundary_columns(by_dim, q)
-    rows = [0] * len(by_dim.get(q - 1, []))
-    for j, col in enumerate(cols):
-        while col:
-            bit = col & -col
-            rows[bit.bit_length() - 1] |= 1 << j
-            col ^= bit
-    return Gf2Matrix(len(rows), len(cols), tuple(rows))
+    fvec = k.f_vector()
+    _, down = k._ranked_faces()
+    # best-first ranks: the q-faces form one run, the (q-1)-faces the next
+    first = sum(fvec[q + 1 :])
+    below = first + fvec[q]
+    rows = [0] * fvec[q - 1]
+    for j in range(fvec[q]):
+        for i in down[first + j]:
+            rows[i - below] |= 1 << j
+    return Gf2Matrix(len(rows), fvec[q], tuple(rows))
 
 
 def reduced_betti(k: SimplicialComplex) -> Tuple[int, ...]:
@@ -114,17 +92,7 @@ def reduced_betti(k: SimplicialComplex) -> Tuple[int, ...]:
     fvec = k.f_vector()
     components = k.component_count()
     # a spanning forest has f0 - components edges: rank d1 needs no elimination
-    closure = k._table_closure
-    if closure is None:
-        groups = k._face_groups
-        cols = [_boundary_columns(groups, q) for q in range(2, dim + 1)]
-    else:
-        t = _face_tables()
-        cols = [
-            map(t.boundary.__getitem__, _bits(closure & t.level[q]))
-            for q in range(2, dim + 1)
-        ]
-    ranks = [fvec[0] - components] + [gf2_rank(c) for c in cols]
+    ranks = [fvec[0] - components] + [gf2_rank(c) for c in k._boundary_columns()]
     betti = [components - 1]
     for q in range(1, dim + 1):
         kernel = fvec[q] - ranks[q - 1]

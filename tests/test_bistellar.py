@@ -314,6 +314,14 @@ class TestBadWalkAndScheduleInput:
         with pytest.raises(ValueError, match="needs an explicit seed"):
             random_bistellar_walk(standard_sphere(2), 5, None)
 
+    @pytest.mark.parametrize("seed", ["x", 2.5, True, False])
+    def test_seed_must_be_an_int(self, seed):
+        message = "needs an explicit seed: an int"
+        with pytest.raises(ValueError, match=message):
+            random_bistellar_walk(standard_sphere(2), 3, seed)
+        with pytest.raises(ValueError, match=message):
+            flip_search(catalog.get("Sigma3").complex, "standard-sphere", seed=seed)
+
     @pytest.mark.parametrize("steps", [-1, 2.0, True, "3", None])
     def test_walk_steps(self, steps):
         with pytest.raises(ValueError, match="steps must be an int >= 0"):

@@ -522,8 +522,9 @@ class TestTablesMatchPerComplexBuild:
         assert sc((0, 1, 6), (2, 5))._table_closure is not None
         for k in (sc((0, 1, 7)), sc((10, 20, 30, 40)), sc((2, 3), (3, 8))):
             assert len(k.vertices) <= 7 and k._table_closure is None
-            by_dim = k._faces_by_dim
-            own = [m for q in range(k.dim, -1, -1) for m in by_dim[q]]
+            masks, _ = k._ranked_faces()
+            own = sorted(k._face_set, key=lambda m: (-m.bit_count(), _bits(m)))
+            assert masks == own
             assert collapse._RankedFaces(k).masks == own
 
 

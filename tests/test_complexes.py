@@ -30,7 +30,9 @@ from simptop.complexes import (
     _face_tables,
     _lex_key,
     _mask_of,
+    _rank_faces,
 )
+from simptop.collapse import _search
 from simptop.homology import boundary_matrix, reduced_betti
 
 from conftest import (
@@ -453,11 +455,14 @@ class TestFaceTable:
         ks = _catalog_complexes() + list(_random_mixed_complexes(14, 300))
         assert len({k.dim for k in ks}) >= 4
         for k in ks:
-            table = k._faces_by_dim
-            assert sorted(table) == list(range(k.dim + 1)), k
-            for q, masks in table.items():
-                assert masks == sorted(masks, key=_bits), (k, q)
-            assert sorted(m for ms in table.values() for m in ms) == sorted(k._face_set)
+            masks, _ = k._ranked_faces()
+            dims = [m.bit_count() - 1 for m in masks]
+            assert dims == sorted(dims, reverse=True), k
+            assert sorted(set(dims)) == list(range(k.dim + 1)), k
+            for q in range(k.dim + 1):
+                run = [m for m in masks if m.bit_count() == q + 1]
+                assert run == sorted(run, key=_bits), (k, q)
+            assert sorted(masks) == sorted(k._face_set)
 
     def test_from_faces_matches_constructor(self):
         rng = random.Random(15)
@@ -531,6 +536,16 @@ class TestFixedFaceTables:
             assert all(t.masks[r].bit_count() == q + 1 for r in _bits(level))
         assert sum(t.level) == 2**127 - 1
 
+    def test_ranked_by_the_one_face_ranking(self):
+        rng = random.Random(127)
+        groups = {}
+        for m in rng.sample(range(1, 128), 127):
+            groups.setdefault(m.bit_count() - 1, []).append(m)
+        masks, down = _rank_faces(groups)
+        t = _face_tables()
+        assert tuple(masks) == t.masks
+        assert tuple(down) == t.down
+
     def test_built_on_first_use(self):
         code = (
             "import simptop\n"
@@ -569,6 +584,36 @@ class TestTablesMatchPerComplexBuild:
         for k, got, expected in zip(ks, table, oracle):
             assert got == expected, k
 
+    def test_oracle_reads_no_table(self):
+        """Under ``per_complex_faces`` every face query ranks or groups the
+        complex's own faces, even right after the table path ran on the
+        same object: otherwise the differential tests would compare the
+        tables with themselves."""
+
+        def no_tables():
+            raise AssertionError("the per-complex oracle read the fixed tables")
+
+        def results(k):
+            matrices = [boundary_matrix(k, q) for q in range(1, k.dim + 1)]
+            searches = [_search(k, None, 3000), _search(k, sc((6,)), 3000)]
+            return k.f_vector(), reduced_betti(k), matrices, searches
+
+        k = sc((0, 1, 2, 3), (2, 3, 4), (4, 5), (5, 6, 0))
+        assert k._table_closure is not None
+        table = results(k)
+        rankings = []
+
+        def recording(groups):
+            rankings.append(groups)
+            return _rank_faces(groups)
+
+        with per_complex_faces(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes, "_face_tables", no_tables)
+            mp.setattr(complexes, "_rank_faces", recording)
+            assert results(k) == table
+        # one ranking per boundary matrix and one per search
+        assert len(rankings) == k.dim + 2
+
     def test_small_and_relabeled_complexes(self):
         pairs = _small_complexes()
         ks = [k for k, _ in pairs]
@@ -599,5 +644,6 @@ class TestTablesMatchPerComplexBuild:
         assert ks
         for k in ks:
             assert k._table_closure is None
-            table = k._faces_by_dim
-            assert k.f_vector() == tuple(len(table[q]) for q in range(k.dim + 1))
+            masks, _ = k._ranked_faces()
+            dims = [m.bit_count() - 1 for m in masks]
+            assert k.f_vector() == tuple(dims.count(q) for q in range(k.dim + 1))
