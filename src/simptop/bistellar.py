@@ -37,6 +37,7 @@ from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits,
+    _check_seed,
     _is_int,
     _lex_key,
     are_isomorphic,
@@ -264,11 +265,6 @@ def enumerate_moves(
 def _check_count(name: str, value) -> None:
     if not _is_int(value) or value < 0:
         raise ValueError(f"{name} must be an int >= 0, not {value!r}")
-
-
-def _check_seed(caller: str, seed) -> None:
-    if not _is_int(seed):
-        raise ValueError(f"{caller} needs an explicit seed: an int, not {seed!r}")
 
 
 @dataclass(frozen=True)

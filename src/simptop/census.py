@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import collapse as collapse_mod
 from . import homology
-from .complexes import SimplicialComplex, _bits, _is_int, are_isomorphic
+from .complexes import SimplicialComplex, _bits, _check_seed, _is_int, are_isomorphic
 
 CONSTRAINT_CLOSED = "ridge-degree-exactly-2"
 CONSTRAINT_EVEN = "ridge-degree-even"
@@ -410,11 +410,13 @@ def sample_acyclic_collapsibility(
     through the exhaustive collapsibility search; a counterexample list
     that stays empty is the verification.  Only samples proved not
     collapsible are counterexamples; those the search gave up on within
-    ``budget`` nodes are listed under ``inconclusive``.
+    ``budget`` nodes are listed under ``inconclusive``.  ``seed`` must be an
+    int, so that the report names the draws it made.
     """
     if not _is_int(n_samples) or n_samples < 1:
         raise ValueError(f"sample count must be an int >= 1, not {n_samples!r}")
     collapse_mod._check_budget(budget)
+    _check_seed("sample_acyclic_collapsibility", seed)
     rng = random.Random(seed)
     candidates = {
         d: [

@@ -27,16 +27,19 @@ sigma, so a child re-tests just those.  The memo stores the closure ints
 themselves, never hashes of them: a collision would mark a live node dead
 and fake "not collapsible".
 
-A positive verdict's certificate holds the search's (tau, sigma) masks and
-terminal face masks; its ``CollapseStep`` list and terminal complex are
-built the first time either is read.  Callers that only read the status,
-such as the sampler, never pay for them.
+A positive verdict's certificate is two mask fields: ``pairs``, the
+(tau, sigma) masks of the pairs the search removed, and ``faces``, the
+terminal complex's face masks.  Equality and hashing read those, and
+``verify_certificate`` replays them.  The certificate's ``CollapseStep``
+list and terminal complex are built the first time either is read, so
+callers that only read the status, such as the sampler, never pay for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import FrozenSet, List, Optional, Tuple
 
 from .complexes import TABLE_VERTICES, Face, SimplicialComplex, _bits, _is_int
 
@@ -64,75 +67,51 @@ class CollapseStep:
             raise ValueError("coface must cover the free face by one dimension")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class CollapseCertificate:
     """An ordered list of free pairs whose removal ends at ``terminal``.
 
-    ``CollapseCertificate(steps, terminal)`` holds the given values.  A
-    certificate from the search holds masks instead and builds ``steps``
-    and ``terminal`` the first time either is read; equality, hashing,
-    repr and pickling read them, so both kinds behave alike.
+    It holds masks: ``pairs`` are the (tau, sigma) masks of the steps and
+    ``faces`` the terminal complex's face masks; equality and hashing
+    compare those.  ``CollapseCertificate(steps, terminal)`` also keeps the
+    given values, and a certificate from the search builds ``steps`` and
+    ``terminal`` the first time either is read.
     """
 
-    __slots__ = ("_steps", "_terminal", "_pairs", "_closure")
+    pairs: Tuple[Tuple[int, int], ...]
+    faces: FrozenSet[int]
 
     def __init__(
         self, steps: Tuple[CollapseStep, ...], terminal: SimplicialComplex
     ) -> None:
-        self._fill(steps, terminal, None, None)
+        steps = tuple(steps)
+        pairs = tuple((s.free_face.mask, s.coface.mask) for s in steps)
+        faces = frozenset(terminal._face_set)
+        # the given values count as already read
+        vars(self).update(pairs=pairs, faces=faces, steps=steps, terminal=terminal)
 
     @classmethod
     def _from_masks(
-        cls, pairs: List[Tuple[int, int]], closure: List[int]
+        cls, pairs: Tuple[Tuple[int, int], ...], faces: FrozenSet[int]
     ) -> "CollapseCertificate":
         """Trusted constructor: ``pairs`` are the (tau, sigma) masks of a
-        valid collapse sequence and ``closure`` the face masks it leaves."""
+        valid collapse sequence and ``faces`` the face masks it leaves."""
         cert = object.__new__(cls)
-        cert._fill(None, None, pairs, closure)
+        vars(cert).update(pairs=pairs, faces=faces)
         return cert
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    @property
+    @cached_property
     def steps(self) -> Tuple[CollapseStep, ...]:
-        if self._steps is None:
-            steps = tuple(
-                CollapseStep(Face.from_mask(t), Face.from_mask(s))
-                for t, s in self._pairs
-            )
-            object.__setattr__(self, "_steps", steps)
-        return self._steps
-
-    @property
-    def terminal(self) -> SimplicialComplex:
-        if self._terminal is None:
-            terminal = SimplicialComplex._from_faces(self._closure)
-            object.__setattr__(self, "_terminal", terminal)
-        return self._terminal
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.steps, self.terminal) == (other.steps, other.terminal)
-
-    def __hash__(self) -> int:
-        return hash((self.steps, self.terminal))
-
-    def __repr__(self) -> str:
-        return "CollapseCertificate(steps=%r, terminal=%r)" % (
-            self.steps,
-            self.terminal,
+        return tuple(
+            CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in self.pairs
         )
 
-    def __reduce__(self):
-        return (CollapseCertificate, (self.steps, self.terminal))
+    @cached_property
+    def terminal(self) -> SimplicialComplex:
+        return SimplicialComplex._from_faces(self.faces)
+
+    def __repr__(self) -> str:
+        return f"CollapseCertificate(steps={self.steps!r}, terminal={self.terminal!r})"
 
 
 @dataclass(frozen=True)
@@ -156,46 +135,25 @@ class CollapseVerdict:
         return self.status == COLLAPSIBLE
 
 
-class _RankedFaces:
-    """The faces of a complex numbered best-first, with their cover tables.
-
-    ``masks[i]`` is face i; ``down[i]`` lists the ranks of its faces one
-    dimension lower and ``up[i]`` is the bitset of the ranks covering it.
-    """
-
-    __slots__ = ("masks", "down", "up")
-
-    def __init__(self, k: SimplicialComplex) -> None:
-        self.masks, self.down = k._ranked_faces()
-        self.up = up = [0] * len(self.masks)
-        for i, below in enumerate(self.down):
-            for j in below:
-                up[j] |= 1 << i
-
-    def free(self) -> int:
-        """Bitset of the faces with exactly one cover in the whole complex."""
-        out = 0
-        for i, covers in enumerate(self.up):
-            if covers.bit_count() == 1:
-                out |= 1 << i
-        return out
-
-    def bits_of(self, sub: SimplicialComplex) -> int:
-        """The bitset of the ranks of the faces of ``sub``, a subcomplex of
-        the complex these faces were ranked from."""
-        rank = {m: i for i, m in enumerate(self.masks)}
-        return sum(1 << rank[m] for m in sub._face_set)
+def _covers(down: List[Tuple[int, ...]]) -> List[int]:
+    """Invert ``down`` (the ranks one dimension below each face): entry i
+    is the bitset of the ranks of the faces covering face i."""
+    up = [0] * len(down)
+    for i, below in enumerate(down):
+        for j in below:
+            up[j] |= 1 << i
+    return up
 
 
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     """All free pairs of k in deterministic best-first order."""
-    ranked = _RankedFaces(k)
-    masks, up = ranked.masks, ranked.up
+    masks, down = k._ranked_faces()
     return [
         CollapseStep(
-            Face.from_mask(masks[t]), Face.from_mask(masks[up[t].bit_length() - 1])
+            Face.from_mask(masks[t]), Face.from_mask(masks[covers.bit_length() - 1])
         )
-        for t in _bits(ranked.free())
+        for t, covers in enumerate(_covers(down))
+        if covers.bit_count() == 1
     ]
 
 
@@ -213,17 +171,6 @@ def elementary_collapse(k: SimplicialComplex, step: CollapseStep) -> SimplicialC
     return SimplicialComplex._from_faces(closure - {tau, sigma})
 
 
-class _SearchResult(NamedTuple):
-    steps: Optional[List[Tuple[int, int]]]
-    nodes: int
-    exhausted: bool
-    # the face masks ``steps`` leave; None when ``steps`` is None
-    terminal: Optional[List[int]] = None
-    memo_hits: int = 0
-    memo_size: int = 0
-    max_depth: int = 0
-
-
 def _check_budget(budget: Optional[int]) -> None:
     if budget is not None and (not _is_int(budget) or budget < 0):
         raise ValueError(f"node budget must be an int >= 0 or None, not {budget!r}")
@@ -233,32 +180,35 @@ def _search(
     k: SimplicialComplex,
     target: Optional[SimplicialComplex],
     budget: Optional[int],
-) -> _SearchResult:
+) -> CollapseVerdict:
     """DFS over collapse sequences; ``budget`` None means unbounded.
 
     The search ends at a single vertex when ``target`` is None, and
     otherwise at exactly the faces of ``target``, which it never removes.
-    ``steps`` lists the (tau, sigma) masks of the pairs removed, or is None,
-    and ``terminal`` the faces they leave; ``exhausted`` is False exactly
-    when the node budget or ``MEMO_CAP`` was hit first.  Towards a single
-    vertex in dimension <= 2 the search follows one greedy path (see the
-    module docstring).  A negative or non-int ``budget`` is a ValueError.
+    The verdict is inconclusive exactly when the node budget or
+    ``MEMO_CAP`` was hit first.  Towards a single vertex in dimension <= 2
+    the search follows one greedy path (see the module docstring).  A
+    negative or non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
-    ranked = _RankedFaces(k)
-    masks, down, up = ranked.masks, ranked.down, ranked.up
+    masks, down = k._ranked_faces()
+    up = _covers(down)
     start = (1 << len(masks)) - 1
-    goal = None if target is None else ranked.bits_of(target)
+    goal = None
+    if target is not None:
+        rank = {m: i for i, m in enumerate(masks)}
+        goal = sum(1 << rank[m] for m in target._face_set)
     unprotected = ~(goal or 0)
     greedy = goal is None and k.dim <= 2
 
     # terminal: a single vertex, the only downward-closed set of one face,
     # or exactly the target's faces; the loop below repeats this test inline
     if start & (start - 1) == 0 if goal is None else start == goal:
-        return _SearchResult([], 0, True, [masks[i] for i in _bits(start)])
+        cert = CollapseCertificate._from_masks((), frozenset(masks))
+        return CollapseVerdict(COLLAPSIBLE, 0, cert)
     dead = set()
     path: List[Tuple[int, int]] = []
-    free = ranked.free() & unprotected
+    free = sum(1 << i for i, c in enumerate(up) if c.bit_count() == 1) & unprotected
     # each node is [closure, free faces, free faces not tried yet]
     stack = [[start, free, free]]
     nodes = 1
@@ -281,14 +231,15 @@ def _search(
             if len(path) > max_depth:
                 max_depth = len(path)
             if child & (child - 1) == 0 if goal is None else child == goal:
-                terminal = [masks[i] for i in _bits(child)]
-                return _SearchResult(
-                    path, nodes, True, terminal, memo_hits, len(dead), max_depth
+                faces = frozenset(masks[i] for i in _bits(child))
+                cert = CollapseCertificate._from_masks(tuple(path), faces)
+                return CollapseVerdict(
+                    COLLAPSIBLE, nodes, cert, memo_hits, len(dead), max_depth
                 )
             nodes += 1
             if budget is not None and nodes > budget:
-                return _SearchResult(
-                    None, nodes, False, None, memo_hits, len(dead), max_depth
+                return CollapseVerdict(
+                    INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
                 )
             # only faces right below tau or sigma lost a cover
             child_free = free & ~(low | high)
@@ -302,8 +253,8 @@ def _search(
             break
         else:
             if len(dead) >= MEMO_CAP:
-                return _SearchResult(
-                    None, nodes, False, None, memo_hits, len(dead), max_depth
+                return CollapseVerdict(
+                    INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
                 )
             dead.add(closure)
             if greedy:
@@ -311,16 +262,9 @@ def _search(
             stack.pop()
             if path:
                 path.pop()
-    return _SearchResult(None, nodes, True, None, memo_hits, len(dead), max_depth)
-
-
-def _verdict_from_search(result: _SearchResult) -> CollapseVerdict:
-    counters = (result.memo_hits, result.memo_size, result.max_depth)
-    if result.steps is not None:
-        cert = CollapseCertificate._from_masks(result.steps, result.terminal)
-        return CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
-    status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE
-    return CollapseVerdict(status, result.nodes, None, *counters)
+    return CollapseVerdict(
+        NOT_COLLAPSIBLE, nodes, None, memo_hits, len(dead), max_depth
+    )
 
 
 def is_collapsible(
@@ -334,7 +278,7 @@ def is_collapsible(
     """
     if k.is_empty():
         raise ValueError("empty complex is not collapsible")
-    return _verdict_from_search(_search(k, None, budget))
+    return _search(k, None, budget)
 
 
 def collapses_to(
@@ -342,22 +286,26 @@ def collapses_to(
     l: SimplicialComplex,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> CollapseVerdict:
-    """Decide whether k collapses to the subcomplex l (faces of l kept)."""
+    """Decide whether k collapses to the subcomplex l (faces of l kept).
+
+    No collapse removes the last vertex, so an empty l is a ValueError.
+    """
+    if l.is_empty():
+        raise ValueError("no complex collapses to the empty complex")
     if not l._face_set <= k._face_set:
         raise ValueError("collapses_to needs L to be a subcomplex of K")
-    return _verdict_from_search(_search(k, l, budget))
+    return _search(k, l, budget)
 
 
 def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:
-    """Replay a certificate, re-checking freeness at every stage.
+    """Replay a certificate's masks, re-checking freeness at every stage.
 
     Deliberately independent of the search: freeness is established by a
     direct scan for proper superfaces.
     """
     closure = set(k._face_set)
-    for step in cert.steps:
-        tau, sigma = step.free_face.mask, step.coface.mask
+    for tau, sigma in cert.pairs:
         if tau not in closure or _superfaces(closure, tau) != [sigma]:
             return False
         closure -= {tau, sigma}
-    return SimplicialComplex._from_faces(closure) == cert.terminal
+    return closure == cert.faces

@@ -42,6 +42,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_seed(caller: str, seed) -> None:
+    if not _is_int(seed):
+        raise ValueError(f"{caller} needs an explicit seed: an int, not {seed!r}")
+
+
 def _mask_of(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:

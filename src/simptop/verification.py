@@ -19,7 +19,7 @@ from .bistellar import (
     apply_generalized_move,
     classify_move,
 )
-from .complexes import SimplicialComplex, are_isomorphic, from_facets
+from .complexes import SimplicialComplex, _is_int, are_isomorphic, from_facets
 from .recognition import _is_sphere, find_induced_ball
 from .structure import decompose, simplicial_complement, simplicial_neighbourhood
 
@@ -121,6 +121,8 @@ def random_decomposition_pairs(
     seed: int, pairs: int
 ) -> List[Tuple[SimplicialComplex, SimplicialComplex]]:
     """Admissible (Y, Y1) pairs: Y1 induced, pure, top-dimensional, proper."""
+    if not _is_int(pairs) or pairs < 1:
+        raise ValueError(f"pair count must be an int >= 1, not {pairs!r}")
     rng = random.Random(seed)
     out = []
     names = list(_PSEUDOMANIFOLD_POOL)

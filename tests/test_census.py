@@ -692,6 +692,12 @@ class TestCollapsibilitySampling:
         with pytest.raises(ValueError, match="budget"):
             sample_acyclic_collapsibility(50, seed=1, budget=budget)
 
+    @pytest.mark.parametrize("seed", [None, True, "abc", [1], 2.5])
+    def test_seed_must_be_an_int(self, no_draws, seed):
+        # a None seed drew from OS entropy while the report said "seed: None"
+        with pytest.raises(ValueError, match="needs an explicit seed: an int"):
+            sample_acyclic_collapsibility(300, seed)
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             sample_acyclic_collapsibility(0, seed=1)

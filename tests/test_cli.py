@@ -208,6 +208,14 @@ class TestVerifyCommand:
         # the report-only collapse-question probe is gone
         assert "collapse-question" not in out
 
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_no_pairs_is_a_usage_error(self, capsys, pairs):
+        # not a failed suite (exit 2): nothing was checked
+        code, out, err = run_cli(capsys, "verify", "--pairs", pairs)
+        assert code == EXIT_ERROR
+        assert "FAIL" not in out
+        assert "pair count must be an int >= 1" in err
+
 
 class TestMoreFlags:
     def test_collapse_to_subcomplex(self, capsys, tmp_path):

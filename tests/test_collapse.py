@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import pickle
@@ -24,7 +25,7 @@ from simptop import (
 )
 from simptop import census, collapse, reports
 from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE, _search
-from simptop.complexes import SimplicialComplex, _antichain, _bits
+from simptop.complexes import EMPTY_COMPLEX, SimplicialComplex, _antichain, _bits
 
 from conftest import (
     image_mask,
@@ -183,6 +184,16 @@ class TestCollapsesTo:
         with pytest.raises(ValueError):
             collapses_to(rp2, sc((1, 2, 9)))
 
+    def test_empty_target_rejected(self, rp2, monkeypatch):
+        # no collapse removes the last vertex; the search must not start
+        def no_search(*args):
+            raise AssertionError("searched towards the empty complex")
+
+        monkeypatch.setattr(collapse, "_search", no_search)
+        for k in (rp2, catalog.get("RP2_6").complex.cone(7)):
+            with pytest.raises(ValueError, match="empty complex"):
+                collapses_to(k, EMPTY_COMPLEX, budget=200_000)
+
 
 class TestVerifyCertificate:
     def test_emitted_certificates_verify(self, rng):
@@ -313,7 +324,13 @@ def _assert_search_matches(k, budget, target=None):
         expected = _oracle_search(
             frozenset(k._face_set), goal, lambda c: c == goal, budget
         )
-    found = tuple(_search(k, target, budget)[:3])
+    verdict = _search(k, target, budget)
+    cert = verdict.certificate
+    found = (
+        None if cert is None else list(cert.pairs),
+        verdict.nodes_explored,
+        verdict.status != INCONCLUSIVE,
+    )
     if target is None and k.dim <= 2 and expected[0] is None:
         # one greedy path: not collapsible wherever the oracle decided so,
         # on no more nodes than the oracle took
@@ -422,8 +439,8 @@ class TestSearchMatchesOracle:
 
 def _ranked_view(k):
     """Face order (as masks), cover tables and free faces."""
-    ranked = collapse._RankedFaces(k)
-    return ranked.masks, [list(d) for d in ranked.down], ranked.up, free_faces(k)
+    masks, down = k._ranked_faces()
+    return masks, [list(d) for d in down], collapse._covers(down), free_faces(k)
 
 
 def _assert_tables_match(cases):
@@ -462,13 +479,18 @@ def _neg_complexes(seed, count):
     return out
 
 
-def _mapped_search(result, mapping):
-    """A ``_search`` result with its step and terminal masks mapped."""
-    if result.steps is None:
-        return result
-    steps = [(image_mask(t, mapping), image_mask(s, mapping)) for t, s in result.steps]
-    terminal = [image_mask(m, mapping) for m in result.terminal]
-    return result._replace(steps=steps, terminal=terminal)
+def _mapped_search(verdict, mapping):
+    """A ``_search`` verdict with its certificate's step and face masks
+    mapped."""
+    cert = verdict.certificate
+    if cert is None:
+        return verdict
+    pairs = tuple(
+        (image_mask(t, mapping), image_mask(s, mapping)) for t, s in cert.pairs
+    )
+    faces = frozenset(image_mask(m, mapping) for m in cert.faces)
+    cert = CollapseCertificate._from_masks(pairs, faces)
+    return dataclasses.replace(verdict, certificate=cert)
 
 
 class TestTablesMatchPerComplexBuild:
@@ -525,7 +547,6 @@ class TestTablesMatchPerComplexBuild:
             masks, _ = k._ranked_faces()
             own = sorted(k._face_set, key=lambda m: (-m.bit_count(), _bits(m)))
             assert masks == own
-            assert collapse._RankedFaces(k).masks == own
 
 
 # -- one greedy path against the exhaustive oracle in dimension <= 2 ------
@@ -602,21 +623,19 @@ class TestGreedyMatchesExhaustive:
 # -- certificates built on first read against the eager build ------------
 
 
-def _eager_verdict(result):
-    """``_verdict_from_search`` as it was before certificates were lazy:
-    every step and the terminal complex built at once."""
-    counters = (result.memo_hits, result.memo_size, result.max_depth)
-    if result.steps is not None:
-        cert_steps = tuple(
-            CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in result.steps
-        )
-        cert = CollapseCertificate(
-            cert_steps,
-            SimplicialComplex._from_facet_masks(_antichain(result.terminal)),
-        )
-        return collapse.CollapseVerdict(COLLAPSIBLE, result.nodes, cert, *counters)
-    status = NOT_COLLAPSIBLE if result.exhausted else INCONCLUSIVE
-    return collapse.CollapseVerdict(status, result.nodes, None, *counters)
+def _eager_verdict(verdict):
+    """A search verdict as it was before certificates were lazy: every step
+    and the terminal complex built at once."""
+    cert = verdict.certificate
+    if cert is None:
+        return verdict
+    cert_steps = tuple(
+        CollapseStep(Face.from_mask(t), Face.from_mask(s)) for t, s in cert.pairs
+    )
+    cert = CollapseCertificate(
+        cert_steps, SimplicialComplex._from_facet_masks(_antichain(cert.faces))
+    )
+    return dataclasses.replace(verdict, certificate=cert)
 
 
 def _report_bytes(k, verdict):
@@ -626,11 +645,10 @@ def _report_bytes(k, verdict):
 def _assert_lazy_matches_eager(k, budget, target=None):
     """Each check reads a fresh lazy verdict, so steps and terminal are
     built in every order the readers use."""
-    result = _search(k, target, budget)
-    eager = _eager_verdict(result)
+    eager = _eager_verdict(_search(k, target, budget))
 
     def lazy():
-        return collapse._verdict_from_search(result)
+        return _search(k, target, budget)
 
     found = (
         is_collapsible(k, budget)
@@ -671,11 +689,10 @@ class TestLazyCertificates:
 
     def test_behaves_like_the_public_constructor(self):
         for k in (standard_ball(1), standard_ball(3), sc((5,))):
-            result = _search(k, None, None)
-            built = _eager_verdict(result).certificate
+            built = _eager_verdict(_search(k, None, None)).certificate
 
             def lazy():
-                return collapse._verdict_from_search(result).certificate
+                return _search(k, None, None).certificate
 
             assert lazy() == built and built == lazy()
             assert hash(lazy()) == hash(built)
@@ -710,6 +727,64 @@ class TestLazyCertificates:
         # reading a certificate builds its steps, and the count sees them
         assert len(is_collapsible(standard_ball(2)).certificate.steps) == 3
         assert len(built) == 3
+
+
+class TestMaskCertificates:
+    """A certificate is its step and face masks: replay, equality, hashing
+    and pickling read those and build no ``CollapseStep``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        post_init = CollapseStep.__post_init__
+
+        def counting(step):
+            built.append(step)
+            post_init(step)
+
+        monkeypatch.setattr(CollapseStep, "__post_init__", counting)
+        return built
+
+    def test_verify_builds_no_steps(self, built):
+        cone = cycle(5, (1, 2, 3, 4, 5)).cone(9)
+        verdicts = [
+            (standard_ball(3), is_collapsible(standard_ball(3))),
+            (cone, is_collapsible(cone)),
+            (cone, collapses_to(cone, sc((9,)))),
+        ]
+        for k, verdict in verdicts:
+            assert verify_certificate(k, verdict.certificate)
+        assert built == []
+
+    def test_equality_hash_and_pickle_build_no_steps(self, built):
+        k = standard_ball(3)
+        cert, again = is_collapsible(k).certificate, is_collapsible(k).certificate
+        assert cert == again and hash(cert) == hash(again)
+        restored = pickle.loads(pickle.dumps(cert))
+        assert restored == cert and hash(restored) == hash(cert)
+        assert verify_certificate(k, restored)
+        assert built == []
+
+    def test_public_constructor_holds_the_same_masks(self):
+        cert = is_collapsible(standard_ball(3)).certificate
+        built = CollapseCertificate(cert.steps, cert.terminal)
+        assert (built.pairs, built.faces) == (cert.pairs, cert.faces)
+        assert built.steps is cert.steps and built.terminal is cert.terminal
+
+    def test_tampered_masks_fail(self):
+        k = standard_ball(2, (1, 2, 3))
+        cert = is_collapsible(k).certificate
+        pairs, faces = cert.pairs, cert.faces
+        assert len(pairs) >= 2 and verify_certificate(k, cert)
+        tampered = [
+            ((pairs[1], pairs[0]) + pairs[2:], faces),
+            (pairs, faces | {pairs[-1][0]}),
+            (pairs, faces - {min(faces)}),
+            (((pairs[0][1], pairs[0][0]),) + pairs[1:], faces),
+        ]
+        for bad_pairs, bad_faces in tampered:
+            bad = CollapseCertificate._from_masks(bad_pairs, frozenset(bad_faces))
+            assert not verify_certificate(k, bad), (bad_pairs, bad_faces)
 
 
 class TestWorkCounters:
