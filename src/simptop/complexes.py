@@ -262,6 +262,27 @@ def _antichain(masks: Iterable[int]) -> List[int]:
     return kept
 
 
+def _component_count(masks: Iterable[int]) -> int:
+    """Classes of the face masks under "shares a vertex", chained."""
+    remaining = list(masks)
+    count = 0
+    while remaining:
+        count += 1
+        reach = remaining.pop()
+        changed = True
+        while changed:
+            changed = False
+            rest = []
+            for f in remaining:
+                if f & reach:
+                    reach |= f
+                    changed = True
+                else:
+                    rest.append(f)
+            remaining = rest
+    return count
+
+
 class SimplicialComplex:
     """A simplicial complex given by its facet antichain.
 
@@ -473,23 +494,7 @@ class SimplicialComplex:
         return self.component_count() <= 1
 
     def component_count(self) -> int:
-        remaining = list(self._facets)
-        count = 0
-        while remaining:
-            count += 1
-            reach = remaining.pop()
-            changed = True
-            while changed:
-                changed = False
-                rest = []
-                for f in remaining:
-                    if f & reach:
-                        reach |= f
-                        changed = True
-                    else:
-                        rest.append(f)
-                remaining = rest
-        return count
+        return _component_count(self._facets)
 
     # -- identity ------------------------------------------------------
 

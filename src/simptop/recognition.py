@@ -16,9 +16,13 @@ characteristic: a weak 0-pseudomanifold is two points, a connected weak
 by the surface classification a connected closed surface with chi = 2 is
 S^2 and a connected surface with chi = 1 and one boundary cycle is a disk.
 Manifoldness is therefore decided exactly up to d = 3, where every vertex
-link has dimension <= 2.  For d >= 4 the vertex links are certified
-recursively or reduced to the standard sphere by flip search; when neither
-settles the question the verdict is inconclusive rather than trusted.
+link has dimension <= 2.  There no link is built: ``_first_bad_link`` reads
+each link's purity, ridge degrees, connectivity, chi and vertex links off
+the vertex's star and one ridge-degree count of the whole complex, and
+``_is_sphere(k, 2)`` decides its vertex links by the same pass.  For d >= 4
+the vertex links are certified recursively or reduced to the standard
+sphere by flip search; when neither settles the question the verdict is
+inconclusive rather than trusted.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from .bistellar import (
     enumerate_moves,
     flip_search,
 )
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _bits, _component_count
 from .structure import (
+    _ridge_degrees,
     boundary_complex,
     decompose,
     is_weak_pm_with_boundary,
@@ -95,9 +100,54 @@ def _is_sphere(k: SimplicialComplex, d: int) -> bool:
         return False
     if d == 1:
         return True
-    return k.euler_characteristic() == 2 and all(
-        _is_sphere(k.link([v]), 1) for v in k.vertices
-    )
+    return k.euler_characteristic() == 2 and _first_bad_link(k) is None
+
+
+def _first_bad_link(k: SimplicialComplex) -> Optional[int]:
+    """The first vertex of k, 1 <= dim k = d <= 3, whose link is not a
+    combinatorial (d-1)-sphere, or None; exactly ``_is_sphere(k.link([v]),
+    d - 1)``, read off the star S of each vertex v without building a link.
+
+    The link's facets are f - v for f in S.  It is a (d-1)-sphere when
+    (a) every f in S has d+1 vertices and (b) every ridge of k through v lies
+    in two facets; that is all for d = 1, and for d >= 2 (c) the link is
+    connected.  For d = 3 the link, with (a) and (b), has |N| vertices, 3T/2
+    edges and T = |S| triangles, N the vertices of the link, so (d) chi = 2
+    reads 2|N| - T = 4; and (e) the edges f - v - w of the link of each
+    vertex w of N, all of degree 2 by (b), must form one cycle.
+    """
+    d = k.dim
+    # the vertices that fail (a) or (b); a smaller facet's codimension-one
+    # faces only mark vertices that (a) has marked already
+    bad = 0
+    for f in k.facet_masks:
+        if f.bit_count() != d + 1:
+            bad |= f
+    for ridge, degree in _ridge_degrees(k).items():
+        if degree != 2:
+            bad |= ridge
+    if d == 1:
+        return _bits(bad)[0] if bad else None
+    for v in k.vertices:
+        bit = 1 << v
+        if bad & bit:
+            return v
+        link = [f ^ bit for f in k.facet_masks if f & bit]
+        if _component_count(link) > 1:
+            return v
+        if d == 3:
+            span = 0
+            for g in link:
+                span |= g
+            if 2 * span.bit_count() - len(link) != 4:
+                return v
+            # the link of an edge vw is f - v - w over the facets f on it,
+            # for both ends; a lower end w that passed has checked it
+            for w in _bits(span & -(bit << 1)):
+                wbit = 1 << w
+                if _component_count([g ^ wbit for g in link if g & wbit]) > 1:
+                    return v
+    return None
 
 
 def _is_ball(k: SimplicialComplex, d: int) -> bool:
@@ -162,20 +212,20 @@ def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
     if k.is_empty():
         return ManifoldVerdict(MANIFOLD_NO, ((-1, "empty complex"),))
     d = k.dim
-    witness: List[Tuple[int, str]] = []
     if d == 0:
         return ManifoldVerdict(MANIFOLD_YES, ((-1, "0-dimensional point set"),))
+    if d <= 3:
+        bad = _first_bad_link(k)
+        if bad is not None:
+            return ManifoldVerdict(
+                MANIFOLD_NO, ((bad, "link is not a combinatorial %d-sphere" % (d - 1)),)
+            )
+        said = "link is a combinatorial %d-sphere" % (d - 1)
+        return ManifoldVerdict(MANIFOLD_YES, tuple((v, said) for v in k.vertices))
+    witness: List[Tuple[int, str]] = []
     inconclusive: List[Tuple[int, str]] = []
     for v in k.vertices:
         link = k.link([v])
-        if d <= 3:
-            if _is_sphere(link, d - 1):
-                witness.append((v, "link is a combinatorial %d-sphere" % (d - 1)))
-            else:
-                return ManifoldVerdict(
-                    MANIFOLD_NO, ((v, "link is not a combinatorial %d-sphere" % (d - 1)),)
-                )
-            continue
         cert = certify_sphere(link)
         if cert.is_sphere():
             witness.append((v, "link certified via induced-ball pipeline"))
@@ -195,6 +245,11 @@ def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
     return ManifoldVerdict(MANIFOLD_YES, tuple(witness))
 
 
+def _check_ball_policy(policy) -> None:
+    if policy not in ("facet", "greedy"):
+        raise ValueError(f"unknown ball policy {policy!r}")
+
+
 def find_induced_ball(
     m: SimplicialComplex,
     policy: str = "facet",
@@ -210,12 +265,11 @@ def find_induced_ball(
     collapse searches (dimension >= 3) runs within ``budget`` nodes.
     """
     collapse_mod._check_budget(budget)
+    _check_ball_policy(policy)
     if m.is_empty() or not m.is_pure():
         raise ValueError("find_induced_ball needs a pure non-empty complex")
     d = m.dim
     n = len(m.vertices)
-    if policy not in ("facet", "greedy"):
-        raise ValueError(f"unknown ball policy {policy!r}")
 
     base = m.facet_masks[0]
     evidence = "facet span equals the standard ball"
@@ -256,6 +310,10 @@ def certify_sphere(
 ) -> SphereCertificate:
     """Run the full certification pipeline and return the witness chain."""
     collapse_mod._check_budget(budget)
+    _check_ball_policy(ball_policy)
+    # a string such as "no" is truthy and would skip the manifold gate
+    if not isinstance(assume_manifold, bool):
+        raise ValueError(f"assume_manifold must be a bool, not {assume_manifold!r}")
     if m.is_empty():
         raise ValueError("certify_sphere needs a non-empty complex")
     d = m.dim

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -13,13 +14,14 @@ from simptop import (
     find_induced_ball,
     from_facets,
     is_combinatorial_manifold,
+    join,
     random_bistellar_walk,
     relabel,
     standard_ball,
     standard_sphere,
     verify_certificate,
 )
-from simptop import census
+from simptop import census, reports
 from simptop import collapse as collapse_mod
 from simptop.bistellar import apply_generalized_move
 from simptop.census import (
@@ -37,6 +39,7 @@ from simptop.recognition import (
     PRECONDITION_FAILED,
     SPHERE,
     SPHERE_BY_CONTRAPOSITIVE,
+    ManifoldVerdict,
     _is_sphere,
     is_combinatorial_ball,
 )
@@ -233,13 +236,17 @@ class TestProperMoveClassification:
             classify_proper_moves(torus)
 
 
+def pinched_octahedra():
+    """Two octahedra sharing an antipodal pair: connected, chi = 2, every
+    edge of degree 2, but pinched at the shared vertices 1 and 2."""
+    a = catalog.get("octahedron").complex
+    b = relabel(a, {1: 1, 2: 2, 3: 13, 4: 14, 5: 15, 6: 16})
+    return from_facets(a.facet_tuples() + b.facet_tuples())
+
+
 class TestTwoSphereTest:
     def test_pinched_chi_two_complex_is_not_a_sphere(self):
-        # two octahedra sharing an antipodal pair: connected, chi = 2,
-        # every edge degree 2, but pinched at the shared vertices
-        a = catalog.get("octahedron").complex
-        b = relabel(a, {1: 1, 2: 2, 3: 13, 4: 14, 5: 15, 6: 16})
-        pinched = from_facets(a.facet_tuples() + b.facet_tuples())
+        pinched = pinched_octahedra()
         assert pinched.euler_characteristic() == 2
         assert not _is_sphere(pinched, 2)
         assert _is_sphere(catalog.get("Sigma1").complex, 2)
@@ -349,15 +356,22 @@ def _oracle_is_combinatorial_ball(k, budget=collapse_mod.DEFAULT_BUDGET):
     return True if collapse_mod.is_collapsible(k, budget).collapsible else None
 
 
-def _oracle_manifold_status(k):
-    """The exact branch of is_combinatorial_manifold, d <= 3."""
+def _oracle_manifold_verdict(k):
+    """The exact branch of is_combinatorial_manifold, d <= 3, one link
+    complex per vertex, with the verdict's witness texts."""
     if k.is_empty():
-        return MANIFOLD_NO
+        return ManifoldVerdict(MANIFOLD_NO, ((-1, "empty complex"),))
     d = k.dim
     if d == 0:
-        return MANIFOLD_YES
-    exact = all(_oracle_link_is_sphere_exact(k.link([v]), d - 1) for v in k.vertices)
-    return MANIFOLD_YES if exact else MANIFOLD_NO
+        return ManifoldVerdict(MANIFOLD_YES, ((-1, "0-dimensional point set"),))
+    witness = []
+    for v in k.vertices:
+        if not _oracle_link_is_sphere_exact(k.link([v]), d - 1):
+            return ManifoldVerdict(
+                MANIFOLD_NO, ((v, "link is not a combinatorial %d-sphere" % (d - 1)),)
+            )
+        witness.append((v, "link is a combinatorial %d-sphere" % (d - 1)))
+    return ManifoldVerdict(MANIFOLD_YES, tuple(witness))
 
 
 def _with_links(tag, k):
@@ -427,12 +441,36 @@ def _family_cones():
             yield f"cone:{tag}", k.cone(max(k.vertices) + 1)
 
 
+def _family_apexes():
+    # 3-complexes whose apexes have a connected weak 2-pseudomanifold as
+    # link.  The suspensions on 40 and 41: of RP^2 (chi = 1), of the torus
+    # (chi = 0) and of the pinched octahedra, where the links of the edges
+    # from an apex to 1 or 2 are two cycles.  The cone from 0 over RP^2 and
+    # an octahedron sharing vertex 1: chi = 2, and only the link of the edge
+    # 0 1 is two cycles
+    poles = SimplicialComplex([(40,), (41,)])
+    rp2 = catalog.get("RP2_6").complex
+    bases = {
+        "RP2_6": rp2,
+        "torus": moebius_kantor_torus(),
+        "pinched": pinched_octahedra(),
+    }
+    for tag, k in bases.items():
+        yield from _with_links(f"susp:{tag}", join(k, poles))
+    octahedron = relabel(
+        catalog.get("octahedron").complex, {1: 1, 2: 12, 3: 13, 4: 14, 5: 15, 6: 16}
+    )
+    wedge = from_facets(rp2.facet_tuples() + octahedron.facet_tuples())
+    yield from _with_links("cone:wedge", wedge.cone(0))
+
+
 FAMILIES = {
     "catalog": _family_catalog,
     "census": _family_census,
     "walked": _family_walked,
     "random": _family_random,
     "cones": _family_cones,
+    "apexes": _family_apexes,
 }
 
 
@@ -468,13 +506,33 @@ class TestRecognizerMatchesOracle:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_manifold_statuses(self, family):
+        # the whole verdict: the status and the witness vertices
         mismatches = [
             tag
             for tag, k in _inputs(family)
             if k.dim <= 3
-            and is_combinatorial_manifold(k).status != _oracle_manifold_status(k)
+            and is_combinatorial_manifold(k) != _oracle_manifold_verdict(k)
         ]
         assert mismatches == []
+
+    def test_apexes_fail_at_their_links(self):
+        verdicts = {
+            tag: is_combinatorial_manifold(k)
+            for tag, k in _inputs("apexes")
+            if k.dim == 3
+        }
+        first_bad = {
+            "susp:RP2_6": 40,
+            "susp:torus": 40,
+            "susp:pinched": 1,
+            "cone:wedge": 0,
+        }
+        assert verdicts == {
+            tag: ManifoldVerdict(
+                MANIFOLD_NO, ((v, "link is not a combinatorial 2-sphere"),)
+            )
+            for tag, v in first_bad.items()
+        }
 
     def test_families_reach_every_verdict(self):
         seen = set()
@@ -513,6 +571,38 @@ class TestBudgetCheckedUpFront:
         assert is_combinatorial_ball(standard_ball(3), budget=None) is True
         octa = catalog.get("octahedron").complex
         assert find_induced_ball(octa, "greedy", budget=None) is not None
+
+
+class TestCertifyArgumentsCheckedUpFront:
+    """A bad ball policy or manifold flag fails whatever the input."""
+
+    @pytest.mark.parametrize("name", ["RP2_6", "Upsilon1", "Sigma2"])
+    def test_ball_policy(self, name):
+        with pytest.raises(ValueError, match="unknown ball policy 'bogus'"):
+            certify_sphere(catalog.get(name).complex, ball_policy="bogus")
+
+    @pytest.mark.parametrize("flag", ["no", "", 1, None])
+    def test_assume_manifold(self, flag):
+        with pytest.raises(ValueError, match="assume_manifold must be a bool"):
+            certify_sphere(catalog.get("Upsilon1").complex, assume_manifold=flag)
+
+
+# sha256 over the certify_sphere reports, timestamp stripped, of every catalog
+# complex under both ball policies and of the walked spheres, recorded before
+# vertex links were decided from the stars
+PINNED_CERTIFY_DIGEST = "9336cbed53e906f3fc2acaa8a1e7bfe67627f33bfaa19bee0f7385d82ab1138f"
+
+
+def test_certify_reports_pinned():
+    walked = [k for tag, k in _inputs("walked") if tag.count(":") == 1]
+    digest = hashlib.sha256()
+    for k in [catalog.get(name).complex for name in catalog.names()] + walked:
+        for policy in ("facet", "greedy"):
+            report = reports.sphere_certificate_report(
+                k, certify_sphere(k, ball_policy=policy)
+            )
+            digest.update(reports.strip_timestamp(report).encode())
+    assert digest.hexdigest() == PINNED_CERTIFY_DIGEST
 
 
 class TestBallEdgeCases:
