@@ -40,6 +40,7 @@ from .complexes import (
     _check_seed,
     _is_int,
     _lex_key,
+    _star_table,
     are_isomorphic,
 )
 from .structure import is_weak_pseudomanifold
@@ -193,13 +194,7 @@ def _moves(
             )
     d = k.dim
     facets = k.facet_masks
-    star: Dict[int, int] = {}
-    get = star.get
-    for f in facets:
-        sub = f
-        while sub:
-            star[sub] = get(sub, 0) | f
-            sub = (sub - 1) & f
+    star = _star_table(facets)
     if wanted <= _BISTELLAR_KINDS:
         # inside V(k) a bistellar A is alpha | V(lk alpha) = star[alpha]
         candidates = {a for a in star.values() if a.bit_count() == d + 2}

@@ -16,7 +16,8 @@ off that bitset.  Every other complex, even one on few vertices with a
 higher id, groups its closure by dimension, unsorted for counts and
 boundary columns, and ranks those groups for searches and matrices.  This
 module alone makes that choice: ``homology`` and ``collapse`` read faces
-through ``_boundary_columns`` and ``_ranked_faces``.  All values are
+through ``_boundary_columns`` and ``_ranked_faces``.  A complex caches its
+star table ``_star``: face -> OR of the facets on it.  All values are
 immutable; every operation returns a fresh complex.
 """
 
@@ -250,6 +251,18 @@ def _as_mask(face) -> int:
     return _mask_of(face)
 
 
+def _star_table(facets: Iterable[int]) -> Dict[int, int]:
+    """Each non-empty face mask -> the OR of the facets that contain it."""
+    star: Dict[int, int] = {}
+    get = star.get
+    for f in facets:
+        sub = f
+        while sub:
+            star[sub] = get(sub, 0) | f
+            sub = (sub - 1) & f
+    return star
+
+
 def _antichain(masks: Iterable[int]) -> List[int]:
     """Drop every mask contained in another; the antichain left is sorted by
     vertex tuple (its ``_lex_key`` order), so callers need not sort again."""
@@ -338,10 +351,6 @@ class SimplicialComplex:
     def vertices(self) -> Tuple[int, ...]:
         return _bits(self.vertex_mask)
 
-    @property
-    def vertex_set(self) -> Set[int]:
-        return set(self.vertices)
-
     @cached_property
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
@@ -351,6 +360,9 @@ class SimplicialComplex:
 
     @cached_property
     def _face_set(self) -> Set[int]:
+        # a built star table (a cached_property value) holds the closure
+        if "_star" in self.__dict__:
+            return set(self._star)
         closure: Set[int] = set()
         add = closure.add
         for f in self._facets:
@@ -359,6 +371,11 @@ class SimplicialComplex:
                 add(sub)
                 sub = (sub - 1) & f
         return closure
+
+    @cached_property
+    def _star(self) -> Dict[int, int]:
+        """Face mask -> OR of the facets containing it (``_star_table``)."""
+        return _star_table(self._facets)
 
     @cached_property
     def _face_groups(self) -> Dict[int, List[int]]:
@@ -473,12 +490,6 @@ class SimplicialComplex:
                 % (_bits(u & ~self.vertex_mask),)
             )
         return SimplicialComplex._from_faces(m for f in self._facets if (m := f & u))
-
-    def pure_part(self) -> "SimplicialComplex":
-        d = self.dim
-        return SimplicialComplex._from_facet_masks(
-            f for f in self._facets if f.bit_count() - 1 == d
-        )
 
     def is_pure(self) -> bool:
         d = self.dim

@@ -31,23 +31,6 @@ class Gf2Matrix:
     def rank(self) -> int:
         return gf2_rank(self.row_bits)
 
-    def mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in GF(2) product")
-        out = []
-        for row in self.row_bits:
-            acc = 0
-            r = row
-            while r:
-                low = r & -r
-                acc ^= other.row_bits[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
-        return Gf2Matrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
-
 
 def gf2_rank(vectors: Iterable[int]) -> int:
     """Rank of a list of GF(2) vectors packed as ints."""

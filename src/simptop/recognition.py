@@ -18,11 +18,11 @@ S^2 and a connected surface with chi = 1 and one boundary cycle is a disk.
 Manifoldness is therefore decided exactly up to d = 3, where every vertex
 link has dimension <= 2.  There no link is built: ``_first_bad_link`` reads
 each link's purity, ridge degrees, connectivity, chi and vertex links off
-the vertex's star and one ridge-degree count of the whole complex, and
-``_is_sphere(k, 2)`` decides its vertex links by the same pass.  For d >= 4
-the vertex links are certified recursively or reduced to the standard
-sphere by flip search; when neither settles the question the verdict is
-inconclusive rather than trusted.
+the vertex's star and the complex's star table, and ``_is_sphere(k, 2)``
+decides its vertex links by the same pass; ``decompose`` reads that table
+again.  For d >= 4 the vertex links are certified recursively or reduced
+to the standard sphere by flip search; when neither settles the question
+the verdict is inconclusive rather than trusted.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .bistellar import (
 )
 from .complexes import SimplicialComplex, _bits, _component_count
 from .structure import (
-    _ridge_degrees,
+    _ridges,
     boundary_complex,
     decompose,
     is_weak_pm_with_boundary,
@@ -117,13 +117,13 @@ def _first_bad_link(k: SimplicialComplex) -> Optional[int]:
     vertex w of N, all of degree 2 by (b), must form one cycle.
     """
     d = k.dim
-    # the vertices that fail (a) or (b); a smaller facet's codimension-one
-    # faces only mark vertices that (a) has marked already
+    # the vertices that fail (a) or (b), read off the star table's faces of
+    # d vertices; such a face in no larger facet is one that (a) marks
     bad = 0
     for f in k.facet_masks:
         if f.bit_count() != d + 1:
             bad |= f
-    for ridge, degree in _ridge_degrees(k).items():
+    for ridge, degree in _ridges(k):
         if degree != 2:
             bad |= ridge
     if d == 1:
@@ -136,9 +136,7 @@ def _first_bad_link(k: SimplicialComplex) -> Optional[int]:
         if _component_count(link) > 1:
             return v
         if d == 3:
-            span = 0
-            for g in link:
-                span |= g
+            span = k._star[bit] ^ bit
             if 2 * span.bit_count() - len(link) != 4:
                 return v
             # the link of an edge vw is f - v - w over the facets f on it,
@@ -275,7 +273,8 @@ def find_induced_ball(
     evidence = "facet span equals the standard ball"
     if policy == "facet":
         if n <= (d + 1) + collapse_mod.ACYCLIC_VERTEX_BOUND:
-            return m.induced(base), evidence
+            # every face of m on the span of a facet lies in that facet
+            return SimplicialComplex._from_facet_masks((base,)), evidence
         return None
 
     current_mask = base

@@ -205,7 +205,7 @@ def sphere_certificate_report(
     body: Tree = {
         "verdict": cert.verdict,
         "reason": cert.reason or "-",
-        "manifold-status": cert.manifold.status if cert.manifold else "-",
+        "manifold-status": cert.manifold.status if cert.manifold is not None else "-",
     }
     if cert.ball is not None:
         body["ball"] = cert.ball.canonical_encoding()

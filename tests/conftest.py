@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import itertools
 import random
 
 import pytest
@@ -26,9 +28,23 @@ def dunce_hat():
     return catalog.get("DunceHat8").complex
 
 
-def random_pure_complex(rng, n_vertices=7, dim=2, p=0.3):
-    import itertools
+def boundary_squared_is_zero(k, q):
+    """Is the GF(2) product of the boundary matrices of k in dimensions q-1
+    and q the zero matrix?  The product is taken row by row here, as the
+    library has no use for it."""
+    lower, upper = homology.boundary_matrix(k, q - 1), homology.boundary_matrix(k, q)
+    assert lower.cols == upper.rows
+    for row in lower.row_bits:
+        product = 0
+        for j in range(lower.cols):
+            if row >> j & 1:
+                product ^= upper.row_bits[j]
+        if product:
+            return False
+    return True
 
+
+def random_pure_complex(rng, n_vertices=7, dim=2, p=0.3):
     while True:
         facets = [
             c
@@ -37,6 +53,35 @@ def random_pure_complex(rng, n_vertices=7, dim=2, p=0.3):
         ]
         if facets:
             return from_facets(facets)
+
+
+def stacked_sphere(d, n):
+    """A stacked d-sphere on vertices 0..n-1: the boundary of a (d+1)-simplex
+    with n - d - 2 facets stellarly subdivided, always the middle facet."""
+    facets = [tuple(f) for f in itertools.combinations(range(d + 2), d + 1)]
+    for v in range(d + 2, n):
+        facet = facets.pop(len(facets) // 2)
+        facets += [tuple(sorted(set(facet) - {u} | {v})) for u in facet]
+    return from_facets(facets)
+
+
+@functools.lru_cache(maxsize=None)
+def walked_spheres(seed=5, count=150):
+    """The spheres of perfbench's ``spheres`` workload: walks from stacked
+    spheres on d + 8 vertices, cycling S^2 (10 steps), S^2, S^3 (6 steps),
+    each under the cap of d + 8 vertices and seeded from one generator."""
+    from simptop.bistellar import random_bistellar_walk
+
+    rng = random.Random(seed)
+    plan = ((2, 10), (2, 10), (3, 6))
+    spheres = []
+    for i in range(count):
+        d, steps = plan[i % len(plan)]
+        start = stacked_sphere(d, d + 8)
+        spheres.append(
+            random_bistellar_walk(start, steps, rng.getrandbits(31), max_vertices=d + 8)
+        )
+    return tuple(spheres)
 
 
 @contextlib.contextmanager
@@ -89,3 +134,79 @@ def low_labels(k):
 def image_mask(mask, mapping):
     """A face mask with each vertex v replaced by ``mapping[v]``."""
     return sum(1 << mapping[v] for v in _bits(mask))
+
+
+# --- the pseudomanifold predicates as they were before they read the star
+# table: per-call ridge counts and an all-pairs facet graph.  The oracles of
+# structure's table routes.
+
+
+def oracle_ridge_degrees(k):
+    """Ridge mask -> number of facets containing it (k pure, dim >= 1)."""
+    degrees = {}
+    for f in k.facet_masks:
+        for v in _bits(f):
+            ridge = f ^ 1 << v
+            degrees[ridge] = degrees.get(ridge, 0) + 1
+    return degrees
+
+
+def oracle_is_weak_pseudomanifold(k):
+    if k.is_empty() or not k.is_pure():
+        return False
+    if k.dim == 0:
+        return len(k.vertices) == 2
+    return all(d == 2 for d in oracle_ridge_degrees(k).values())
+
+
+def oracle_facet_graph_connected(k):
+    facets = k.facet_masks
+    if len(facets) <= 1:
+        return True
+    d = k.dim
+    adj = [
+        [
+            j
+            for j in range(len(facets))
+            if j != i and (facets[i] & facets[j]).bit_count() == d
+        ]
+        for i in range(len(facets))
+    ]
+    seen = {0}
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(facets)
+
+
+def oracle_is_pseudomanifold(k):
+    if not oracle_is_weak_pseudomanifold(k):
+        return False
+    if k.dim == 0:
+        return True
+    return oracle_facet_graph_connected(k)
+
+
+def oracle_is_weak_pm_with_boundary(k):
+    if k.is_empty() or not k.is_pure() or k.dim < 1:
+        return False
+    degrees = oracle_ridge_degrees(k).values()
+    return all(d in (1, 2) for d in degrees) and any(d == 1 for d in degrees)
+
+
+def oracle_boundary_complex(k):
+    """The degree-1 ridges of a weak pm with boundary; the library's
+    ValueError messages on other input."""
+    if k.is_empty() or not k.is_pure() or k.dim < 1:
+        raise ValueError("boundary complex needs a pure complex of dimension >= 1")
+    degrees = oracle_ridge_degrees(k)
+    if any(d > 2 for d in degrees.values()):
+        raise ValueError("not a weak pseudomanifold with boundary: ridge degree > 2")
+    boundary = [m for m, d in degrees.items() if d == 1]
+    if not boundary:
+        raise ValueError("no boundary: every ridge has degree 2")
+    return SimplicialComplex(boundary)

@@ -116,6 +116,22 @@ class TestExitCodes:
         assert code == EXIT_NEGATIVE
         assert "not a Z2-homology sphere" in out
 
+    def test_certify_rp2_suspension_reports_manifold_no(self, capsys, tmp_path):
+        # a "no" manifold verdict is falsy, yet the report must print it
+        path = tmp_path / "susp.fl"
+        rp2 = catalog.get("RP2_6").complex
+        facets = [
+            " ".join(map(str, f + (pole,)))
+            for f in rp2.facet_tuples()
+            for pole in (40, 41)
+        ]
+        path.write_text("\n".join(facets) + "\n")
+        code, out, _ = run_cli(capsys, "certify", str(path))
+        assert code == EXIT_NEGATIVE
+        lines = out.splitlines()
+        assert "reason: not a combinatorial manifold" in lines
+        assert "manifold-status: no" in lines
+
     def test_usage_error_exits_1(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.fl")
         code, _, _ = run_cli(capsys, "info", missing)

@@ -31,18 +31,22 @@ from simptop.complexes import (
     _lex_key,
     _mask_of,
     _rank_faces,
+    _star_table,
 )
 from simptop.collapse import _search
 from simptop.homology import boundary_matrix, reduced_betti
+from simptop.structure import _ridges
 
 from conftest import (
     image_mask,
     low_labels,
+    oracle_ridge_degrees,
     per_complex_faces,
     random_pure_complex,
     sampler_draws,
     sc,
     spread_mapping,
+    walked_spheres,
 )
 
 
@@ -168,7 +172,7 @@ class TestConstruction:
         assert hash(a) == hash(b)
 
     def test_vertex_set_derived(self):
-        assert sc((1, 5), (2, 5)).vertex_set == {1, 2, 5}
+        assert set(sc((1, 5), (2, 5)).vertices) == {1, 2, 5}
 
 
 class TestFaceQueries:
@@ -336,7 +340,9 @@ class TestJoinConePure:
     def test_pure_part(self):
         k = sc((1, 2, 3), (4, 5))
         assert not k.is_pure()
-        assert k.pure_part() == sc((1, 2, 3))
+        # the top-dimensional facets, a complex the library no longer builds
+        pure_part = from_facets([f for f in k.facet_tuples() if len(f) == k.dim + 1])
+        assert pure_part == sc((1, 2, 3))
         assert standard_sphere(2, (1, 2, 3, 4)).is_pure()
 
     def test_connectivity(self):
@@ -496,6 +502,76 @@ class TestFaceTable:
                 report = reports.collapse_report(x, is_collapsible(x))
                 digest.update(reports.strip_timestamp(report).encode() + b"\n")
         assert digest.hexdigest() == COLLAPSE_REPORT_DIGEST
+
+
+def _random_star_inputs(seed, count):
+    """Seeded random complexes on up to 10 vertex ids, 63 always among the
+    ids drawn: pure ones of dimension 0..4 and ones with facets of mixed
+    sizes."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 10)
+        labels = rng.sample(range(63), n - 1) + [63]
+        if i % 2:
+            dim = rng.randint(0, min(4, n - 1))
+            facets = [
+                c for c in itertools.combinations(labels, dim + 1) if rng.random() < 0.4
+            ]
+            yield from_facets(facets or [labels[: dim + 1]])
+        else:
+            yield from_facets(
+                rng.sample(labels, rng.randint(1, min(n, 5)))
+                for _ in range(rng.randint(1, 12))
+            )
+
+
+def _star_inputs():
+    return (
+        _catalog_complexes()
+        + list(walked_spheres())
+        + list(_random_star_inputs(21, 400))
+        + [EMPTY_COMPLEX]
+    )
+
+
+class TestStarTable:
+    """The star table against the OR of the facets that contain each face."""
+
+    def test_matches_brute_force(self):
+        ks = _star_inputs()
+        assert any(63 in k.vertices and not k.is_pure() for k in ks)
+        for k in ks:
+            star = k._star
+            closure = {
+                sum(1 << v for v in face)
+                for f in k.facet_tuples()
+                for size in range(1, len(f) + 1)
+                for face in itertools.combinations(f, size)
+            }
+            assert set(star) == closure, k
+            for face, union in star.items():
+                brute = 0
+                for f in k.facet_masks:
+                    if face & ~f == 0:
+                        brute |= f
+                assert union == brute, (k, face)
+            assert _star_table(k.facet_masks) == star
+
+    def test_empty_complex_has_an_empty_table(self):
+        assert EMPTY_COMPLEX._star == {}
+
+    def test_face_set_from_a_built_table(self):
+        # a complex that has built its star table reads its closure off it
+        for k in _catalog_complexes():
+            fresh = SimplicialComplex._from_facet_masks(k.facet_masks)
+            fresh._star
+            assert fresh._face_set == k._face_set == set(fresh._star)
+
+    def test_ridge_degrees(self):
+        pure = [k for k in _star_inputs() if k.dim >= 1 and k.is_pure()]
+        assert {k.dim for k in pure} == {1, 2, 3, 4}
+        for k in pure:
+            assert dict(_ridges(k)) == oracle_ridge_degrees(k), k
 
 
 class TestFixedFaceTables:
