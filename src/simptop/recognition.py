@@ -7,22 +7,22 @@ GF(2)-acyclic, an exhaustive search proves it collapsible, and the verdict
 follows with the whole witness chain attached.  Failures are structured
 verdicts, never false positives.
 
-Dimension policy: spheres and balls of dimension d <= 2 are recognized
-exactly by two predicates, ``_is_sphere(k, d)`` and ``_is_ball(k, d)``,
-built on the pseudomanifold tests of ``structure``.  They are exact because
-there the shape is fixed by local data plus connectivity and the Euler
-characteristic: a weak 0-pseudomanifold is two points, a connected weak
-1-pseudomanifold is a cycle and a connected one with boundary a path, and
-by the surface classification a connected closed surface with chi = 2 is
-S^2 and a connected surface with chi = 1 and one boundary cycle is a disk.
-Manifoldness is therefore decided exactly up to d = 3, where every vertex
-link has dimension <= 2.  There no link is built: ``_first_bad_link`` reads
-each link's purity, ridge degrees, connectivity, chi and vertex links off
-the vertex's star and the complex's star table, and ``_is_sphere(k, 2)``
-decides its vertex links by the same pass; ``decompose`` reads that table
-again.  For d >= 4 the vertex links are certified recursively or reduced
-to the standard sphere by flip search; when neither settles the question
-the verdict is inconclusive rather than trusted.
+Dimension policy: below dimension 4 no link complex is built.  One pass,
+``_first_bad_link``, decides every vertex link of a complex of dimension
+d <= 3, closed or with boundary, from the vertex's star and the complex's
+star table: is it a (d-1)-sphere, a (d-1)-ball, or neither.  That is exact
+because there the shape is fixed by local data plus connectivity and the
+Euler characteristic: a weak 0-pseudomanifold is two points, a connected
+graph of degrees 1 and 2 is a cycle or a path, and by the surface
+classification a connected closed surface with chi = 2 is S^2 and a
+connected surface with boundary and chi = 1 is a disk.  So manifoldness is
+decided exactly up to d = 3; ``_is_sphere(k, d)`` and
+``is_combinatorial_ball`` recognize spheres and balls of dimension d <= 2
+exactly with the same pass, connectivity and chi, and a 3-ball by the pass
+and a collapse search.  ``decompose`` reads that table again.  For d >= 4
+the vertex links are certified recursively or reduced to the standard
+sphere by flip search; when neither settles the question the verdict is
+inconclusive rather than trusted.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from .bistellar import (
 from .complexes import SimplicialComplex, _bits, _component_count
 from .structure import (
     _ridges,
-    boundary_complex,
     decompose,
-    is_weak_pm_with_boundary,
-    is_weak_pseudomanifold,
     simplicial_complement,
 )
 
@@ -92,77 +89,70 @@ class ProperMoveClassification:
 
 def _is_sphere(k: SimplicialComplex, d: int) -> bool:
     """Exact combinatorial d-sphere test for d <= 2 (see the module notes)."""
-    if k.dim != d or not is_weak_pseudomanifold(k):
+    if k.dim != d:
         return False
     if d == 0:
-        return True
-    if not k.is_connected():
+        return len(k.vertices) == 2
+    if _first_bad_link(k) != (None, 0) or not k.is_connected():
         return False
-    if d == 1:
-        return True
-    return k.euler_characteristic() == 2 and _first_bad_link(k) is None
+    return d == 1 or k.euler_characteristic() == 2
 
 
-def _first_bad_link(k: SimplicialComplex) -> Optional[int]:
-    """The first vertex of k, 1 <= dim k = d <= 3, whose link is not a
-    combinatorial (d-1)-sphere, or None; exactly ``_is_sphere(k.link([v]),
-    d - 1)``, read off the star S of each vertex v without building a link.
+def _first_bad_link(k: SimplicialComplex) -> Tuple[Optional[int], int]:
+    """(v, open) for k, 1 <= dim k = d <= 3: v is the first vertex whose link
+    is neither a combinatorial (d-1)-sphere nor a (d-1)-ball, or None, and
+    open is the mask of the vertices on a ridge in one facet, whose links are
+    not spheres.  Exactly the per-link tests, read off the star S of each
+    vertex v without building a link.
 
-    The link's facets are f - v for f in S.  It is a (d-1)-sphere when
-    (a) every f in S has d+1 vertices and (b) every ridge of k through v lies
-    in two facets; that is all for d = 1, and for d >= 2 (c) the link is
-    connected.  For d = 3 the link, with (a) and (b), has |N| vertices, 3T/2
-    edges and T = |S| triangles, N the vertices of the link, so (d) chi = 2
-    reads 2|N| - T = 4; and (e) the edges f - v - w of the link of each
-    vertex w of N, all of degree 2 by (b), must form one cycle.
+    The link's facets are f - v for f in S.  It is a (d-1)-sphere or ball
+    when (a) every f in S has d+1 vertices and (b) every ridge of k through v
+    lies in one or two facets; that is all for d = 1, and for d >= 2 (c) the
+    link is connected, so for d = 2 a cycle or a path.  For d = 3 the link,
+    with (a) and (b), has |N| vertices, (3T + B)/2 edges and T = |S|
+    triangles, N the vertices of the link and B the ridges through v in one
+    facet, so (d) reads 2|N| - T - B = 2 chi, with chi = 2 when B = 0 and
+    chi = 1 otherwise; and (e) the edges f - v - w of the link of each vertex
+    w of N, of degree 1 or 2 by (b), must form one cycle or path.  The link
+    is then a connected surface, closed exactly when B = 0: S^2 when chi = 2,
+    and a disk when it has boundary and chi = 1.
     """
     d = k.dim
-    # the vertices that fail (a) or (b), read off the star table's faces of
-    # d vertices; such a face in no larger facet is one that (a) marks
-    bad = 0
+    # the vertices that fail (a) or (b), and those on a ridge in one facet,
+    # read off the star table's faces of d vertices; such a face in no
+    # larger facet is one that (a) marks
+    bad = open_ = 0
+    rims = []
     for f in k.facet_masks:
         if f.bit_count() != d + 1:
             bad |= f
     for ridge, degree in _ridges(k):
-        if degree != 2:
+        if degree == 1:
+            rims.append(ridge)
+            open_ |= ridge
+        elif degree != 2:
             bad |= ridge
     if d == 1:
-        return _bits(bad)[0] if bad else None
+        return (_bits(bad)[0] if bad else None), open_
     for v in k.vertices:
         bit = 1 << v
         if bad & bit:
-            return v
+            return v, open_
         link = [f ^ bit for f in k.facet_masks if f & bit]
         if _component_count(link) > 1:
-            return v
+            return v, open_
         if d == 3:
             span = k._star[bit] ^ bit
-            if 2 * span.bit_count() - len(link) != 4:
-                return v
+            b = sum(1 for ridge in rims if ridge & bit)
+            if 2 * span.bit_count() - len(link) - b != (2 if b else 4):
+                return v, open_
             # the link of an edge vw is f - v - w over the facets f on it,
             # for both ends; a lower end w that passed has checked it
             for w in _bits(span & -(bit << 1)):
                 wbit = 1 << w
                 if _component_count([g ^ wbit for g in link if g & wbit]) > 1:
-                    return v
-    return None
-
-
-def _is_ball(k: SimplicialComplex, d: int) -> bool:
-    """Exact combinatorial d-ball test for d <= 2 (see the module notes)."""
-    if d == 0:
-        return len(k.vertices) == 1
-    if k.dim != d or not is_weak_pm_with_boundary(k) or not k.is_connected():
-        return False
-    if d == 1:
-        return True
-    if k.euler_characteristic() != 1:
-        return False
-    for v in k.vertices:
-        link = k.link([v])
-        if not (_is_sphere(link, 1) or _is_ball(link, 1)):
-            return False
-    return _is_sphere(boundary_complex(k), 1)
+                    return v, open_
+    return None, open_
 
 
 def is_combinatorial_ball(
@@ -170,34 +160,33 @@ def is_combinatorial_ball(
 ) -> Optional[bool]:
     """Ball test: exact through dimension 2, sufficient criterion beyond.
 
-    For d >= 3 a collapsible combinatorial manifold with boundary is a
-    ball; the converse is not claimed, so False here means "no evidence",
-    reported as None when the question stays open.  Vertex links are
-    decided exactly only for d = 3; for d >= 4 the first link of the right
-    dimension leaves the question open.
+    Through d = 3 the vertex links are decided by ``_first_bad_link``, the
+    pass that decides manifolds, and no link complex is built: a ball has
+    no bad vertex and some vertex on a ridge in one facet.  For d >= 3 a
+    collapsible combinatorial manifold with boundary is a ball; the converse
+    is not claimed, so False here means "no evidence", reported as None when
+    the question stays open.  For d >= 4 a first vertex on a d-face leaves
+    the question open.
     """
     collapse_mod._check_budget(budget)
     if k.is_empty():
         return False
     d = k.dim
-    if d <= 2:
-        return _is_ball(k, d)
+    if d == 0:
+        return len(k.vertices) == 1
     if len(k.vertices) == d + 1 and len(k.facet_masks) == 1:
         return True
-    saw_ball = False
-    for v in k.vertices:
-        link = k.link([v])
-        if link.dim != d - 1:
-            return False
-        if d > 3:
-            return None
-        if _is_sphere(link, 2):
-            continue
-        if not _is_ball(link, 2):
-            return False
-        saw_ball = True
-    if not saw_ball:
+    if d >= 4:
+        first = k.vertex_mask & -k.vertex_mask
+        on_top = any(f & first and f.bit_count() == d + 1 for f in k.facet_masks)
+        return None if on_top else False
+    bad, open_ = _first_bad_link(k)
+    if bad is not None or not open_:
         return False
+    if d <= 2:
+        # k is a path, or a connected surface with boundary, and one with
+        # chi = 1 is a disk: its boundary is one cycle without a test
+        return k.is_connected() and (d == 1 or k.euler_characteristic() == 1)
     return True if collapse_mod.is_collapsible(k, budget).collapsible else None
 
 
@@ -213,10 +202,13 @@ def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
     if d == 0:
         return ManifoldVerdict(MANIFOLD_YES, ((-1, "0-dimensional point set"),))
     if d <= 3:
-        bad = _first_bad_link(k)
-        if bad is not None:
+        v, open_ = _first_bad_link(k)
+        # a vertex on a ridge in one facet has no sphere as its link
+        bad = open_ | (0 if v is None else 1 << v)
+        if bad:
             return ManifoldVerdict(
-                MANIFOLD_NO, ((bad, "link is not a combinatorial %d-sphere" % (d - 1)),)
+                MANIFOLD_NO,
+                ((_bits(bad)[0], "link is not a combinatorial %d-sphere" % (d - 1)),),
             )
         said = "link is a combinatorial %d-sphere" % (d - 1)
         return ManifoldVerdict(MANIFOLD_YES, tuple((v, said) for v in k.vertices))

@@ -21,7 +21,7 @@ from simptop import (
     standard_sphere,
     verify_certificate,
 )
-from simptop import census, reports
+from simptop import census, recognition, reports
 from simptop import collapse as collapse_mod
 from simptop.bistellar import apply_generalized_move
 from simptop.census import (
@@ -259,7 +259,8 @@ class TestTwoSphereTest:
         assert _is_sphere(catalog.get("Sigma1").complex, 2)
 
 
-# --- oracle copies of the shape helpers that _is_sphere / _is_ball replaced
+# --- oracle copies of the shape helpers that _is_sphere and
+# is_combinatorial_ball replaced; they build one link complex per vertex
 
 
 def _oracle_graph_degrees(k):
@@ -469,6 +470,38 @@ def _family_apexes():
     )
     wedge = from_facets(rp2.facet_tuples() + octahedron.facet_tuples())
     yield from _with_links("cone:wedge", wedge.cone(0))
+    # cones from 0, collapsible, whose apex link has boundary: an annulus
+    # and a Moebius band, connected with chi = 0, fail only chi = 1; two
+    # triangles sharing vertex 1, connected with chi = 1, fail only because
+    # the link of the edge 0 1 is two paths
+    surfaces = {
+        "annulus": [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)],
+        "moebius": [tuple(sorted(1 + (i + j) % 5 for j in range(3))) for i in range(5)],
+        "bowtie": [(1, 2, 3), (1, 4, 5)],
+    }
+    for tag, facets in surfaces.items():
+        yield from _with_links(f"cone:{tag}", from_facets(facets).cone(0))
+
+
+def _family_greedy():
+    # every complex the greedy ball policy tests on the walked spheres, its
+    # induced span of the grown vertex set plus one vertex
+    tested = []
+    ball_test = recognition.is_combinatorial_ball
+
+    def recording(k, budget=collapse_mod.DEFAULT_BUDGET):
+        tested.append(k)
+        return ball_test(k, budget)
+
+    recognition.is_combinatorial_ball = recording
+    try:
+        for tag, m in _inputs("walked"):
+            if tag.count(":") == 1:
+                find_induced_ball(m, "greedy")
+    finally:
+        recognition.is_combinatorial_ball = ball_test
+    for i, k in enumerate(tested):
+        yield f"greedy:{i}", k
 
 
 FAMILIES = {
@@ -478,6 +511,7 @@ FAMILIES = {
     "random": _family_random,
     "cones": _family_cones,
     "apexes": _family_apexes,
+    "greedy": _family_greedy,
 }
 
 
@@ -495,7 +529,7 @@ def _inputs(family):
 
 
 class TestRecognizerMatchesOracle:
-    """_is_sphere / _is_ball give the replaced helpers' verdicts."""
+    """_is_sphere / is_combinatorial_ball give the replaced helpers' verdicts."""
 
     BUDGET = 20_000
 
@@ -557,6 +591,9 @@ class TestRecognizerMatchesOracle:
             "susp:torus": 40,
             "susp:pinched": 1,
             "cone:wedge": 0,
+            "cone:annulus": 0,
+            "cone:moebius": 0,
+            "cone:bowtie": 0,
         }
         assert verdicts == {
             tag: ManifoldVerdict(
@@ -564,6 +601,12 @@ class TestRecognizerMatchesOracle:
             )
             for tag, v in first_bad.items()
         }
+
+    def test_apexes_with_boundary_are_no_balls(self):
+        # each is a cone, so collapsible: only its apex link says no
+        named = ("cone:annulus", "cone:moebius", "cone:bowtie")
+        verdicts = {tag: is_combinatorial_ball(k) for tag, k in _inputs("apexes")}
+        assert {tag: verdicts[tag] for tag in named} == dict.fromkeys(named, False)
 
     def test_families_reach_every_verdict(self):
         seen = set()
