@@ -10,12 +10,13 @@ merely flagged, since applying them is exactly how some of the catalog
 complexes arise.
 
 One enumerator reads every class off the faces, as BISTELLAR reads the
-bistellar moves (Bjorner-Lutz, Exp. Math. 9, 2000): a table maps each face
-to the union of the facets containing it, whose vertex set is alpha plus
-V(lk alpha).  Within V(k) a bistellar A is such a union with d + 2
-vertices; any admissible A is a facet plus one vertex.  The sweep over all
-(d+2)-subsets of V(k), one ``classify_move`` each, is kept only as the test
-oracle.
+bistellar moves (Bjorner-Lutz, Exp. Math. 9, 2000): the star table
+``k._star`` maps each face to the union of the facets containing it, whose
+vertex set is alpha plus V(lk alpha).  Within V(k) a bistellar A is such a
+union with d + 2 vertices; any admissible A is a facet plus one vertex.
+The flip search's energy reads vertex degrees off the same table.  The
+sweep over all (d+2)-subsets of V(k), one ``classify_move`` each, is kept
+only as the test oracle.
 
 The enumerator yields each move as a tuple of masks.  ``enumerate_moves``
 describes every one as a :class:`MoveDescriptor`; the random walk and the
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .complexes import (
     ISO_SEARCH_CAP,
@@ -40,7 +41,6 @@ from .complexes import (
     _check_seed,
     _is_int,
     _lex_key,
-    _star_table,
     are_isomorphic,
 )
 from .structure import is_weak_pseudomanifold
@@ -184,6 +184,8 @@ def _moves(
         raise ValueError("enumerate_moves needs a pure non-empty complex")
     if classifications is None:
         wanted = set(CLASSIFICATIONS)
+    elif isinstance(classifications, str):
+        raise ValueError(f"classifications must be names, not {classifications!r}")
     else:
         wanted = set(classifications)
         unknown = sorted(wanted.difference(CLASSIFICATIONS))
@@ -194,7 +196,7 @@ def _moves(
             )
     d = k.dim
     facets = k.facet_masks
-    star = _star_table(facets)
+    star = k._star
     if wanted <= _BISTELLAR_KINDS:
         # inside V(k) a bistellar A is alpha | V(lk alpha) = star[alpha]
         candidates = {a for a in star.values() if a.bit_count() == d + 2}
@@ -245,7 +247,7 @@ def enumerate_moves(
 ) -> List[MoveDescriptor]:
     """All classified moves at (d+2)-subsets A of V(k), in vertex order.
 
-    Every class is read off one star table (face -> union of the facets
+    Every class is read off ``k._star`` (face -> union of the facets
     containing it), by the rule of :func:`classify_move`: lk(alpha) has
     vertex set star[alpha] minus alpha.  When only bistellar classes are
     wanted the candidates are the star values with d+2 vertices; otherwise
@@ -277,12 +279,9 @@ class FlipSchedule:
 
 
 def _energy(k: SimplicialComplex) -> float:
-    # the degree of v is |star of v| - 1: the facets containing v, unioned
-    star: Dict[int, int] = {}
-    for f in k.facet_masks:
-        for v in _bits(f):
-            star[v] = star.get(v, 0) | f
-    degrees = [u.bit_count() - 1 for u in star.values()]
+    # the degree of v is |star[v]| - 1; an accepted k's table serves _moves
+    star = k._star
+    degrees = [star[1 << v].bit_count() - 1 for v in k.vertices]
     return len(k.facet_masks) + sum(d * d for d in degrees) / 10_000.0
 
 
@@ -335,6 +334,8 @@ def flip_search(
     _check_seed("flip_search", seed)
     if not is_weak_pseudomanifold(k):
         raise ValueError("flip_search needs a weak pseudomanifold")
+    if schedule is not None and not isinstance(schedule, FlipSchedule):
+        raise ValueError(f"schedule must be a FlipSchedule or None, not {schedule!r}")
     sched = schedule or FlipSchedule()
     start_enc = k.canonical_encoding()
     if _goal_reached(k, goal):

@@ -86,7 +86,7 @@ class CollapseCertificate:
     ) -> None:
         steps = tuple(steps)
         pairs = tuple((s.free_face.mask, s.coface.mask) for s in steps)
-        faces = frozenset(terminal._face_set)
+        faces = frozenset(terminal._star)
         # the given values count as already read
         vars(self).update(pairs=pairs, faces=faces, steps=steps, terminal=terminal)
 
@@ -164,7 +164,7 @@ def _superfaces(closure, tau: int) -> List[int]:
 
 def elementary_collapse(k: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the free pair {tau, sigma} from the downward closure."""
-    closure = k._face_set
+    closure = k._star.keys()
     tau, sigma = step.free_face.mask, step.coface.mask
     if not tau or _superfaces(closure, tau) != [sigma]:
         raise ValueError("not a free pair: %r" % (step,))
@@ -197,7 +197,7 @@ def _search(
     goal = None
     if target is not None:
         rank = {m: i for i, m in enumerate(masks)}
-        goal = sum(1 << rank[m] for m in target._face_set)
+        goal = sum(1 << rank[m] for m in target._star)
     unprotected = ~(goal or 0)
     greedy = goal is None and k.dim <= 2
 
@@ -292,7 +292,7 @@ def collapses_to(
     """
     if l.is_empty():
         raise ValueError("no complex collapses to the empty complex")
-    if not l._face_set <= k._face_set:
+    if not l._star.keys() <= k._star.keys():
         raise ValueError("collapses_to needs L to be a subcomplex of K")
     return _search(k, l, budget)
 
@@ -303,7 +303,7 @@ def verify_certificate(k: SimplicialComplex, cert: CollapseCertificate) -> bool:
     Deliberately independent of the search: freeness is established by a
     direct scan for proper superfaces.
     """
-    closure = set(k._face_set)
+    closure = set(k._star)
     for tau, sigma in cert.pairs:
         if tau not in closure or _superfaces(closure, tau) != [sigma]:
             return False

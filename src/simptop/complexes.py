@@ -16,9 +16,10 @@ off that bitset.  Every other complex, even one on few vertices with a
 higher id, groups its closure by dimension, unsorted for counts and
 boundary columns, and ranks those groups for searches and matrices.  This
 module alone makes that choice: ``homology`` and ``collapse`` read faces
-through ``_boundary_columns`` and ``_ranked_faces``.  A complex caches its
-star table ``_star``: face -> OR of the facets on it.  All values are
-immutable; every operation returns a fresh complex.
+through ``_boundary_columns`` and ``_ranked_faces``.  A complex caches
+one face index, its star table ``_star``: face -> OR of the facets on it.
+Its keys are the closure that every other face query reads.  All values
+are immutable; every operation returns a fresh complex.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ class Face:
 def _as_mask(face) -> int:
     if isinstance(face, Face):
         return face.mask
+    if isinstance(face, bool):
+        raise ValueError(f"a face is a mask, a Face or vertex ids, not {face!r}")
     if isinstance(face, int):
         if not 0 <= face < 1 << VERTEX_LIMIT:
             raise ValueError(
@@ -359,22 +362,9 @@ class SimplicialComplex:
         return max(m.bit_count() for m in self._facets) - 1
 
     @cached_property
-    def _face_set(self) -> Set[int]:
-        # a built star table (a cached_property value) holds the closure
-        if "_star" in self.__dict__:
-            return set(self._star)
-        closure: Set[int] = set()
-        add = closure.add
-        for f in self._facets:
-            sub = f
-            while sub:
-                add(sub)
-                sub = (sub - 1) & f
-        return closure
-
-    @cached_property
     def _star(self) -> Dict[int, int]:
-        """Face mask -> OR of the facets containing it (``_star_table``)."""
+        """Face mask -> OR of the facets containing it (``_star_table``);
+        the keys are the closure, the complex's one face index."""
         return _star_table(self._facets)
 
     @cached_property
@@ -382,7 +372,7 @@ class SimplicialComplex:
         """Face masks by dimension, in no particular order: enough for
         counts and ranks."""
         grouped: Dict[int, List[int]] = {}
-        for m in self._face_set:
+        for m in self._star:
             grouped.setdefault(m.bit_count() - 1, []).append(m)
         return grouped
 
@@ -446,7 +436,7 @@ class SimplicialComplex:
     def has_face(self, face) -> bool:
         m = _as_mask(face)
         # the empty face lies in every non-empty complex
-        return m in self._face_set or (m == 0 and bool(self._facets))
+        return m in self._star or (m == 0 and bool(self._facets))
 
     def __contains__(self, face) -> bool:
         return self.has_face(face)
@@ -456,7 +446,7 @@ class SimplicialComplex:
         return {Face.from_mask(m) for m in self._face_groups.get(q, ())}
 
     def face_count(self) -> int:
-        return len(self._face_set)
+        return len(self._star)
 
     def f_vector(self) -> Tuple[int, ...]:
         closure = self._table_closure
@@ -554,8 +544,8 @@ def join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
 
 def standard_sphere(d: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
     """S^d on d+2 vertices: every proper non-empty subset is a face."""
-    if d < 0:
-        raise ValueError("sphere dimension must be >= 0")
+    if not _is_int(d) or d < 0:
+        raise ValueError(f"sphere dimension must be an int >= 0, not {d!r}")
     labels = tuple(range(d + 2)) if labels is None else tuple(labels)
     if len(labels) != d + 2:
         raise ValueError(f"standard {d}-sphere needs {d + 2} labels, got {len(labels)}")
@@ -566,8 +556,8 @@ def standard_sphere(d: int, labels: Optional[Sequence[int]] = None) -> Simplicia
 
 def standard_ball(d: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
     """The solid d-simplex on d+1 vertices."""
-    if d < 0:
-        raise ValueError("ball dimension must be >= 0")
+    if not _is_int(d) or d < 0:
+        raise ValueError(f"ball dimension must be an int >= 0, not {d!r}")
     labels = tuple(range(d + 1)) if labels is None else tuple(labels)
     if len(labels) != d + 1:
         raise ValueError(f"standard {d}-ball needs {d + 1} labels, got {len(labels)}")
@@ -578,8 +568,8 @@ def standard_ball(d: int, labels: Optional[Sequence[int]] = None) -> SimplicialC
 
 def cycle(n: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
     """The n-gon S^1_n."""
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+    if not _is_int(n) or n < 3:
+        raise ValueError(f"cycle length must be an int >= 3, not {n!r}")
     labels = tuple(range(n)) if labels is None else tuple(labels)
     if len(labels) != n:
         raise ValueError(f"cycle({n}) needs {n} labels")
@@ -624,7 +614,7 @@ def are_isomorphic(
     if sorted(inv_k.values()) != sorted(inv_l.values()):
         return None
 
-    faces_k, faces_l = k._face_set, l._face_set
+    faces_k, faces_l = k._star, l._star
     # rarest invariant first keeps the branching factor low
     freq: Dict[Tuple, int] = {}
     for t in inv_k.values():

@@ -78,7 +78,7 @@ def replay_move_identities() -> SuiteResult:
             left = {f for f in image.facet_tuples() if set(f) <= {1, 2, 6, 7}}
             right = {f for f in image.facet_tuples() if set(f) <= {3, 4, 5, 6, 7}}
             check("b: facets split between the spheres", left | right == set(image.facet_tuples()))
-            shared = from_facets(sorted(left))._face_set & from_facets(sorted(right))._face_set
+            shared = from_facets(sorted(left))._star.keys() & from_facets(sorted(right))._star.keys()
             check("b: shared part is the edge 6 7", shared == {1 << 6, 1 << 7, (1 << 6) | (1 << 7)})
         elif name == "c":
             check("c: image equals Upsilon2", image == catalog.get("Upsilon2").complex)

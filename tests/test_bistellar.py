@@ -30,7 +30,7 @@ from simptop.bistellar import (
 from simptop.structure import is_weak_pseudomanifold
 from simptop.verification import replay_move_identities
 
-from conftest import random_pure_complex, sc
+from conftest import random_pure_complex, sc, walked_spheres
 
 
 class TestCore:
@@ -239,6 +239,12 @@ class TestFaceDrivenEnumeration:
         with pytest.raises(ValueError, match="unknown move classification 'invalid'"):
             enumerate_moves(s2, ("invalid",))
 
+    def test_bare_string_is_not_a_classification_list(self):
+        # iterated, "bistellar" named its letters as unknown classes
+        s2 = catalog.get("Sigma2").complex
+        with pytest.raises(ValueError, match="not 'bistellar'"):
+            enumerate_moves(s2, BISTELLAR)
+
     def test_full_vertex_pool_hits_vertex_cap(self):
         full = cycle(64)
         with pytest.raises(ValueError, match="vertex cap"):
@@ -247,8 +253,8 @@ class TestFaceDrivenEnumeration:
         assert len(enumerate_moves(full, (BISTELLAR,))) == 64
 
     def test_energy_from_link_degrees(self):
-        for name in ("RP2_6", "Sigma4", "octahedron", "S3_5", "Upsilon1"):
-            k = catalog.get(name).complex
+        names = ("RP2_6", "Sigma4", "octahedron", "S3_5", "Upsilon1")
+        for k in [catalog.get(name).complex for name in names] + list(walked_spheres()):
             degrees = [k.degree([v]) for v in k.vertices]
             assert _energy(k) == len(k.facets) + sum(x * x for x in degrees) / 10_000.0
 
@@ -344,6 +350,13 @@ class TestBadWalkAndScheduleInput:
     def test_schedule_lengths(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int >= 0"):
             FlipSchedule(**{field: value})
+
+    @pytest.mark.parametrize("goal", [("facet-count", 3), ("facet-count", 10)])
+    def test_schedule_must_be_a_flip_schedule(self, goal):
+        # with the goal unmet a tuple died on .restarts; met, it passed
+        sigma2 = catalog.get("Sigma2").complex
+        with pytest.raises(ValueError, match=r"not \(1, 2\)"):
+            flip_search(sigma2, goal, schedule=(1, 2), seed=1)
 
     def test_empty_schedule_is_valid(self):
         sigma3 = catalog.get("Sigma3").complex

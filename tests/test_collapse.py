@@ -312,7 +312,7 @@ def _oracle_search(start, protected, is_terminal, budget):
 
 def _oracle_is_collapsible(k, budget):
     return _oracle_search(
-        frozenset(k._face_set), frozenset(), lambda c: len(c) == 1, budget
+        frozenset(k._star), frozenset(), lambda c: len(c) == 1, budget
     )
 
 
@@ -320,9 +320,9 @@ def _assert_search_matches(k, budget, target=None):
     if target is None:
         expected = _oracle_is_collapsible(k, budget)
     else:
-        goal = frozenset(target._face_set)
+        goal = frozenset(target._star)
         expected = _oracle_search(
-            frozenset(k._face_set), goal, lambda c: c == goal, budget
+            frozenset(k._star), goal, lambda c: c == goal, budget
         )
     verdict = _search(k, target, budget)
     cert = verdict.certificate
@@ -415,9 +415,9 @@ class TestSearchMatchesOracle:
 
     def test_free_faces_and_elementary_collapse(self):
         for k in list(_catalog_variants()) + list(_random_complexes(3, 40)):
-            pairs = _free_pairs_masks(frozenset(k._face_set), frozenset())
+            pairs = _free_pairs_masks(frozenset(k._star), frozenset())
             assert [(s.free_face.mask, s.coface.mask) for s in free_faces(k)] == pairs
-            for sigma in k._face_set:
+            for sigma in k._star:
                 for v in _bits(sigma):
                     tau = sigma ^ 1 << v
                     if not tau:
@@ -545,7 +545,7 @@ class TestTablesMatchPerComplexBuild:
         for k in (sc((0, 1, 7)), sc((10, 20, 30, 40)), sc((2, 3), (3, 8))):
             assert len(k.vertices) <= 7 and k._table_closure is None
             masks, _ = k._ranked_faces()
-            own = sorted(k._face_set, key=lambda m: (-m.bit_count(), _bits(m)))
+            own = sorted(k._star, key=lambda m: (-m.bit_count(), _bits(m)))
             assert masks == own
 
 

@@ -161,6 +161,18 @@ class TestConstruction:
             SimplicialComplex([1 << 70, 3])
         assert SimplicialComplex([1 << 63, 3]).vertices == (0, 1, 63)
 
+    def test_bool_face_rejected(self):
+        # bool is an int subclass: True read as the mask 1 built "0, 1 2"
+        with pytest.raises(ValueError, match="not True"):
+            SimplicialComplex([True, 6])
+        with pytest.raises(ValueError, match="not False"):
+            SimplicialComplex([False, 6])
+        s = standard_sphere(2)
+        with pytest.raises(ValueError, match="not True"):
+            s.link(True)
+        with pytest.raises(ValueError, match="not False"):
+            s.has_face(False)
+
     def test_empty_face_rejected(self):
         with pytest.raises(ValueError):
             from_facets([()])
@@ -405,6 +417,21 @@ class TestStandardComplexes:
         with pytest.raises(ValueError):
             cycle(2)
 
+    @pytest.mark.parametrize("d", [True, 2.0, "2"])
+    def test_sphere_dimension_is_an_int(self, d):
+        with pytest.raises(ValueError, match=f"not {d!r}"):
+            standard_sphere(d)
+
+    @pytest.mark.parametrize("d", [True, 2.0, "2"])
+    def test_ball_dimension_is_an_int(self, d):
+        with pytest.raises(ValueError, match=f"not {d!r}"):
+            standard_ball(d)
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_cycle_length_is_an_int(self, n):
+        with pytest.raises(ValueError, match=f"not {n!r}"):
+            cycle(n)
+
     def test_label_cardinality_checked(self):
         with pytest.raises(ValueError):
             standard_sphere(2, (1, 2, 3))
@@ -468,7 +495,7 @@ class TestFaceTable:
             for q in range(k.dim + 1):
                 run = [m for m in masks if m.bit_count() == q + 1]
                 assert run == sorted(run, key=_bits), (k, q)
-            assert sorted(masks) == sorted(k._face_set)
+            assert sorted(masks) == sorted(k._star)
 
     def test_from_faces_matches_constructor(self):
         rng = random.Random(15)
@@ -480,7 +507,7 @@ class TestFaceTable:
             ]
             assert SimplicialComplex._from_faces(masks) == SimplicialComplex(masks)
         for k in _catalog_complexes() + list(_random_mixed_complexes(16, 100)):
-            closure = k._face_set
+            closure = k._star.keys()
             assert SimplicialComplex._from_faces(closure) == SimplicialComplex(closure) == k
 
     def test_from_no_faces_is_empty(self):
@@ -559,13 +586,6 @@ class TestStarTable:
 
     def test_empty_complex_has_an_empty_table(self):
         assert EMPTY_COMPLEX._star == {}
-
-    def test_face_set_from_a_built_table(self):
-        # a complex that has built its star table reads its closure off it
-        for k in _catalog_complexes():
-            fresh = SimplicialComplex._from_facet_masks(k.facet_masks)
-            fresh._star
-            assert fresh._face_set == k._face_set == set(fresh._star)
 
     def test_ridge_degrees(self):
         pure = [k for k in _star_inputs() if k.dim >= 1 and k.is_pure()]
@@ -704,15 +724,15 @@ class TestTablesMatchPerComplexBuild:
     def test_sampler_draws(self):
         self._assert_match(sampler_draws())
 
-    def test_closure_is_the_face_set(self):
+    def test_closure_is_the_star_table_keys(self):
         t = _face_tables()
         for k, mapping in _small_complexes():
             faces = {t.masks[r] for r in _bits(k._table_closure)}
-            assert faces == k._face_set, k
+            assert faces == k._star.keys(), k
             # relabeled, the table closure is the image's own face set
             image = relabel(k, mapping)
             assert image._table_closure is None
-            assert {image_mask(m, mapping) for m in faces} == image._face_set, image
+            assert {image_mask(m, mapping) for m in faces} == image._star.keys(), image
 
     def test_larger_complexes_count_without_the_tables(self):
         ks = [k for k in _catalog_complexes() if len(k.vertices) > 7]

@@ -200,7 +200,7 @@ def oracle_decompose(y, y1, is_pm=oracle_is_pseudomanifold):
     b2 = oracle_boundary_complex(y2)
     if b1 != b2:
         raise RuntimeError("decompose self-check failed: boundaries differ")
-    if SimplicialComplex._from_faces(y1._face_set & y2._face_set) != b1:
+    if SimplicialComplex._from_faces(y1._star.keys() & y2._star.keys()) != b1:
         raise RuntimeError("decompose self-check failed: y1 n y2 != shared boundary")
     if y2.induced(y2.vertex_mask & y1.vertex_mask) != b2:
         raise RuntimeError("decompose self-check failed: boundary not induced in y2")
