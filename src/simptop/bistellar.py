@@ -9,27 +9,38 @@ the standard sphere on beta (or alpha is itself a facet); proper when
 merely flagged, since applying them is exactly how some of the catalog
 complexes arise.
 
-One enumerator reads every class off the faces, as BISTELLAR reads the
-bistellar moves (Bjorner-Lutz, Exp. Math. 9, 2000): the star table
-``k._star`` maps each face to the union of the facets containing it, whose
-vertex set is alpha plus V(lk alpha).  Within V(k) a bistellar A is such a
-union with d + 2 vertices; any admissible A is a facet plus one vertex.
-The flip search's energy reads vertex degrees off the same table.  The
+One classifier, ``_classify``, reads every class off the faces, as
+BISTELLAR reads the bistellar moves (Bjorner-Lutz, Exp. Math. 9, 2000): the
+star table ``k._star`` maps each face to the union of the facets containing
+it, whose vertex set is alpha plus V(lk alpha).  Within V(k) a bistellar A
+is such a union with d + 2 vertices; any admissible A is a facet plus one
+vertex.  ``_moves`` classifies every candidate of a complex and serves
+:func:`enumerate_moves`; it is also the oracle of the walk state.  The
 sweep over all (d+2)-subsets of V(k), one ``classify_move`` each, is kept
-only as the test oracle.
+only as the test oracle of ``_moves``.
 
-The enumerator yields each move as a tuple of masks.  ``enumerate_moves``
-describes every one as a :class:`MoveDescriptor`; the random walk and the
-flip search draw from the tuples and describe only the move they keep, so
-their draws, and so their results, are those of the described list.
+The random walk and the flip search each carry one walk state: the facets,
+a private copy of the star table and every candidate A with its class.  A
+move at A rewrites the star entries of the subsets of A and re-classifies
+only the candidates that read them, so the state's move list stays that of
+``_moves`` on the current complex, in content and order, and the draws,
+and so the results, are those of the described list.  The flip search's
+energy reads vertex degrees off the state's table, and it undoes a
+rejected move by the move at the same A.  A complex is built only when the
+walk or the search returns (or for the ``reach`` goal's isomorphism test);
+the walk's result takes the state's table over.  ``enumerate_moves``
+describes every move as a :class:`MoveDescriptor`; the walk and the flip
+search describe only the moves they record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .complexes import (
     ISO_SEARCH_CAP,
@@ -149,9 +160,9 @@ def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
     return _descriptor((a_mask, alpha_mask, beta_mask, i, classification))
 
 
-def _fresh_vertex(k: SimplicialComplex) -> int:
-    """The smallest vertex id outside V(k)."""
-    free = ~k.vertex_mask & ((1 << VERTEX_LIMIT) - 1)
+def _fresh_vertex(vertex_mask: int) -> int:
+    """The smallest vertex id outside ``vertex_mask``."""
+    free = ~vertex_mask & ((1 << VERTEX_LIMIT) - 1)
     if not free:
         raise ValueError(
             f"no fresh vertex: V(k) fills the vertex cap of {VERTEX_LIMIT}"
@@ -172,6 +183,37 @@ def _descriptor(move: _Move) -> MoveDescriptor:
         i=i,
         classification=classification,
     )
+
+
+def _classify(star: Dict[int, int], a: int, d: int) -> Optional[_Move]:
+    """The move at a (d+2)-set A that holds a facet of the pure d-complex
+    with star table ``star``, by the rule of :func:`classify_move`; None
+    when all d + 2 of A's (d+1)-subsets are facets, so A is inadmissible.
+
+    It reads ``star`` at A's (d+1)-subsets, at beta and at alpha, and
+    nowhere else.
+    """
+    # A minus x has d + 1 vertices, so it is a face only as a facet
+    beta = 0
+    rest = a
+    while rest:
+        x = rest & -rest
+        if a ^ x in star:
+            beta |= x
+        rest ^= x
+    if beta == a:
+        return None
+    alpha = a & ~beta
+    i = alpha.bit_count() - 1
+    if beta in star:
+        classification = SINGULAR_BS1
+    elif i < d and star[alpha] != a:
+        classification = SINGULAR_BS2
+    elif 1 <= i <= d - 1:
+        classification = PROPER_BISTELLAR
+    else:
+        classification = BISTELLAR
+    return (a, alpha, beta, i, classification)
 
 
 def _moves(
@@ -207,32 +249,13 @@ def _moves(
     out: List[_Move] = []
     # every candidate has d + 2 vertices, so the _lex_key sort is lexicographic
     for a in sorted(candidates, key=_lex_key, reverse=True):
-        # A minus x has d + 1 vertices, so it is a face only as a facet
-        beta = 0
-        rest = a
-        while rest:
-            x = rest & -rest
-            if a ^ x in star:
-                beta |= x
-            rest ^= x
-        if beta == a:
-            continue
-        alpha = a & ~beta
-        i = alpha.bit_count() - 1
-        if beta in star:
-            classification = SINGULAR_BS1
-        elif i < d and star[alpha] != a:
-            classification = SINGULAR_BS2
-        elif 1 <= i <= d - 1:
-            classification = PROPER_BISTELLAR
-        else:
-            classification = BISTELLAR
-        if classification in wanted:
-            out.append((a, alpha, beta, i, classification))
+        move = _classify(star, a, d)
+        if move is not None and move[4] in wanted:
+            out.append(move)
     if include_expanding:
         if d < 1:
             raise ValueError("bistellar moves need dimension >= 1")
-        fresh = 1 << _fresh_vertex(k)
+        fresh = 1 << _fresh_vertex(k.vertex_mask)
         # the only facet inside f | fresh is f, so the core is the fresh
         # vertex, a non-face, and alpha = f is a facet: always bistellar
         if BISTELLAR in wanted:
@@ -278,26 +301,201 @@ class FlipSchedule:
         _check_count("steps", self.steps)
 
 
-def _energy(k: SimplicialComplex) -> float:
-    # the degree of v is |star[v]| - 1; an accepted k's table serves _moves
-    star = k._star
-    degrees = [star[1 << v].bit_count() - 1 for v in k.vertices]
-    return len(k.facet_masks) + sum(d * d for d in degrees) / 10_000.0
+class _WalkState:
+    """A pure complex as the walk and the flip search change it, move by move.
+
+    It holds the facets, the vertex set, a private copy of the star table
+    and every candidate A: each star value with d + 2 vertices, with the
+    number of faces whose star it is and its :func:`_classify` result.  The
+    candidates classified bistellar are kept in lexicographic order, so
+    :meth:`move_at` j is entry j of ``_moves(k, _BISTELLAR_KINDS,
+    expanding)`` for the complex k the facets form.  A move at A changes
+    only the faces inside A, so :meth:`apply` rewrites the star entries of
+    the subsets of A and re-classifies only the candidates whose
+    classification read one of them.
+    """
+
+    def __init__(self, k: SimplicialComplex, caller: str) -> None:
+        if k.is_empty() or not k.is_pure():
+            raise ValueError(f"{caller} needs a pure non-empty complex")
+        self.d = d = k.dim
+        self.facets = set(k.facet_masks)
+        self.vertex_mask = k.vertex_mask
+        # copied: the start's table is shared with its other callers
+        self.star = dict(k._star)
+        self.counts: Dict[int, int] = {}
+        for a in self.star.values():
+            if a.bit_count() == d + 2:
+                self.counts[a] = self.counts.get(a, 0) + 1
+        self.classified = {a: _classify(self.star, a, d) for a in self.counts}
+        self.order = sorted(
+            (a for a, m in self.classified.items() if _is_bistellar(m)),
+            key=_lex_key,
+            reverse=True,
+        )
+        # -_lex_key of each entry of order, ascending, for bisect
+        self.keys = [-_lex_key(a) for a in self.order]
+
+    def move_count(self, expanding: bool) -> int:
+        if not expanding:
+            return len(self.order)
+        if self.d < 1:
+            raise ValueError("bistellar moves need dimension >= 1")
+        return len(self.order) + len(self.facets)
+
+    def move_at(self, j: int, expanding: bool) -> _Move:
+        """Entry j of the move list; with ``expanding`` the moves that star
+        the fresh vertex into a facet follow, in facet order."""
+        if j < len(self.order):
+            return self.classified[self.order[j]]
+        f = sorted(self.facets, key=_lex_key, reverse=True)[j - len(self.order)]
+        fresh = 1 << _fresh_vertex(self.vertex_mask)
+        return (f | fresh, f, fresh, self.d, BISTELLAR)
+
+    def apply(self, a: int) -> None:
+        """The move at A: the facets inside A give way to the (d+1)-subsets
+        of A that were absent.  Before it, every facet on alpha lies inside
+        A: so it is for a bistellar move (bs2) and for the move at the same
+        A that undoes one (bs1), and so the move undoes itself."""
+        d, facets, star = self.d, self.facets, self.star
+        # alpha collects the x whose facet A - x is new
+        alpha = 0
+        rest = a
+        while rest:
+            x = rest & -rest
+            if a ^ x in facets:
+                facets.remove(a ^ x)
+            else:
+                facets.add(a ^ x)
+                alpha |= x
+            rest ^= x
+        self.vertex_mask |= a
+        if not alpha & (alpha - 1):
+            # a 0-move: no facet outside A held alpha's vertex
+            self.vertex_mask ^= alpha
+
+        # Only faces inside A change, so the part of a star outside A
+        # stays.  A proper subset s of A that holds alpha is no longer a
+        # face; any other lies on a new facet A - x, x in alpha minus s, and
+        # s + w is a face for each w in A unless s + w holds alpha.  Count
+        # the (d+2)-vertex star values the changed entries gain and lose:
+        # those are the candidates that appear and disappear.
+        gained: Dict[int, int] = {}
+        sub = (a - 1) & a
+        while sub:
+            old = star.get(sub)
+            missing = alpha & ~sub
+            if missing:
+                inside = a if missing & (missing - 1) else a ^ missing
+                value = star[sub] = (old or 0) & ~a | inside
+            else:
+                value = None
+                del star[sub]
+            if value != old:
+                if value is not None and value.bit_count() == d + 2:
+                    gained[value] = gained.get(value, 0) + 1
+                if old is not None and old.bit_count() == d + 2:
+                    gained[old] = gained.get(old, 0) - 1
+            sub = (sub - 1) & a
+
+        # A candidate c's class reads star at c's (d+1)-subsets, at beta
+        # and at alpha, and only entries inside A changed.  The first
+        # changed only if c holds d + 1 vertices of A.  star[alpha] counts
+        # only as equal to c or not, and every entry inside A, before the
+        # move as after it, holds A less at most one vertex: it equals c
+        # only if c holds d + 1 vertices of A too.
+        counts, classified = self.counts, self.classified
+        stale = [
+            c
+            for c, m in classified.items()
+            if (c & a).bit_count() > d or m is not None and not m[2] & ~a
+        ]
+        for c, change in gained.items():
+            if not change:
+                continue
+            n = counts.get(c, 0) + change
+            if n:
+                if c not in counts:
+                    stale.append(c)
+                counts[c] = n
+            else:
+                del counts[c]
+                self._place(c, classified.pop(c), None)
+        for c in stale:
+            # a stale candidate may have lost its last face just above
+            if c in counts:
+                move = _classify(star, c, d)
+                self._place(c, classified.get(c), move)
+                classified[c] = move
+
+    def _place(self, c: int, was: Optional[_Move], now: Optional[_Move]) -> None:
+        """Keep ``order`` the bistellar candidates as c's class changes."""
+        if _is_bistellar(was) == _is_bistellar(now):
+            return
+        key = -_lex_key(c)
+        j = bisect_left(self.keys, key)
+        if _is_bistellar(now):
+            self.keys.insert(j, key)
+            self.order.insert(j, c)
+        else:
+            del self.keys[j]
+            del self.order[j]
+
+    def energy(self) -> float:
+        """The flip search's energy: the facet count plus a small penalty on
+        vertex degrees, the degree of v being |star[v]| - 1."""
+        star = self.star
+        degrees = [star[1 << v].bit_count() - 1 for v in _bits(self.vertex_mask)]
+        return len(self.facets) + sum(x * x for x in degrees) / 10_000.0
+
+    def complex(self) -> SimplicialComplex:
+        """The complex the facets form.  It takes the star table over, so
+        the state must not move again."""
+        k = SimplicialComplex._from_facet_masks(self.facets)
+        k.__dict__["_star"] = self.star
+        return k
 
 
-def _goal_reached(k: SimplicialComplex, goal) -> bool:
+def _is_bistellar(move: Optional[_Move]) -> bool:
+    return move is not None and move[4] in _BISTELLAR_KINDS
+
+
+def _goal_test(goal) -> Callable[[_WalkState], bool]:
+    """Check a flip goal and return its test on a walk state."""
     if goal == "standard-sphere":
-        d = k.dim
-        return len(k.vertices) == d + 2 and len(k.facet_masks) == d + 2
-    kind = goal[0]
+        return lambda s: len(s.facets) == s.d + 2 == s.vertex_mask.bit_count()
+    pair = isinstance(goal, (tuple, list)) and len(goal) == 2
+    kind = goal[0] if pair else None
     if kind == "facet-count":
-        return len(k.facet_masks) <= goal[1]
+        count = goal[1]
+        if not _is_int(count) or count < 0:
+            raise ValueError(
+                f"flip goal {goal!r}: the facet count must be an int >= 0"
+            )
+        return lambda s: len(s.facets) <= count
     if kind == "reach":
         target = goal[1]
-        if k.f_vector() != target.f_vector() or len(k.vertices) > ISO_SEARCH_CAP:
-            return False
-        return are_isomorphic(k, target) is not None
-    raise ValueError(f"unknown flip goal {goal!r}")
+        if not isinstance(target, SimplicialComplex):
+            raise ValueError(
+                f"flip goal {goal!r}: the target must be a SimplicialComplex"
+            )
+        return functools.partial(_reaches, target)
+    raise ValueError(
+        f"unknown flip goal {goal!r}; valid: 'standard-sphere', "
+        "('facet-count', n), ('reach', complex)"
+    )
+
+
+def _reaches(target: SimplicialComplex, s: _WalkState) -> bool:
+    # a complex is built only once the facet and vertex counts match
+    if len(s.facets) != len(target.facet_masks):
+        return False
+    if s.vertex_mask.bit_count() != target.vertex_mask.bit_count():
+        return False
+    k = SimplicialComplex._from_facet_masks(s.facets)
+    if k.f_vector() != target.f_vector() or len(k.vertices) > ISO_SEARCH_CAP:
+        return False
+    return are_isomorphic(k, target) is not None
 
 
 def replay_trace(k: SimplicialComplex, trace: FlipTrace) -> SimplicialComplex:
@@ -327,9 +525,14 @@ def flip_search(
     replays; failure returns None and proves nothing.  The seed is
     mandatory: every run is reproducible.  Moves stay inside V(k): no step
     stars in a fresh vertex.  The schedule is fixed but for its length (see
-    :class:`FlipSchedule`).  Each step draws from the moves as mask tuples;
-    only an accepted move is described, as the :class:`MoveDescriptor` the
-    trace records.
+    :class:`FlipSchedule`).  The goal is ``"standard-sphere"``,
+    ``("facet-count", n)`` (at most n facets) or ``("reach", target)`` (a
+    complex isomorphic to target).
+
+    Each run carries one walk state.  A step draws a move as a mask tuple,
+    applies it and reads the energy off the state; a rejected move is
+    undone by the move at the same A.  Only an accepted move is described,
+    as the :class:`MoveDescriptor` the trace records.
     """
     _check_seed("flip_search", seed)
     if not is_weak_pseudomanifold(k):
@@ -337,31 +540,36 @@ def flip_search(
     if schedule is not None and not isinstance(schedule, FlipSchedule):
         raise ValueError(f"schedule must be a FlipSchedule or None, not {schedule!r}")
     sched = schedule or FlipSchedule()
+    reached = _goal_test(goal)
     start_enc = k.canonical_encoding()
-    if _goal_reached(k, goal):
+    state = _WalkState(k, "flip_search")
+    if reached(state):
         return FlipTrace((), start_enc, start_enc)
 
     for restart in range(sched.restarts):
         rng = random.Random(seed * 1_000_003 + restart)
-        current = k
+        if restart:
+            # the first run starts from the state the goal test read
+            state = _WalkState(k, "flip_search")
         trace: List[MoveDescriptor] = []
         temperature = 2.0
-        energy = _energy(current)
+        energy = state.energy()
         for _ in range(sched.steps):
-            moves = _moves(current, _BISTELLAR_KINDS, include_expanding=False)
-            if not moves:
+            count = state.move_count(False)
+            if not count:
                 break
-            move = rng.choice(moves)
-            candidate = apply_generalized_move(current, move[0])
-            delta = _energy(candidate) - energy
+            # the index rng.choice draws from a list of count moves
+            move = state.move_at(rng.choice(range(count)), False)
+            state.apply(move[0])
+            delta = state.energy() - energy
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-                current = candidate
                 energy += delta
                 trace.append(_descriptor(move))
-                if _goal_reached(current, goal):
-                    return FlipTrace(
-                        tuple(trace), start_enc, current.canonical_encoding()
-                    )
+                if reached(state):
+                    end = state.complex().canonical_encoding()
+                    return FlipTrace(tuple(trace), start_enc, end)
+            else:
+                state.apply(move[0])
             temperature *= 0.999
     return None
 
@@ -375,21 +583,26 @@ def random_bistellar_walk(
     """Apply ``steps`` random bistellar moves (growing only under the cap).
 
     Every step is a classified-bistellar move, so the result is bistellar
-    equivalent to the start; with a sphere as start it stays one.  A step
-    draws its move from the mask tuples and applies it; no move is described.
-    The seed is mandatory, so every walk is reproducible.
+    equivalent to the start; with a sphere as start it stays one.  The walk
+    carries one walk state: a step draws a move as a mask tuple and applies
+    it there, and the complex is built once, at the end, holding the
+    state's star table.  The seed is mandatory, so every walk is
+    reproducible.
     """
     _check_seed("random_bistellar_walk", seed)
     _check_count("steps", steps)
     if max_vertices is not None:
         _check_count("max_vertices", max_vertices)
     rng = random.Random(seed)
-    current = k
+    state = _WalkState(k, "random_bistellar_walk")
+    moved = False
     for _ in range(steps):
-        n = current.vertex_mask.bit_count()
+        n = state.vertex_mask.bit_count()
         expanding = (max_vertices is None or n < max_vertices) and n < VERTEX_LIMIT - 1
-        moves = _moves(current, _BISTELLAR_KINDS, expanding)
-        if not moves:
+        count = state.move_count(expanding)
+        if not count:
             break
-        current = apply_generalized_move(current, rng.choice(moves)[0])
-    return current
+        # the index rng.choice draws from a list of count moves
+        state.apply(state.move_at(rng.choice(range(count)), expanding)[0])
+        moved = True
+    return state.complex() if moved else k

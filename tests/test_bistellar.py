@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,14 +20,18 @@ from simptop import (
     standard_sphere,
 )
 from simptop.bistellar import (
+    _BISTELLAR_KINDS,
     BISTELLAR,
     CLASSIFICATIONS,
     PROPER_BISTELLAR,
     SINGULAR_BS1,
     SINGULAR_BS2,
-    _energy,
+    _classify,
+    _moves,
+    _WalkState,
     replay_trace,
 )
+from simptop.complexes import SimplicialComplex, _star_table
 from simptop.structure import is_weak_pseudomanifold
 from simptop.verification import replay_move_identities
 
@@ -256,7 +261,8 @@ class TestFaceDrivenEnumeration:
         names = ("RP2_6", "Sigma4", "octahedron", "S3_5", "Upsilon1")
         for k in [catalog.get(name).complex for name in names] + list(walked_spheres()):
             degrees = [k.degree([v]) for v in k.vertices]
-            assert _energy(k) == len(k.facets) + sum(x * x for x in degrees) / 10_000.0
+            energy = _WalkState(k, "flip_search").energy()
+            assert energy == len(k.facets) + sum(x * x for x in degrees) / 10_000.0
 
 
 class TestFlipSearch:
@@ -358,9 +364,136 @@ class TestBadWalkAndScheduleInput:
         with pytest.raises(ValueError, match=r"not \(1, 2\)"):
             flip_search(sigma2, goal, schedule=(1, 2), seed=1)
 
+    @pytest.mark.parametrize(
+        "goal",
+        [
+            5,
+            ("facet-count",),
+            ("reach",),
+            ("facet-count", "x"),
+            ("reach", "notacomplex"),
+            ("facet-count", True),
+            ("facet-count", -1),
+        ],
+        ids=["int", "no-count", "no-target", "str-count", "str-target", "bool", "-1"],
+    )
+    def test_goal_checked_on_entry(self, goal):
+        # these died on an index, a comparison or an attribute lookup, or,
+        # with True as the count, ran as the count 1
+        sigma3 = catalog.get("Sigma3").complex
+        with pytest.raises(ValueError, match="flip goal"):
+            flip_search(sigma3, goal, FlipSchedule(1, 10), seed=5)
+
+    def test_walk_names_itself_on_a_non_pure_complex(self):
+        mixed = from_facets([(0, 1, 2), (2, 3)])
+        for steps in (0, 3):
+            with pytest.raises(
+                ValueError, match="random_bistellar_walk needs a pure non-empty"
+            ):
+                random_bistellar_walk(mixed, steps, seed=1)
+
     def test_empty_schedule_is_valid(self):
         sigma3 = catalog.get("Sigma3").complex
         assert flip_search(sigma3, "standard-sphere", FlipSchedule(0, 0), seed=5) is None
+
+
+def _assert_matches_fresh(state):
+    """The walk state against a complex built from its facets: the same
+    star table, vertex set, energy, candidates and move lists."""
+    k = SimplicialComplex._from_facet_masks(state.facets)
+    star = _star_table(k.facet_masks)
+    assert state.star == star
+    assert state.vertex_mask == k.vertex_mask
+    degrees = [k.degree([v]) for v in k.vertices]
+    assert state.energy() == len(k.facets) + sum(x * x for x in degrees) / 10_000.0
+    d = k.dim
+    values = Counter(a for a in star.values() if a.bit_count() == d + 2)
+    assert state.counts == values
+    assert state.classified == {a: _classify(star, a, d) for a in values}
+    for expanding in (False, True):
+        count = state.move_count(expanding)
+        listed = [state.move_at(j, expanding) for j in range(count)]
+        assert listed == _moves(k, _BISTELLAR_KINDS, expanding)
+
+
+@pytest.fixture
+def checked_moves(monkeypatch):
+    """Check the state after every move the walk and the flip search make;
+    yields the A-sets applied, in order."""
+    applied = []
+    apply = _WalkState.apply
+
+    def checked(state, a):
+        apply(state, a)
+        applied.append(a)
+        _assert_matches_fresh(state)
+
+    monkeypatch.setattr(_WalkState, "apply", checked)
+    return applied
+
+
+def _assert_own_table(k, table, facets):
+    # the start keeps its facets and its own table, never written to
+    assert k.facet_masks == facets
+    assert k._star is table
+    assert table == _star_table(facets)
+
+
+class TestWalkState:
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    def test_walks_match_a_fresh_enumeration(self, d, checked_moves):
+        # growth from the standard sphere, and at the cap from a stacked one
+        for start in (standard_sphere(d), _stacked_sphere(d, d + 8)):
+            table, facets = start._star, start.facet_masks
+            for seed in range(12):
+                before = len(checked_moves)
+                walked = random_bistellar_walk(start, 15, seed, max_vertices=d + 8)
+                _assert_own_table(start, table, facets)
+                assert walked._star == _star_table(walked.facet_masks)
+                assert len(checked_moves) - before == 15
+
+    def test_walks_on_other_pure_complexes_match(self, rng, checked_moves):
+        # singular candidates, links that are not spheres, several components
+        starts = [catalog.get(name).complex for name in ("Upsilon1", "R", "RP2_6")]
+        starts += [
+            random_pure_complex(rng, dim=rng.choice((1, 2, 3)), p=rng.random())
+            for _ in range(60)
+        ]
+        for seed, start in enumerate(starts):
+            walked = random_bistellar_walk(start, 12, seed=seed, max_vertices=9)
+            assert walked._star == _star_table(walked.facet_masks)
+        assert len(checked_moves) > 300
+
+    def test_unbounded_walk_matches(self, checked_moves):
+        walked = random_bistellar_walk(standard_sphere(2), 40, seed=3)
+        assert walked._star == _star_table(walked.facet_masks)
+        assert len(checked_moves) == 40
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_flip_searches_match_a_fresh_enumeration(self, d, checked_moves):
+        starts = [
+            random_bistellar_walk(_stacked_sphere(d, d + 8), 8, seed, max_vertices=d + 8)
+            for seed in range(4)
+        ]
+        checked_moves.clear()
+        schedule = FlipSchedule(restarts=2, steps=60)
+        for seed, start in enumerate(starts):
+            table, facets = start._star, start.facet_masks
+            trace = flip_search(start, "standard-sphere", schedule, seed=seed)
+            _assert_own_table(start, table, facets)
+            if trace is not None:
+                replay_trace(start, trace)
+        # a rejected move is undone by the move at the same A
+        undone = sum(a == b for a, b in zip(checked_moves, checked_moves[1:]))
+        assert 0 < undone < len(checked_moves) // 2
+
+    def test_a_table_built_on_entry_stays_the_starts(self):
+        # a start whose table is built on entry still owns it afterwards
+        start = _stacked_sphere(3, 11)
+        assert "_star" not in start.__dict__
+        walked = random_bistellar_walk(start, 6, seed=2, max_vertices=11)
+        assert walked._star is not start._star
+        assert start._star == _star_table(start.facet_masks)
 
 
 # Walk and flip results recorded before move enumeration became face-driven.
