@@ -153,6 +153,25 @@ def _cmd_certify(args) -> int:
 
 def _cmd_census(args) -> int:
     expected = None
+    if args.preset is not None:
+        # a preset fixes the whole spec, so an explicit flag would be ignored
+        given = [
+            flag
+            for flag, is_set in (
+                ("--vertices", args.vertices is not None),
+                ("--constraint", args.constraint is not None),
+                ("--max-facets", args.max_facets is not None),
+                ("--exact-vertices", args.exact_vertices),
+                ("--no-symmetry-breaking", args.no_symmetry_breaking),
+            )
+            if is_set
+        ]
+        if given:
+            print(
+                f"census --preset {args.preset} takes no {', '.join(given)}",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
     if args.preset == "closed6":
         spec = census_mod.CensusSpec(n_vertices=6)
         expected = CLOSED6_NAMES
@@ -167,11 +186,12 @@ def _cmd_census(args) -> int:
         if args.vertices is None:
             print("census needs --vertices or a preset", file=sys.stderr)
             return EXIT_ERROR
+        name = "exactly-two" if args.constraint is None else args.constraint
         constraint = {
             "exactly-two": census_mod.CONSTRAINT_CLOSED,
             "even": census_mod.CONSTRAINT_EVEN,
             "boundary": census_mod.CONSTRAINT_BOUNDARY,
-        }.get(args.constraint)
+        }.get(name)
         if constraint is None:
             print(f"unknown constraint {args.constraint!r}", file=sys.stderr)
             return EXIT_ERROR
@@ -271,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="enumerate small 2-complexes")
     p.add_argument("--vertices", type=int)
-    p.add_argument("--constraint", default="exactly-two")
+    p.add_argument(
+        "--constraint", help="exactly-two (the default), even or boundary"
+    )
     p.add_argument("--max-facets", type=int)
     p.add_argument("--exact-vertices", action="store_true")
     p.add_argument("--no-symmetry-breaking", action="store_true")

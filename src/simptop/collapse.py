@@ -15,17 +15,23 @@ collapses exactly when it is a tree (Joswig and Pfetsch 2006).  There the
 search never backtracks, and the first node without a free face proves
 "not collapsible".  A search towards a protected target stays exhaustive.
 
-Each search takes the faces of its input from the complex, ranked in that
-best-first order (dimension descending, then lexicographic vertex tuple)
-with the codimension-one faces of every face, and inverts those into the
-bitset of faces covering it.  A node is then its closure as a bitset over
-ranks and its free faces (exactly one cover in the closure) as a bitset
-too, plus the free faces it has yet to try.  A free face has one coface,
-so the lowest untried bit names the next pair.  Removing a pair (tau,
-sigma) can only change the cover counts of faces directly below tau or
-sigma, so a child re-tests just those.  The memo stores the closure ints
-themselves, never hashes of them: a collision would mark a live node dead
-and fake "not collapsible".
+Each search reads its faces off ``SimplicialComplex._search_faces``, in
+that best-first order (dimension descending, then lexicographic vertex
+tuple), with the codimension-one faces of every face and the bitset of the
+faces covering it.  A complex on vertex ids 0..6 reads all three off the
+fixed face tables: the slice for its dimension starts at the first face of
+that dimension, ranks shifted down to 0, and the start node is the
+complex's table closure shifted the same way.  Any other complex ranks its
+own faces, inverts their codimension-one faces into covers, and starts at
+every rank.  The faces come in the same order on both paths, so both take
+the same steps.  A node is then its closure as a bitset over ranks and its
+free faces (exactly one cover in the closure) as a bitset too, plus the
+free faces it has yet to try.  A free face has one coface, so the lowest
+untried bit names the next pair.  Removing a pair (tau, sigma) can only
+change the cover counts of faces directly below tau or sigma, so a child
+re-tests just those.  The memo stores the closure ints themselves, never
+hashes of them: a collision would mark a live node dead and fake "not
+collapsible".
 
 A positive verdict's certificate is two mask fields: ``pairs``, the
 (tau, sigma) masks of the pairs the search removed, and ``faces``, the
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, List, Optional, Tuple
 
-from .complexes import TABLE_VERTICES, Face, SimplicialComplex, _bits, _is_int
+from .complexes import TABLE_VERTICES, Face, SimplicialComplex, _bits, _covers, _is_int
 
 COLLAPSIBLE = "collapsible-with-certificate"
 NOT_COLLAPSIBLE = "not-collapsible-exhausted"
@@ -135,16 +141,6 @@ class CollapseVerdict:
         return self.status == COLLAPSIBLE
 
 
-def _covers(down: List[Tuple[int, ...]]) -> List[int]:
-    """Invert ``down`` (the ranks one dimension below each face): entry i
-    is the bitset of the ranks of the faces covering face i."""
-    up = [0] * len(down)
-    for i, below in enumerate(down):
-        for j in below:
-            up[j] |= 1 << i
-    return up
-
-
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
     """All free pairs of k in deterministic best-first order."""
     masks, down = k._ranked_faces()
@@ -191,9 +187,7 @@ def _search(
     negative or non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
-    masks, down = k._ranked_faces()
-    up = _covers(down)
-    start = (1 << len(masks)) - 1
+    masks, down, up, start = k._search_faces()
     goal = None
     if target is not None:
         rank = {m: i for i, m in enumerate(masks)}
@@ -204,11 +198,13 @@ def _search(
     # terminal: a single vertex, the only downward-closed set of one face,
     # or exactly the target's faces; the loop below repeats this test inline
     if start & (start - 1) == 0 if goal is None else start == goal:
-        cert = CollapseCertificate._from_masks((), frozenset(masks))
+        faces = frozenset(masks[i] for i in _bits(start))
+        cert = CollapseCertificate._from_masks((), faces)
         return CollapseVerdict(COLLAPSIBLE, 0, cert)
     dead = set()
     path: List[Tuple[int, int]] = []
-    free = sum(1 << i for i, c in enumerate(up) if c.bit_count() == 1) & unprotected
+    free = sum(1 << i for i in _bits(start) if (up[i] & start).bit_count() == 1)
+    free &= unprotected
     # each node is [closure, free faces, free faces not tried yet]
     stack = [[start, free, free]]
     nodes = 1

@@ -11,22 +11,23 @@ numbering and boundary matrices print in it.  A complex on vertex ids below
 ``TABLE_VERTICES`` = 7 lists no faces of its own: the 127 non-empty subsets
 of 0..6 are ranked once, in fixed tables built on first use, and the
 complex's closure is one bitset over those ranks, the OR of its facets'
-down-sets.  Its f-vector, GF(2) boundary columns and ranked faces are read
-off that bitset.  Every other complex, even one on few vertices with a
+down-sets.  Its f-vector and GF(2) boundary columns are read off that
+bitset, and its collapse search runs on it, shifted onto the tables' slice
+for its dimension.  Every other complex, even one on few vertices with a
 higher id, groups its closure by dimension, unsorted for counts and
-boundary columns, and ranks those groups for searches and matrices.  This
-module alone makes that choice: ``homology`` and ``collapse`` read faces
-through ``_boundary_columns`` and ``_ranked_faces``.  A complex caches
-one face index, its star table ``_star``: face -> OR of the facets on it.
-Its keys are the closure that every other face query reads.  All values
-are immutable; every operation returns a fresh complex.
+boundary columns, and ranks those groups for its searches.  This module
+alone makes that choice: ``homology`` reads ``_boundary_columns`` and
+``collapse`` reads ``_search_faces``.  Boundary matrices and free faces
+rank every complex's own faces through ``_ranked_faces``.  A complex
+caches one face index, its star table ``_star``: face -> OR of the facets
+on it.  Its keys are the closure that every other face query reads.  All
+values are immutable; every operation returns a fresh complex.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property, lru_cache
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -119,24 +120,38 @@ def _rank_faces(
     return masks, down
 
 
+def _covers(down: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Invert ``down`` (the ranks one dimension below each face): entry i
+    is the bitset of the ranks of the faces covering face i."""
+    up = [0] * len(down)
+    for i, below in enumerate(down):
+        for j in below:
+            up[j] |= 1 << i
+    return up
+
+
 @cache
 def _face_tables() -> SimpleNamespace:
     """The non-empty subsets of 0..TABLE_VERTICES-1 ranked by
     ``_rank_faces``.  Built on first use (about 1 ms), never at import.
 
-    ``masks[r]`` is the face of rank r and ``down[r]`` the ranks of its
-    codimension-one faces; ``downset[m]`` is the bitset of the ranks of the
-    non-empty subsets of mask m.  ``down_in[r](index)`` returns
-    ``tuple(index[j] for j in down[r])``, a translation that runs in C.
-    ``boundary[r]`` is ``down[r]`` as a bitset: the GF(2) boundary column
-    of face r, 0 for a vertex.  ``level[q]`` is the bitset of the ranks of
-    the q-faces.  The covers of a face are not tabled: a search inverts
-    ``down`` over its own compact ranks.
+    ``masks[r]`` is the face of rank r, ``down[r]`` the ranks of its
+    codimension-one faces and ``up[r]`` the bitset of the ranks of the
+    faces covering it; ``downset[m]`` is the bitset of the ranks of the
+    non-empty subsets of mask m.  ``boundary[r]`` is ``down[r]`` as a
+    bitset: the GF(2) boundary column of face r, 0 for a vertex.
+    ``level[q]`` is the bitset of the ranks of the q-faces.
+
+    ``slices[q]`` is ``(masks, down, up)`` from the first q-face on, every
+    rank shifted down by that face's rank: the faces a q-complex can hold.
+    A q-complex's table closure shifted the same way is its closure over
+    the slice, which a collapse search runs on directly.
     """
     n = TABLE_VERTICES
     subsets = range(1, 1 << n)
     groups = {q: [m for m in subsets if m.bit_count() == q + 1] for q in range(n)}
     masks, down = _rank_faces(groups)
+    up = _covers(down)
     rank = [0] * (1 << n)
     for r, m in enumerate(masks):
         rank[m] = r
@@ -149,22 +164,28 @@ def _face_tables() -> SimpleNamespace:
     level = [0] * n
     for r, m in enumerate(masks):
         level[m.bit_count() - 1] |= 1 << r
-    # a vertex has no codimension-one face; every other face has at least
-    # two, so itemgetter returns a tuple
-    down_in = tuple(itemgetter(*below) if below else _no_faces for below in down)
     boundary = tuple(sum(1 << j for j in below) for below in down)
+    slices = []
+    for q in range(n):
+        # faces are ranked dimension descending: what follows the first
+        # q-face lies below it, and covers above it are shifted out
+        first = (level[q] & -level[q]).bit_length() - 1
+        slices.append(
+            (
+                tuple(masks[first:]),
+                tuple(tuple(j - first for j in below) for below in down[first:]),
+                tuple(covers >> first for covers in up[first:]),
+            )
+        )
     return SimpleNamespace(
         masks=tuple(masks),
         downset=tuple(downset),
         down=tuple(down),
-        down_in=down_in,
+        up=tuple(up),
         boundary=boundary,
         level=tuple(level),
+        slices=tuple(slices),
     )
-
-
-def _no_faces(index: Sequence[int]) -> Tuple[int, ...]:
-    return ()
 
 
 class Face:
@@ -390,22 +411,32 @@ class SimplicialComplex:
 
     def _ranked_faces(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
         """The faces numbered best-first, as ``_rank_faces`` returns them;
-        the q-faces are contiguous and in lexicographic order.
+        the q-faces are contiguous and in lexicographic order.  Every
+        complex ranks its own faces here; only ``_search_faces`` reads a
+        slice of the tables instead."""
+        return _rank_faces(self._face_groups)
 
-        On the tables the faces are the set bits of the table closure,
-        ascending, and ``down`` is translated to those compact ranks, so a
-        collapse search's bitsets stay as short as the complex.
+    def _search_faces(
+        self,
+    ) -> Tuple[Sequence[int], Sequence[Tuple[int, ...]], Sequence[int], int]:
+        """What a collapse search runs on: ``masks``, faces in the order of
+        ``_rank_faces``, with ``down[r]`` the ranks of the codimension-one
+        faces of face r and ``up[r]`` the bitset of the ranks covering it,
+        and the closure as a bitset over those ranks.
+
+        On the tables these are the slice for ``dim`` and the table closure
+        shifted onto it; the slice also holds faces outside the complex, and
+        only the closure tells them apart.  Otherwise every rank is a face.
         """
         closure = self._table_closure
         if closure is None:
-            return _rank_faces(self._face_groups)
+            masks, down = self._ranked_faces()
+            return masks, down, _covers(down), (1 << len(masks)) - 1
         t = _face_tables()
-        ranks = _bits(closure)
-        local = [0] * len(t.masks)
-        for i, g in enumerate(ranks):
-            local[g] = i
-        down_in = t.down_in
-        return [t.masks[g] for g in ranks], [down_in[g](local) for g in ranks]
+        masks, down, up = t.slices[self.dim]
+        # no face of the complex ranks before its first dim-face, where the
+        # slice starts
+        return masks, down, up, closure >> (len(t.masks) - len(masks))
 
     def _boundary_columns(self) -> List[Iterable[int]]:
         """The GF(2) boundary maps for q = 2..dim: entry q-2 yields one

@@ -206,6 +206,23 @@ class TestCensusCommand:
         code, _, err = run_cli(capsys, "census", "--vertices", "5", "--constraint", "weird")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--vertices", "5", "--constraint", "even", "--no-symmetry-breaking"),
+            ("--constraint", "exactly-two"),
+            ("--max-facets", "4"),
+            ("--exact-vertices",),
+        ],
+    )
+    def test_preset_rejects_explicit_flags(self, capsys, flags):
+        # the preset fixes the whole spec: an explicit flag would be ignored
+        code, out, err = run_cli(capsys, "census", "--preset", "closed6", *flags)
+        assert code == EXIT_ERROR
+        assert out == ""
+        named = [f for f in flags if f.startswith("--")]
+        assert f"census --preset closed6 takes no {', '.join(named)}" in err
+
     def test_boundary_symmetry_breaking_flag(self, capsys):
         argv = ("census", "--vertices", "5", "--constraint", "boundary")
         code_on, out_on, _ = run_cli(capsys, *argv)

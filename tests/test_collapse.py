@@ -438,9 +438,19 @@ class TestSearchMatchesOracle:
 
 
 def _ranked_view(k):
-    """Face order (as masks), cover tables and free faces."""
-    masks, down = k._ranked_faces()
-    return masks, [list(d) for d in down], collapse._covers(down), free_faces(k)
+    """The faces a search starts from, in rank order, each with its
+    codimension-one faces and its covers in the complex (all as masks), and
+    the free faces."""
+    masks, down, up, start = k._search_faces()
+    faces = [
+        (
+            masks[i],
+            [masks[j] for j in down[i]],
+            [masks[j] for j in _bits(up[i] & start)],
+        )
+        for i in _bits(start)
+    ]
+    return faces, free_faces(k)
 
 
 def _assert_tables_match(cases):
@@ -515,6 +525,35 @@ class TestTablesMatchPerComplexBuild:
         verdicts = {is_collapsible(k, 3000).status for k in ks}
         assert verdicts == {NOT_COLLAPSIBLE, INCONCLUSIVE}
         _assert_tables_match([(k, None, 3000) for k in ks])
+
+    def test_terminal_starts_high_targets_and_budgets(self):
+        """A search that starts terminal, targets in dimensions 2 and 3,
+        and one backtracking 3-complex at budgets that stop it at the first
+        node, early, late and never.  The table path runs on a slice that
+        holds faces outside the complex, and none of them may reach a
+        certificate."""
+        vertex = sc((3,))
+        tetra = sc((0, 1, 2, 3))
+        bowtie = sc((0, 1, 2), (2, 3, 4), (4, 5, 6))
+        back = sc((0, 1, 4, 6), (0, 1, 5, 6), (0, 3, 4, 5), (1, 4, 5, 6))
+        cases = [(vertex, None, 10), (vertex, vertex, 10), (tetra, tetra, 10)]
+        cases += [(bowtie, bowtie, 10), (back, back, 10)]
+        cases += [(bowtie, sc((2, 3, 4)), 100), (tetra, sc((1, 2, 3)), 100)]
+        cases += [(back, sc((0, 1, 4, 6)), 3000), (back, sc((0, 3, 4)), 3000)]
+        cases += [(back, None, budget) for budget in (1, 5, 1000, None)]
+        _assert_tables_match(cases)
+        for k in (vertex, tetra, bowtie, back):
+            verdict = collapses_to(k, k)
+            assert (verdict.status, verdict.nodes_explored) == (COLLAPSIBLE, 0)
+            assert verdict.certificate.faces == k._star.keys()
+        assert is_collapsible(vertex).certificate.faces == {1 << 3}
+        verdicts = [_search(back, None, b) for b in (1, 5, 1000, None)]
+        assert [(v.status, v.nodes_explored) for v in verdicts] == [
+            (INCONCLUSIVE, 2),
+            (INCONCLUSIVE, 6),
+            (INCONCLUSIVE, 1001),
+            (NOT_COLLAPSIBLE, 1668),
+        ]
 
     def test_labels_spread_up_to_63(self):
         """The table path on ids 0..6 and the per-complex build on a

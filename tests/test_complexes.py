@@ -621,9 +621,20 @@ class TestFixedFaceTables:
             # |m| bits, one per codimension-one face; none for a vertex
             size = m.bit_count()
             assert t.boundary[r].bit_count() == (size if size > 1 else 0)
-            assert t.down_in[r](range(127)) == t.down[r]
-            covers = {t.masks[j] for j, below in enumerate(t.down) if r in below}
-            assert covers == {m | 1 << v for v in range(TABLE_VERTICES)} - {m}
+            covers = [j for j, below in enumerate(t.down) if r in below]
+            assert t.up[r] == sum(1 << j for j in covers)
+            covered = {t.masks[j] for j in covers}
+            assert covered == {m | 1 << v for v in range(TABLE_VERTICES)} - {m}
+        # slice q is the table from its first q-face on, ranks shifted to 0
+        for q, (masks, down, up) in enumerate(t.slices):
+            first = len(t.masks) - len(masks)
+            assert t.masks[first].bit_count() == q + 1
+            assert first == 0 or t.masks[first - 1].bit_count() == q + 2
+            assert masks == t.masks[first:]
+            assert down == tuple(
+                tuple(j - first for j in below) for below in t.down[first:]
+            )
+            assert up == tuple(covers >> first for covers in t.up[first:])
 
     def test_levels(self):
         t = _face_tables()
