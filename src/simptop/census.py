@@ -381,6 +381,16 @@ def match_catalog(result: CensusResult, expected_names: Sequence[str]) -> Catalo
 
 @dataclass
 class CollapsibilitySampleReport:
+    """What ``sample_acyclic_collapsibility`` found in its draws.
+
+    ``chi_failures`` counts the acyclic draws whose Euler characteristic is
+    not 1.  The sampler skips every draw with chi != 1 before its rank
+    test, so the count is 0 by construction: by Euler-Poincare, chi - 1 is
+    the alternating sum of the reduced Betti numbers, and a skipped draw is
+    not acyclic.  The field stays, so a report names the fields it always
+    named and its digests hash the same lines.
+    """
+
     samples: int
     seed: int
     nonempty: int
@@ -406,12 +416,17 @@ def sample_acyclic_collapsibility(
     Samples live on the lemma's bound of ``collapse.ACYCLIC_VERTEX_BOUND``
     = 7 vertices, where ``SAMPLER_P`` was calibrated.  Each sample draws a
     dimension in {2, 3} and keeps each candidate facet with the calibrated
-    probability for that dimension.  Acyclic samples go
-    through the exhaustive collapsibility search; a counterexample list
-    that stays empty is the verification.  Only samples proved not
-    collapsible are counterexamples; those the search gave up on within
-    ``budget`` nodes are listed under ``inconclusive``.  ``seed`` must be an
-    int, so that the report names the draws it made.
+    probability for that dimension.  Each non-empty draw then meets three
+    tests in order: its Euler characteristic (two popcounts on the fixed
+    face tables), its GF(2) reduced homology, and the exhaustive
+    collapsibility search.  A draw with chi != 1 is skipped before any
+    elimination: chi - 1 is the alternating sum of the reduced Betti
+    numbers, so it is not acyclic.  This is why ``chi_failures`` is 0 by
+    construction.  Acyclic samples go through the collapsibility search; a
+    counterexample list that stays empty is the verification.  Only samples
+    proved not collapsible are counterexamples; those the search gave up on
+    within ``budget`` nodes are listed under ``inconclusive``.  ``seed``
+    must be an int, so that the report names the draws it made.
     """
     if not _is_int(n_samples) or n_samples < 1:
         raise ValueError(f"sample count must be an int >= 1, not {n_samples!r}")
@@ -427,7 +442,7 @@ def sample_acyclic_collapsibility(
         ]
         for d in (2, 3)
     }
-    nonempty = acyclic = collapsible = chi_failures = 0
+    nonempty = acyclic = collapsible = 0
     counterexamples: List[str] = []
     inconclusive: List[str] = []
     no_free_faces: List[str] = []
@@ -439,11 +454,11 @@ def sample_acyclic_collapsibility(
             continue
         nonempty += 1
         k = SimplicialComplex._from_facet_masks(facets)
-        if not homology.is_z2_acyclic(k):
+        # Euler-Poincare: chi - 1 is the alternating sum of the reduced
+        # Betti numbers, so chi != 1 rules out acyclicity without a rank
+        if k.euler_characteristic() != 1 or not homology.is_z2_acyclic(k):
             continue
         acyclic += 1
-        if k.euler_characteristic() != 1:
-            chi_failures += 1
         verdict = collapse_mod.is_collapsible(k, budget)
         if verdict.collapsible:
             collapsible += 1
@@ -463,5 +478,5 @@ def sample_acyclic_collapsibility(
         counterexamples=tuple(counterexamples),
         inconclusive=tuple(inconclusive),
         acyclic_without_free_faces=tuple(no_free_faces),
-        chi_failures=chi_failures,
+        chi_failures=0,
     )

@@ -11,17 +11,18 @@ numbering and boundary matrices print in it.  A complex on vertex ids below
 ``TABLE_VERTICES`` = 7 lists no faces of its own: the 127 non-empty subsets
 of 0..6 are ranked once, in fixed tables built on first use, and the
 complex's closure is one bitset over those ranks, the OR of its facets'
-down-sets.  Its f-vector and GF(2) boundary columns are read off that
-bitset, and its collapse search runs on it, shifted onto the tables' slice
-for its dimension.  Every other complex, even one on few vertices with a
-higher id, groups its closure by dimension, unsorted for counts and
-boundary columns, and ranks those groups for its searches.  This module
-alone makes that choice: ``homology`` reads ``_boundary_columns`` and
-``collapse`` reads ``_search_faces``.  Boundary matrices and free faces
-rank every complex's own faces through ``_ranked_faces``.  A complex
-caches one face index, its star table ``_star``: face -> OR of the facets
-on it.  Its keys are the closure that every other face query reads.  All
-values are immutable; every operation returns a fresh complex.
+down-sets.  Its f-vector, Euler characteristic and GF(2) boundary columns
+are read off that bitset, and its collapse search runs on it, shifted onto
+the tables' slice for its dimension.  Every other complex, even one on few
+vertices with a higher id, groups its closure by dimension, unsorted for
+counts and boundary columns, and ranks those groups for its searches.
+This module alone makes that choice: ``homology`` reads
+``_boundary_columns`` and ``collapse`` reads ``_search_faces``.  Boundary
+matrices and free faces rank every complex's own faces through
+``_ranked_faces``.  A complex caches one face index, its star table
+``_star``: face -> OR of the facets on it.  Its keys are the closure that
+every other face query reads.  All values are immutable; every operation
+returns a fresh complex.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def _face_tables() -> SimpleNamespace:
     faces covering it; ``downset[m]`` is the bitset of the ranks of the
     non-empty subsets of mask m.  ``boundary[r]`` is ``down[r]`` as a
     bitset: the GF(2) boundary column of face r, 0 for a vertex.
-    ``level[q]`` is the bitset of the ranks of the q-faces.
+    ``level[q]`` is the bitset of the ranks of the q-faces; ``even`` and
+    ``odd`` are the ORs of ``level[q]`` over even and over odd q, so a
+    closure's Euler characteristic is two popcounts.
 
     ``slices[q]`` is ``(masks, down, up)`` from the first q-face on, every
     rank shifted down by that face's rank: the faces a q-complex can hold.
@@ -184,6 +187,9 @@ def _face_tables() -> SimpleNamespace:
         up=tuple(up),
         boundary=boundary,
         level=tuple(level),
+        # the levels are disjoint, so their sum is their OR
+        even=sum(level[0::2]),
+        odd=sum(level[1::2]),
         slices=tuple(slices),
     )
 
@@ -401,11 +407,11 @@ class SimplicialComplex:
     def _table_closure(self) -> Optional[int]:
         """The closure as a bitset over the ranks of ``_face_tables``, or
         None when some vertex id is ``TABLE_VERTICES`` or more."""
-        if self.vertex_mask >> TABLE_VERTICES:
-            return None
         downset = _face_tables().downset
         closure = 0
         for f in self._facets:
+            if f >> TABLE_VERTICES:
+                return None
             closure |= downset[f]
         return closure
 
@@ -488,7 +494,11 @@ class SimplicialComplex:
         return tuple((closure & level[q]).bit_count() for q in range(self.dim + 1))
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** q * n for q, n in enumerate(self.f_vector()))
+        closure = self._table_closure
+        if closure is None:
+            return sum((-1) ** q * n for q, n in enumerate(self.f_vector()))
+        t = _face_tables()
+        return (closure & t.even).bit_count() - (closure & t.odd).bit_count()
 
     # -- derived complexes --------------------------------------------
 

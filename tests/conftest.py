@@ -95,18 +95,26 @@ def per_complex_faces():
 
 
 def sampler_draws(seeds=(1, 2, 3), n_samples=200):
-    """Every non-empty complex the acyclicity sampler draws, in draw order."""
+    """Every non-empty complex the acyclicity sampler draws, in draw order.
+
+    The sampler tests each non-empty draw's Euler characteristic before
+    anything else, so the hook sits there: a hook on the rank test would
+    see only the draws with chi = 1.  Nothing else the sampler calls reads
+    chi, and the count of recorded draws must match the reports'."""
     drawn = []
 
     def recording(k):
         drawn.append(k)
-        return is_z2_acyclic(k)
+        return euler_characteristic(k)
 
-    is_z2_acyclic = homology.is_z2_acyclic
+    euler_characteristic = SimplicialComplex.euler_characteristic
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census.homology, "is_z2_acyclic", recording)
-        for seed in seeds:
-            census.sample_acyclic_collapsibility(n_samples, seed=seed)
+        mp.setattr(SimplicialComplex, "euler_characteristic", recording)
+        nonempty = sum(
+            census.sample_acyclic_collapsibility(n_samples, seed=seed).nonempty
+            for seed in seeds
+        )
+    assert len(drawn) == nonempty
     return drawn
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import operator
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from simptop import (
     match_catalog,
     sample_acyclic_collapsibility,
 )
-from simptop import census
+from simptop import census, collapse
 from simptop.census import (
     CONSTRAINT_BOUNDARY,
     CONSTRAINT_CLOSED,
@@ -25,6 +26,7 @@ from simptop.census import (
     CONSTRAINTS,
 )
 from simptop.complexes import SimplicialComplex
+from simptop.homology import is_z2_acyclic
 from simptop.reports import census_report, strip_timestamp
 
 CLOSED7 = CensusSpec(n_vertices=7, max_facets=10, exact_vertices=True)
@@ -627,7 +629,69 @@ SAMPLER_DIGESTS = {
 }
 
 
+def _unfiltered_sample(n_samples, seed, budget=2_000_000):
+    """The sampler as it ran before its Euler characteristic filter: every
+    non-empty draw takes the GF(2) rank test, and ``chi_failures`` counts
+    the acyclic draws with chi != 1.  The oracle of the filtered loop."""
+    rng = random.Random(seed)
+    n = collapse.ACYCLIC_VERTEX_BOUND
+    candidates = {
+        d: [sum(1 << v for v in c) for c in itertools.combinations(range(n), d + 1)]
+        for d in (2, 3)
+    }
+    nonempty = acyclic = collapsible = chi_failures = 0
+    counterexamples, inconclusive, no_free_faces = [], [], []
+    for _ in range(n_samples):
+        d = rng.choice((2, 3))
+        p = census.SAMPLER_P[d]
+        facets = [m for m in candidates[d] if rng.random() < p]
+        if not facets:
+            continue
+        nonempty += 1
+        k = SimplicialComplex._from_facet_masks(facets)
+        if not is_z2_acyclic(k):
+            continue
+        acyclic += 1
+        if k.euler_characteristic() != 1:
+            chi_failures += 1
+        verdict = is_collapsible(k, budget)
+        if verdict.collapsible:
+            collapsible += 1
+            continue
+        if verdict.status == collapse.NOT_COLLAPSIBLE:
+            counterexamples.append(k.canonical_encoding())
+        else:
+            inconclusive.append(k.canonical_encoding())
+        if not collapse.free_faces(k) and k.face_count() > 1:
+            no_free_faces.append(k.canonical_encoding())
+    return census.CollapsibilitySampleReport(
+        samples=n_samples,
+        seed=seed,
+        nonempty=nonempty,
+        acyclic_found=acyclic,
+        collapsible_count=collapsible,
+        counterexamples=tuple(counterexamples),
+        inconclusive=tuple(inconclusive),
+        acyclic_without_free_faces=tuple(no_free_faces),
+        chi_failures=chi_failures,
+    )
+
+
 class TestCollapsibilitySampling:
+    @pytest.mark.parametrize(
+        "n_samples, seed, budget",
+        [(2000, 1, None), (2000, 5, None), (2000, 11, None), (2000, 8191, None),
+         (300, 1, 3)],
+    )
+    def test_chi_filter_keeps_the_unfiltered_report(self, n_samples, seed, budget):
+        """Skipping the draws with chi != 1 before the rank test changes no
+        field of the report, ``chi_failures`` included; under a 3-node
+        budget neither do the searches it gives up on."""
+        kwargs = {} if budget is None else {"budget": budget}
+        report = sample_acyclic_collapsibility(n_samples, seed=seed, **kwargs)
+        assert report.acyclic_found > 100
+        assert report == _unfiltered_sample(n_samples, seed, **kwargs)
+
     @pytest.mark.parametrize("n_samples, seed, budget", list(SAMPLER_DIGESTS))
     def test_reports_pinned(self, n_samples, seed, budget):
         kwargs = {} if budget is None else {"budget": budget}

@@ -745,6 +745,22 @@ class TestTablesMatchPerComplexBuild:
             assert image._table_closure is None
             assert {image_mask(m, mapping) for m in faces} == image._star.keys(), image
 
+    def test_euler_characteristic_is_the_alternating_f_vector_sum(self):
+        """The tables' two popcounts (even minus odd dimensions) equal the
+        alternating f-vector sum, on ids 0..6 and on the images above 6,
+        which count their own faces."""
+        chis = []
+        for k, mapping in _small_complexes():
+            chi = sum((-1) ** q * n for q, n in enumerate(k.f_vector()))
+            image = relabel(k, mapping)
+            assert k._table_closure is not None and image._table_closure is None
+            assert image.f_vector() == k.f_vector(), image
+            assert k.euler_characteristic() == chi, k
+            assert image.euler_characteristic() == chi, image
+            chis.append(chi)
+        # with even and odd swapped every chi would change sign
+        assert {0, 1, 2} <= set(chis)
+
     def test_larger_complexes_count_without_the_tables(self):
         ks = [k for k in _catalog_complexes() if len(k.vertices) > 7]
         ks += [k for k in _random_mixed_complexes(18, 100) if len(k.vertices) > 7]
