@@ -21,8 +21,9 @@ This module alone makes that choice: ``homology`` reads
 matrices and free faces rank every complex's own faces through
 ``_ranked_faces``.  A complex caches one face index, its star table
 ``_star``: face -> OR of the facets on it.  Its keys are the closure that
-every other face query reads.  All values are immutable; every operation
-returns a fresh complex.
+every other face query reads; ``induced`` reads its values, keeping a
+facet's trace g on U when ``_star[g]`` holds no more of U.  All values are
+immutable; every operation returns a fresh complex.
 """
 
 from __future__ import annotations
@@ -520,7 +521,10 @@ class SimplicialComplex:
                 "induced subcomplex needs U within the vertex set, extra: %s"
                 % (_bits(u & ~self.vertex_mask),)
             )
-        return SimplicialComplex._from_faces(m for f in self._facets if (m := f & u))
+        star = self._star
+        return SimplicialComplex._from_facet_masks(
+            {g for f in self._facets if (g := f & u) and star[g] & u == g}
+        )
 
     def is_pure(self) -> bool:
         d = self.dim
@@ -629,7 +633,8 @@ def relabel(k: SimplicialComplex, mapping: Dict[int, int]) -> SimplicialComplex:
     images = [mapping[v] for v in k.vertices]
     if len(set(images)) != len(images):
         raise ValueError("relabeling is not injective")
-    return SimplicialComplex._from_faces(
+    # an injective image of an antichain is an antichain
+    return SimplicialComplex._from_facet_masks(
         _mask_of(mapping[v] for v in _bits(f)) for f in k.facet_masks
     )
 

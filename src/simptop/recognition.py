@@ -19,10 +19,11 @@ connected surface with boundary and chi = 1 is a disk.  So manifoldness is
 decided exactly up to d = 3; ``_is_sphere(k, d)`` and
 ``is_combinatorial_ball`` recognize spheres and balls of dimension d <= 2
 exactly with the same pass, connectivity and chi, and a 3-ball by the pass
-and a collapse search.  ``decompose`` reads that table again.  For d >= 4
-the vertex links are certified recursively or reduced to the standard
-sphere by flip search; when neither settles the question the verdict is
-inconclusive rather than trusted.
+and a collapse search.  For d >= 4 the vertex links are certified
+recursively or reduced to the standard sphere by flip search; when neither
+settles the question the verdict is inconclusive rather than trusted.  The
+ball's complement is built once, by ``simplicial_complement``;
+``decompose`` only checks the split of M around it.
 """
 
 from __future__ import annotations
@@ -262,33 +263,25 @@ def find_induced_ball(
     n = len(m.vertices)
 
     base = m.facet_masks[0]
+    # every face of m on the span of a facet lies in that facet
+    ball = SimplicialComplex._from_facet_masks((base,))
     evidence = "facet span equals the standard ball"
     if policy == "facet":
         if n <= (d + 1) + collapse_mod.ACYCLIC_VERTEX_BOUND:
-            # every face of m on the span of a facet lies in that facet
-            return SimplicialComplex._from_facet_masks((base,)), evidence
+            return ball, evidence
         return None
 
-    current_mask = base
-    while current_mask.bit_count() < n - 1:
-        grown = None
-        for v in m.vertices:
-            if current_mask >> v & 1:
-                continue
-            candidate_mask = current_mask | (1 << v)
-            candidate = m.induced(candidate_mask)
-            if candidate.dim != d:
-                continue
-            if is_combinatorial_ball(candidate, budget):
-                grown = candidate_mask
+    while ball.vertex_mask.bit_count() < n - 1:
+        for v in _bits(m.vertex_mask & ~ball.vertex_mask):
+            candidate = m.induced(ball.vertex_mask | 1 << v)
+            if candidate.dim == d and is_combinatorial_ball(candidate, budget):
+                ball = candidate
                 break
-        if grown is None:
+        else:
             break
-        current_mask = grown
-    ball = m.induced(current_mask)
-    if current_mask != base:
+    if ball.vertex_mask != base:
         evidence = "greedily grown; manifold-with-boundary and collapsible"
-    if n <= current_mask.bit_count() + collapse_mod.ACYCLIC_VERTEX_BOUND:
+    if n <= ball.vertex_mask.bit_count() + collapse_mod.ACYCLIC_VERTEX_BOUND:
         return ball, evidence
     return None
 
@@ -336,24 +329,22 @@ def certify_sphere(
         )
     ball, evidence = found
 
+    # never empty: a greedy ball stops short of V(m), and a facet spans
+    # V(m) only in a simplex, which the homology gate turned away
     complement = simplicial_complement(ball, m)
-    if complement.is_empty():
-        return SphereCertificate(INCONCLUSIVE, "ball complement is empty", manifold)
 
     # the two-sided decomposition re-asserts its own conclusions; on a
     # verified manifold any failure is a bug, not a property of the input
     # (boundary complexes make no sense at dimension 0, so skip it there)
     if d >= 1:
         try:
-            decomposition = decompose(m, ball)
+            decompose(m, ball)
         except (ValueError, RuntimeError) as exc:
             if assume_manifold:
                 return SphereCertificate(
                     PRECONDITION_FAILED, f"decomposition failed: {exc}", manifold
                 )
             raise RuntimeError(f"pipeline self-check failed: {exc}") from exc
-        if decomposition.l != complement:
-            raise RuntimeError("pipeline self-check failed: complement mismatch")
 
     betti = homology.reduced_betti(complement)
     if any(betti):

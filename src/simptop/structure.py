@@ -174,8 +174,6 @@ def decompose(y: SimplicialComplex, y1: SimplicialComplex) -> Decomposition:
         raise RuntimeError("decompose self-check failed: y1 n y2 != shared boundary")
     if tuple(side1) != y1.facet_masks:
         raise RuntimeError("decompose self-check failed: facets not partitioned")
-    # l = y induced on V(l): the f & V(l) with no more of V(l) in their star
-    l = {m for f in y.facet_masks if (m := f & out) and star[m] & out == m}
     y2 = (f for f in y.facet_masks if f & out)
     trusted = SimplicialComplex._from_facet_masks
-    return Decomposition(y1, trusted(l), trusted(y2), trusted(boundary))
+    return Decomposition(y1, y.induced(out), trusted(y2), trusted(boundary))

@@ -139,6 +139,12 @@ def low_labels(k):
     return relabel(k, {v: i for i, v in enumerate(k.vertices)})
 
 
+def oracle_induced(k, u):
+    """k induced on the vertex mask u as it was built before it read the
+    star table: every facet's trace on u, the dominated traces dropped."""
+    return SimplicialComplex._from_faces(f & u for f in k.facet_masks if f & u)
+
+
 def image_mask(mask, mapping):
     """A face mask with each vertex v replaced by ``mapping[v]``."""
     return sum(1 << mapping[v] for v in _bits(mask))

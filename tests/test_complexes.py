@@ -40,6 +40,7 @@ from simptop.structure import _ridges
 from conftest import (
     image_mask,
     low_labels,
+    oracle_induced,
     oracle_ridge_degrees,
     per_complex_faces,
     random_pure_complex,
@@ -294,6 +295,51 @@ class TestInduced:
             rp2.induced((1, 2, 9))
 
 
+def _random_low_complexes(seed, count):
+    """Random complexes of dimension 0..3 on at most 9 vertices, with facets
+    of mixed sizes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        dim = rng.randint(0, min(3, n - 1))
+        yield from_facets(
+            rng.sample(range(n), rng.randint(1, dim + 1))
+            for _ in range(rng.randint(1, 12))
+        )
+
+
+class TestInducedMatchesOracle:
+    """induced reads the star table; the oracle keeps every facet's trace
+    on U and drops the dominated ones."""
+
+    def test_every_vertex_subset_of_the_catalog(self):
+        checked = 0
+        for k in _catalog_complexes():
+            if len(k.vertices) > 8:
+                continue
+            for size in range(len(k.vertices) + 1):
+                for u in itertools.combinations(k.vertices, size):
+                    mask = _mask_of(u)
+                    assert k.induced(mask) == oracle_induced(k, mask), (k, u)
+                    checked += 1
+        assert checked > 2000
+
+    def test_random_complexes(self):
+        rng = random.Random(27)
+        ks = list(_random_low_complexes(28, 1500))
+        assert {k.dim for k in ks} == {0, 1, 2, 3}
+        for i, k in enumerate(ks):
+            # every other complex has its star table built before the call
+            if i % 2:
+                k._star
+            else:
+                assert "_star" not in k.__dict__
+            for _ in range(3):
+                u = _mask_of(v for v in k.vertices if rng.random() < 0.6)
+                assert k.induced(u) == oracle_induced(k, u), (k, _bits(u))
+            assert k.induced(k.vertex_mask) == k
+
+
 class TestJoinConePure:
     def test_octahedron_join(self):
         octa = join(
@@ -454,6 +500,20 @@ class TestStandardComplexes:
 
 
 class TestRelabel:
+    def test_matches_the_antichain_route(self, rng):
+        # relabel trusts the image of an antichain to be one; the old route
+        # dropped dominated faces from it
+        for k in _catalog_complexes():
+            for mapping in (
+                spread_mapping(k, rng),
+                dict(zip(k.vertices, rng.sample(k.vertices, len(k.vertices)))),
+            ):
+                image = relabel(k, mapping)
+                assert image == SimplicialComplex._from_faces(
+                    image_mask(f, mapping) for f in k.facet_masks
+                )
+                assert relabel(image, {w: v for v, w in mapping.items()}) == k
+
     def test_uncovered_vertices_named(self):
         with pytest.raises(ValueError, match=r"does not cover vertices \[2\]"):
             relabel(standard_sphere(1), {0: 5, 1: 6})

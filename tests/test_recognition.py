@@ -52,6 +52,7 @@ from simptop.structure import (
 
 from conftest import (
     oracle_boundary_complex,
+    oracle_induced,
     oracle_is_pseudomanifold,
     oracle_is_weak_pm_with_boundary,
     oracle_is_weak_pseudomanifold,
@@ -191,6 +192,21 @@ class TestCertifySphere:
         cert = certify_sphere(s, assume_manifold=True)
         assert cert.verdict == SPHERE
         assert cert.manifold.witness[0][1] == "assumed by caller"
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_standard_balls_stop_at_a_gate(self, d):
+        # a ball's complement is empty only when the ball spans all of m, so
+        # m a simplex, and a simplex never passes the homology gate
+        for policy in ("facet", "greedy"):
+            for assume in (False, True):
+                cert = certify_sphere(
+                    standard_ball(d), assume_manifold=assume, ball_policy=policy
+                )
+                if assume or d == 0:
+                    reason = "not a Z2-homology sphere"
+                else:
+                    reason = "not a combinatorial manifold"
+                assert (cert.verdict, cert.reason) == (PRECONDITION_FAILED, reason)
 
     def test_low_dimensional_spheres(self):
         assert certify_sphere(standard_sphere(0, (1, 2))).verdict == SPHERE
@@ -526,6 +542,29 @@ def _outcome(fn, *args):
 @functools.lru_cache(maxsize=None)
 def _inputs(family):
     return tuple(FAMILIES[family]())
+
+
+def test_greedy_candidates_match_the_induced_oracle(monkeypatch):
+    # every complex the greedy ball policy induces on the pure members of
+    # the walked family: the spheres, their links and some induced spans
+    inputs = [k for _, k in _inputs("walked") if k.is_pure()]
+    built = []
+    induced = SimplicialComplex.induced
+
+    def recording(k, u):
+        built.append((k, u))
+        return induced(k, u)
+
+    monkeypatch.setattr(SimplicialComplex, "induced", recording)
+    for k in inputs:
+        find_induced_ball(k, "greedy")
+    monkeypatch.undo()
+    assert len(built) > 900
+    assert [
+        (k.canonical_encoding(), u)
+        for k, u in built
+        if k.induced(u) != oracle_induced(k, u)
+    ] == []
 
 
 class TestRecognizerMatchesOracle:

@@ -26,6 +26,7 @@ from simptop.verification import decomposition_suite, random_decomposition_pairs
 
 from conftest import (
     oracle_boundary_complex,
+    oracle_induced,
     oracle_is_pseudomanifold,
     oracle_is_weak_pm_with_boundary,
     sc,
@@ -166,15 +167,17 @@ class TestDecompose:
 
 def is_induced(l, k):
     """Does l contain every face of k spanned by V(l)?  The oracle of the
-    inducedness precondition that decompose reads off the star table."""
+    inducedness precondition that decompose reads off the star table; it
+    does not call ``induced``, which reads that table too."""
     if not is_subcomplex(l, k):
         return False
-    return k.induced(l.vertex_mask) == l
+    return oracle_induced(k, l.vertex_mask) == l
 
 
 # --- decompose as it was before it read the star table: it builds the
 # complement, the neighbourhood and both boundaries as complexes and
-# compares them, with the per-call ridge counts of conftest
+# compares them, with the per-call ridge counts and the induced subcomplexes
+# of conftest
 
 
 def oracle_decompose(y, y1, is_pm=oracle_is_pseudomanifold):
@@ -189,7 +192,7 @@ def oracle_decompose(y, y1, is_pm=oracle_is_pseudomanifold):
     if y1 == y:
         raise ValueError("decompose: y1 must be a proper subcomplex")
 
-    l = simplicial_complement(y1, y)
+    l = oracle_induced(y, y.vertex_mask & ~y1.vertex_mask)
     y2 = simplicial_neighbourhood(l, y)
 
     if not oracle_is_weak_pm_with_boundary(y1):
@@ -202,7 +205,7 @@ def oracle_decompose(y, y1, is_pm=oracle_is_pseudomanifold):
         raise RuntimeError("decompose self-check failed: boundaries differ")
     if SimplicialComplex._from_faces(y1._star.keys() & y2._star.keys()) != b1:
         raise RuntimeError("decompose self-check failed: y1 n y2 != shared boundary")
-    if y2.induced(y2.vertex_mask & y1.vertex_mask) != b2:
+    if oracle_induced(y2, y2.vertex_mask & y1.vertex_mask) != b2:
         raise RuntimeError("decompose self-check failed: boundary not induced in y2")
     if sorted(y.facet_masks) != sorted(y1.facet_masks + y2.facet_masks):
         raise RuntimeError("decompose self-check failed: facets not partitioned")
