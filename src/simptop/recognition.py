@@ -22,8 +22,9 @@ exactly with the same pass, connectivity and chi, and a 3-ball by the pass
 and a collapse search.  For d >= 4 the vertex links are certified
 recursively or reduced to the standard sphere by flip search; when neither
 settles the question the verdict is inconclusive rather than trusted.  The
-ball's complement is built once, by ``simplicial_complement``;
-``decompose`` only checks the split of M around it.
+ball's complement is built once: from dimension 1 up ``decompose`` checks
+the split of M around the ball and returns it, and at dimension 0, where
+no split is checked, ``simplicial_complement`` builds it.
 """
 
 from __future__ import annotations
@@ -262,25 +263,19 @@ def find_induced_ball(
     d = m.dim
     n = len(m.vertices)
 
-    base = m.facet_masks[0]
-    # every face of m on the span of a facet lies in that facet
-    ball = SimplicialComplex._from_facet_masks((base,))
+    # every face of m on the span of a facet lies in that facet; the facet
+    # policy is the greedy loop that takes no step
+    ball = SimplicialComplex._from_facet_masks(m.facet_masks[:1])
     evidence = "facet span equals the standard ball"
-    if policy == "facet":
-        if n <= (d + 1) + collapse_mod.ACYCLIC_VERTEX_BOUND:
-            return ball, evidence
-        return None
-
-    while ball.vertex_mask.bit_count() < n - 1:
+    while policy == "greedy" and ball.vertex_mask.bit_count() < n - 1:
         for v in _bits(m.vertex_mask & ~ball.vertex_mask):
             candidate = m.induced(ball.vertex_mask | 1 << v)
             if candidate.dim == d and is_combinatorial_ball(candidate, budget):
                 ball = candidate
+                evidence = "greedily grown; manifold-with-boundary and collapsible"
                 break
         else:
             break
-    if ball.vertex_mask != base:
-        evidence = "greedily grown; manifold-with-boundary and collapsible"
     if n <= ball.vertex_mask.bit_count() + collapse_mod.ACYCLIC_VERTEX_BOUND:
         return ball, evidence
     return None
@@ -329,50 +324,44 @@ def certify_sphere(
         )
     ball, evidence = found
 
-    # never empty: a greedy ball stops short of V(m), and a facet spans
-    # V(m) only in a simplex, which the homology gate turned away
-    complement = simplicial_complement(ball, m)
+    def self_check_failed(
+        reason: str, message: str, cause: Optional[Exception] = None
+    ) -> SphereCertificate:
+        # on a verified manifold a failed self-check is a bug, not a
+        # property of the input; an assumed one is refuted by it
+        if assume_manifold:
+            return SphereCertificate(PRECONDITION_FAILED, reason, manifold)
+        raise RuntimeError(f"pipeline self-check failed: {message}") from cause
 
-    # the two-sided decomposition re-asserts its own conclusions; on a
-    # verified manifold any failure is a bug, not a property of the input
-    # (boundary complexes make no sense at dimension 0, so skip it there)
-    if d >= 1:
+    # the two-sided decomposition re-asserts its own conclusions and returns
+    # the complement; boundary complexes make no sense at dimension 0, so
+    # there the complement is built alone.  It is never empty: a greedy ball
+    # stops short of V(m), and a facet spans V(m) only in a simplex, which
+    # the homology gate turned away
+    if d == 0:
+        complement = simplicial_complement(ball, m)
+    else:
         try:
-            decompose(m, ball)
+            complement = decompose(m, ball).l
         except (ValueError, RuntimeError) as exc:
-            if assume_manifold:
-                return SphereCertificate(
-                    PRECONDITION_FAILED, f"decomposition failed: {exc}", manifold
-                )
-            raise RuntimeError(f"pipeline self-check failed: {exc}") from exc
+            return self_check_failed(f"decomposition failed: {exc}", str(exc), exc)
 
     betti = homology.reduced_betti(complement)
     if any(betti):
-        if assume_manifold:
-            return SphereCertificate(
-                PRECONDITION_FAILED,
-                "complement not Z2-acyclic; the assumed manifold hypothesis fails",
-                manifold,
-            )
-        raise RuntimeError(
-            "pipeline self-check failed: complement of an induced ball in a "
-            "verified homology-sphere manifold must be Z2-acyclic"
+        return self_check_failed(
+            "complement not Z2-acyclic; the assumed manifold hypothesis fails",
+            "complement of an induced ball in a verified homology-sphere "
+            "manifold must be Z2-acyclic",
         )
 
     verdict = collapse_mod.is_collapsible(complement, budget)
     if verdict.status == collapse_mod.INCONCLUSIVE:
         return SphereCertificate(INCONCLUSIVE, "collapse budget exhausted", manifold)
     if verdict.status == collapse_mod.NOT_COLLAPSIBLE:
-        if assume_manifold:
-            return SphereCertificate(
-                PRECONDITION_FAILED,
-                "acyclic complement not collapsible; the assumed manifold "
-                "hypothesis fails",
-                manifold,
-            )
-        raise RuntimeError(
-            "pipeline self-check failed: a Z2-acyclic complex on <= 7 "
-            "vertices did not collapse"
+        return self_check_failed(
+            "acyclic complement not collapsible; the assumed manifold "
+            "hypothesis fails",
+            "a Z2-acyclic complex on <= 7 vertices did not collapse",
         )
     cert = verdict.certificate
     if not collapse_mod.verify_certificate(complement, cert):

@@ -168,8 +168,14 @@ def test_criterion_5_sampled_collapsibility():
     report = sample_acyclic_collapsibility(100_000, seed=1)
     assert report.counterexamples == ()
     assert report.collapsible_count == report.acyclic_found
+    # holds by construction: the sampler rank-tests only chi = 1 draws
     assert report.chi_failures == 0
     assert report.acyclic_without_free_faces == ()
+    # this seeded run's counts: a change that loses or adds an acyclic draw
+    # fails here even when the two counts above still agree
+    assert report.nonempty == 99_946
+    assert report.acyclic_found == 33_000
+    assert report.collapsible_count == 33_000
     seconds = time.perf_counter() - t0
     assert seconds < 600
     _report(

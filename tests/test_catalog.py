@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -72,3 +74,46 @@ class TestCrossValidation:
         from simptop.bistellar import apply_generalized_move
 
         assert catalog.get("R").complex == apply_generalized_move(rp2, (1, 2, 5, 6))
+
+
+def _wrong(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value[:-1] + (value[-1] + 1,)
+
+
+def _invariant_cases():
+    """(invariant, the first entry by name that expects it)."""
+    cases = {}
+    for name in catalog.names():
+        for invariant in catalog.get(name).expected:
+            cases.setdefault(invariant, name)
+    return sorted(cases.items())
+
+
+class TestSelfValidation:
+    def test_sphere_f_vectors_are_stated_not_measured(self):
+        assert catalog.get("S0_2").expected["f_vector"] == (2,)
+        assert catalog.get("S2_4").expected["f_vector"] == (4, 6, 4)
+        assert catalog.get("S4_6").expected["f_vector"] == (6, 15, 20, 15, 6)
+
+    def test_every_invariant_is_expected_somewhere(self):
+        assert {invariant for invariant, _ in _invariant_cases()} == {
+            "f_vector",
+            "euler_characteristic",
+            "reduced_betti",
+            "z2_acyclic",
+            "weak_pseudomanifold",
+            "pseudomanifold",
+            "free_faces",
+        }
+
+    @pytest.mark.parametrize("invariant, name", _invariant_cases())
+    def test_a_wrong_expectation_raises(self, invariant, name):
+        entry = catalog.get(name)
+        catalog._validate(entry)
+        expected = {**entry.expected, invariant: _wrong(entry.expected[invariant])}
+        with pytest.raises(RuntimeError, match=f"^catalog {re.escape(name)}: "):
+            catalog._validate(dataclasses.replace(entry, expected=expected))

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,7 @@ from simptop import (
     standard_sphere,
     verify_certificate,
 )
-from simptop import census, recognition, reports
+from simptop import census, homology, recognition, reports
 from simptop import collapse as collapse_mod
 from simptop.bistellar import apply_generalized_move
 from simptop.census import (
@@ -33,6 +34,7 @@ from simptop.census import (
 from simptop.homology import reduced_betti
 from simptop.recognition import (
     INCONCLUSIVE,
+    MANIFOLD_INCONCLUSIVE,
     MANIFOLD_NO,
     MANIFOLD_YES,
     NO_PROPER_MOVE,
@@ -57,6 +59,7 @@ from conftest import (
     oracle_is_weak_pm_with_boundary,
     oracle_is_weak_pseudomanifold,
     sc,
+    stacked_sphere,
 )
 
 
@@ -225,6 +228,118 @@ class TestCertifySphere:
                 cert = certify_sphere(m)
                 assert cert.verdict == SPHERE
                 assert verify_certificate(cert.complement, cert.collapse_certificate)
+
+
+@functools.cache
+def suspended_walked_s3():
+    """A 4-sphere on 14 vertices: a walked 3-sphere on 12 vertices suspended
+    on 40 and 41.  Some vertex links, those of 40 and 41 among them, are
+    3-spheres above the d + 8 = 11 vertex bound, so no facet ball certifies
+    them and the manifold check reduces them by flips; the others certify.
+    The whole is above its own bound of 12 vertices."""
+    s3 = random_bistellar_walk(stacked_sphere(3, 12), 20, seed=1, max_vertices=12)
+    return join(s3, standard_sphere(0, (40, 41)))
+
+
+class TestFlipFallback:
+    def test_links_above_the_bound_reduce_by_flips(self):
+        verdict = is_combinatorial_manifold(suspended_walked_s3())
+        assert verdict.status == MANIFOLD_YES
+        by_flips = {v for v, said in verdict.witness if "flips" in said}
+        assert {40, 41} <= by_flips
+        assert {said for _, said in verdict.witness} == {
+            "link certified via induced-ball pipeline",
+            "link reduced to the standard sphere by flips",
+        }
+
+    def test_unreduced_links_leave_the_manifold_status_open(self, monkeypatch):
+        monkeypatch.setattr(recognition, "flip_search", lambda *args, **kwargs: None)
+        m = suspended_walked_s3()
+        verdict = is_combinatorial_manifold(m)
+        assert verdict.status == MANIFOLD_INCONCLUSIVE
+        assert {40, 41} <= {v for v, _ in verdict.witness}
+        assert {said for _, said in verdict.witness} == {"link not certified"}
+        cert = certify_sphere(m)
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "manifold status unresolved")
+        assert cert.manifold == verdict
+
+    @pytest.mark.parametrize("policy", ["facet", "greedy"])
+    def test_no_ball_within_the_bound(self, policy):
+        # no candidate of dimension 4 passes the ball test, so the greedy
+        # policy keeps the facet as well, and 14 > 5 + 7
+        m = suspended_walked_s3()
+        assert find_induced_ball(m, policy) is None
+        cert = certify_sphere(m, assume_manifold=True, ball_policy=policy)
+        assert (cert.verdict, cert.reason) == (
+            INCONCLUSIVE,
+            "no induced ball found with a <= 7 vertex complement",
+        )
+
+
+def _failing_decomposition(monkeypatch):
+    error = RuntimeError("decompose self-check failed: boundaries differ")
+
+    def failing(y, y1):
+        raise error
+
+    monkeypatch.setattr(recognition, "decompose", failing)
+    return error
+
+
+def _cyclic_complement(monkeypatch):
+    # the homology gate stays real; only the complement's Betti numbers lie
+    gates = SimpleNamespace(
+        is_z2_homology_sphere=homology.is_z2_homology_sphere,
+        reduced_betti=lambda k: (0,) * k.dim + (1,),
+    )
+    monkeypatch.setattr(recognition, "homology", gates)
+
+
+def _stuck_complement(monkeypatch):
+    stuck = collapse_mod.CollapseVerdict(collapse_mod.NOT_COLLAPSIBLE, 1)
+    monkeypatch.setattr(collapse_mod, "is_collapsible", lambda k, budget=None: stuck)
+
+
+SELF_CHECK_FAILURES = [
+    (
+        _failing_decomposition,
+        "decomposition failed: decompose self-check failed: boundaries differ",
+        "pipeline self-check failed: decompose self-check failed: boundaries differ",
+    ),
+    (
+        _cyclic_complement,
+        "complement not Z2-acyclic; the assumed manifold hypothesis fails",
+        "pipeline self-check failed: complement of an induced ball in a "
+        "verified homology-sphere manifold must be Z2-acyclic",
+    ),
+    (
+        _stuck_complement,
+        "acyclic complement not collapsible; the assumed manifold hypothesis fails",
+        "pipeline self-check failed: a Z2-acyclic complex on <= 7 vertices "
+        "did not collapse",
+    ),
+]
+
+
+class TestSelfCheckFailures:
+    """A failed self-check refutes an assumed manifold hypothesis and is a
+    bug on a verified manifold."""
+
+    @pytest.mark.parametrize("fail, reason, message", SELF_CHECK_FAILURES)
+    def test_assumed_manifold_is_refuted(self, monkeypatch, fail, reason, message):
+        fail(monkeypatch)
+        cert = certify_sphere(catalog.get("Sigma2").complex, assume_manifold=True)
+        assert (cert.verdict, cert.reason) == (PRECONDITION_FAILED, reason)
+        assert cert.manifold.witness == ((-1, "assumed by caller"),)
+        assert cert.ball is None and cert.complement is None
+
+    @pytest.mark.parametrize("fail, reason, message", SELF_CHECK_FAILURES)
+    def test_verified_manifold_raises(self, monkeypatch, fail, reason, message):
+        cause = fail(monkeypatch)
+        with pytest.raises(RuntimeError) as info:
+            certify_sphere(catalog.get("Sigma2").complex)
+        assert str(info.value) == message
+        assert info.value.__cause__ is cause
 
 
 class TestProperMoveClassification:
