@@ -224,6 +224,8 @@ def _moves(
     """The moves of :func:`enumerate_moves`, in its order, as mask tuples."""
     if k.is_empty() or not k.is_pure():
         raise ValueError("enumerate_moves needs a pure non-empty complex")
+    if not isinstance(include_expanding, bool):
+        raise ValueError(f"include_expanding must be a bool, not {include_expanding!r}")
     if classifications is None:
         wanted = set(CLASSIFICATIONS)
     elif isinstance(classifications, str):

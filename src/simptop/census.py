@@ -73,6 +73,11 @@ class CensusSpec:
             raise ValueError(f"n_vertices must be an int, not {self.n_vertices!r}")
         if self.max_facets is not None and not _is_int(self.max_facets):
             raise ValueError(f"max_facets must be an int, not {self.max_facets!r}")
+        # a string such as "no" is truthy and would turn the flag on
+        for flag in ("exact_vertices", "symmetry_breaking"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} must be a bool, not {value!r}")
         if not 4 <= self.n_vertices <= MAX_CENSUS_VERTICES:
             raise ValueError(
                 f"census vertex count must be 4..{MAX_CENSUS_VERTICES}"

@@ -649,7 +649,11 @@ def are_isomorphic(
     """A vertex bijection carrying k onto l, or None.
 
     Exhaustive backtracking pruned by link f-vectors; capped at 12
-    vertices, which covers everything the census and catalog need.
+    vertices, which covers everything the census and catalog need.  Each
+    face of k is checked once, when the last of its vertices in the search
+    order is placed, by one lookup of its image in l's star table.  The
+    f-vectors are equal, so a vertex injection sending every face of k to
+    a face of l is onto in each dimension: an isomorphism.
     """
     nk, nl = len(k.vertices), len(l.vertices)
     if max(nk, nl) > ISO_SEARCH_CAP:
@@ -660,56 +664,35 @@ def are_isomorphic(
     if sorted(inv_k.values()) != sorted(inv_l.values()):
         return None
 
-    faces_k, faces_l = k._star, l._star
     # rarest invariant first keeps the branching factor low
     freq: Dict[Tuple, int] = {}
     for t in inv_k.values():
         freq[t] = freq.get(t, 0) + 1
     order = sorted(k.vertices, key=lambda v: (freq[inv_k[v]], v))
-    candidates = {
-        v: [w for w in l.vertices if inv_l[w] == inv_k[v]] for v in order
-    }
+    candidates = [[w for w in l.vertices if inv_l[w] == inv_k[v]] for v in order]
+    # completes[i]: the faces of k whose last vertex in the order is order[i]
+    position = {v: i for i, v in enumerate(order)}
+    completes: List[List[Tuple[int, ...]]] = [[] for _ in order]
+    for face in k._star:
+        vertices = _bits(face)
+        completes[max(position[u] for u in vertices)].append(vertices)
 
-    assigned: Dict[int, int] = {}
-    used = 0
+    faces_l = l._star
+    image: Dict[int, int] = {}  # a placed vertex of k -> the bit of its image
 
-    def consistent(v: int, w: int) -> bool:
-        placed = assigned.keys()
-        img = {a: b for a, b in assigned.items()}
-        img[v] = w
-        count = 0
-        for face in faces_k:
-            if face >> v & 1 and all(
-                (face >> u & 1) == 0 or u == v or u in placed for u in _bits(face)
-            ):
-                count += 1
-                image = 0
-                for u in _bits(face):
-                    image |= 1 << img[u]
-                if image not in faces_l:
-                    return False
-        # matched face counts force non-faces onto non-faces
-        wmask = (1 << w) | sum(1 << assigned[u] for u in placed)
-        lcount = sum(1 for face in faces_l if face >> w & 1 and face & ~wmask == 0)
-        return count == lcount
-
-    def backtrack(i: int) -> bool:
-        nonlocal used
+    def backtrack(i: int, used: int) -> bool:
         if i == len(order):
             return True
-        v = order[i]
-        for w in candidates[v]:
+        for w in candidates[i]:
             if used >> w & 1:
                 continue
-            if consistent(v, w):
-                assigned[v] = w
-                used |= 1 << w
-                if backtrack(i + 1):
-                    return True
-                del assigned[v]
-                used ^= 1 << w
+            image[order[i]] = 1 << w
+            if all(
+                sum(image[u] for u in face) in faces_l for face in completes[i]
+            ) and backtrack(i + 1, used | 1 << w):
+                return True
         return False
 
-    if backtrack(0):
-        return dict(assigned)
+    if backtrack(0, 0):
+        return {v: image[v].bit_length() - 1 for v in order}
     return None

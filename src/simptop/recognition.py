@@ -222,10 +222,9 @@ def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
         if cert.is_sphere():
             witness.append((v, "link certified via induced-ball pipeline"))
             continue
-        if cert.verdict == PRECONDITION_FAILED and cert.reason in (
-            "not a Z2-homology sphere",
-            "not a combinatorial manifold",
-        ):
+        # unassumed, only the manifold and homology gates fail a
+        # precondition: a failed self-check raises
+        if cert.verdict == PRECONDITION_FAILED:
             return ManifoldVerdict(MANIFOLD_NO, ((v, f"link: {cert.reason}"),))
         trace = flip_search(link, "standard-sphere", seed=0)
         if trace is not None:
@@ -264,10 +263,12 @@ def find_induced_ball(
     n = len(m.vertices)
 
     # every face of m on the span of a facet lies in that facet; the facet
-    # policy is the greedy loop that takes no step
+    # policy is the greedy loop that takes no step, and so is the greedy
+    # policy above dimension 3, where no candidate is a simplex and
+    # is_combinatorial_ball never answers True
     ball = SimplicialComplex._from_facet_masks(m.facet_masks[:1])
     evidence = "facet span equals the standard ball"
-    while policy == "greedy" and ball.vertex_mask.bit_count() < n - 1:
+    while policy == "greedy" and d <= 3 and ball.vertex_mask.bit_count() < n - 1:
         for v in _bits(m.vertex_mask & ~ball.vertex_mask):
             candidate = m.induced(ball.vertex_mask | 1 << v)
             if candidate.dim == d and is_combinatorial_ball(candidate, budget):

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from simptop import catalog, census, from_facets, homology, relabel
-from simptop.complexes import SimplicialComplex, _bits
+from simptop.complexes import (
+    ISO_SEARCH_CAP,
+    SimplicialComplex,
+    _bits,
+    _vertex_invariants,
+)
 
 
 def sc(*facets):
@@ -224,3 +229,71 @@ def oracle_boundary_complex(k):
     if not boundary:
         raise ValueError("no boundary: every ridge has degree 2")
     return SimplicialComplex(boundary)
+
+
+def oracle_are_isomorphic(k, l):
+    """``complexes.are_isomorphic`` as it searched before each face was
+    checked once: every candidate rescans the faces of k spanned by the
+    placed vertices and counts l's faces on their images, so that matched
+    counts force non-faces onto non-faces.  Same entry tests, vertex order
+    and candidate order, so the same return value, key order included."""
+    nk, nl = len(k.vertices), len(l.vertices)
+    if max(nk, nl) > ISO_SEARCH_CAP:
+        raise ValueError(f"isomorphism search cap: more than {ISO_SEARCH_CAP} vertices")
+    if nk != nl or k.f_vector() != l.f_vector():
+        return None
+    inv_k, inv_l = _vertex_invariants(k), _vertex_invariants(l)
+    if sorted(inv_k.values()) != sorted(inv_l.values()):
+        return None
+
+    faces_k, faces_l = k._star, l._star
+    freq = {}
+    for t in inv_k.values():
+        freq[t] = freq.get(t, 0) + 1
+    order = sorted(k.vertices, key=lambda v: (freq[inv_k[v]], v))
+    candidates = {
+        v: [w for w in l.vertices if inv_l[w] == inv_k[v]] for v in order
+    }
+
+    assigned = {}
+    used = 0
+
+    def consistent(v, w):
+        placed = assigned.keys()
+        img = {a: b for a, b in assigned.items()}
+        img[v] = w
+        count = 0
+        for face in faces_k:
+            if face >> v & 1 and all(
+                (face >> u & 1) == 0 or u == v or u in placed for u in _bits(face)
+            ):
+                count += 1
+                image = 0
+                for u in _bits(face):
+                    image |= 1 << img[u]
+                if image not in faces_l:
+                    return False
+        wmask = (1 << w) | sum(1 << assigned[u] for u in placed)
+        lcount = sum(1 for face in faces_l if face >> w & 1 and face & ~wmask == 0)
+        return count == lcount
+
+    def backtrack(i):
+        nonlocal used
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in candidates[v]:
+            if used >> w & 1:
+                continue
+            if consistent(v, w):
+                assigned[v] = w
+                used |= 1 << w
+                if backtrack(i + 1):
+                    return True
+                del assigned[v]
+                used ^= 1 << w
+        return False
+
+    if backtrack(0):
+        return dict(assigned)
+    return None

@@ -7,6 +7,7 @@ import pytest
 
 from simptop import (
     FlipSchedule,
+    FlipTrace,
     apply_generalized_move,
     are_isomorphic,
     catalog,
@@ -17,6 +18,7 @@ from simptop import (
     flip_search,
     from_facets,
     random_bistellar_walk,
+    relabel,
     standard_sphere,
 )
 from simptop.bistellar import (
@@ -36,6 +38,9 @@ from simptop.structure import is_weak_pseudomanifold
 from simptop.verification import replay_move_identities
 
 from conftest import random_pure_complex, sc, walked_spheres
+
+OCTAHEDRON = catalog.get("octahedron").complex
+OCTAHEDRON_FLIPPED = {v: 11 - v for v in OCTAHEDRON.vertices}
 
 
 class TestCore:
@@ -250,6 +255,15 @@ class TestFaceDrivenEnumeration:
         with pytest.raises(ValueError, match="not 'bistellar'"):
             enumerate_moves(s2, BISTELLAR)
 
+    def test_non_bool_include_expanding_rejected(self):
+        # "no" is truthy: it returned the 10 expanding moves as well
+        s2 = catalog.get("Sigma2").complex
+        with pytest.raises(
+            ValueError, match="^include_expanding must be a bool, not 'no'$"
+        ):
+            enumerate_moves(s2, None, "no")
+        assert len(enumerate_moves(s2, None, False)) == 27
+
     def test_full_vertex_pool_hits_vertex_cap(self):
         full = cycle(64)
         with pytest.raises(ValueError, match="vertex cap"):
@@ -300,6 +314,22 @@ class TestFlipSearch:
         trace = flip_search(sigma2, ("reach", sigma3), seed=4)
         assert trace is not None
         assert are_isomorphic(replay_trace(sigma2, trace), sigma3) is not None
+
+    @pytest.mark.parametrize(
+        "k, goal",
+        [
+            (standard_sphere(2), "standard-sphere"),
+            (OCTAHEDRON, ("facet-count", 8)),
+            # the goal test runs the isomorphism search on the start itself
+            (OCTAHEDRON, ("reach", relabel(OCTAHEDRON, OCTAHEDRON_FLIPPED))),
+        ],
+        ids=["standard-sphere", "facet-count", "reach"],
+    )
+    def test_start_meeting_goal_is_the_empty_trace(self, k, goal):
+        trace = flip_search(k, goal, seed=0)
+        enc = k.canonical_encoding()
+        assert trace == FlipTrace((), enc, enc)
+        assert replay_trace(k, trace) == k
 
     def test_trace_only_bistellar_moves(self):
         trace = flip_search(catalog.get("Sigma4").complex, "standard-sphere", seed=11)

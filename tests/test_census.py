@@ -384,6 +384,13 @@ class TestEnumerationSmall:
         with pytest.raises(ValueError, match="max_facets must be an int"):
             enumerate_census(CensusSpec(n_vertices=6, max_facets=True))
 
+    # a string such as "no" is truthy: it ran the census with the flag on
+    @pytest.mark.parametrize("flag", ["exact_vertices", "symmetry_breaking"])
+    def test_non_bool_flag_is_a_value_error(self, flag):
+        spec = CensusSpec(n_vertices=5, **{flag: "no"})
+        with pytest.raises(ValueError, match=f"^{flag} must be a bool, not 'no'$"):
+            enumerate_census(spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             enumerate_census(CensusSpec(n_vertices=9))
@@ -391,6 +398,15 @@ class TestEnumerationSmall:
             CensusSpec(n_vertices=6, dimension=3)
         with pytest.raises(ValueError):
             enumerate_census(CensusSpec(n_vertices=6, constraint="nope"))
+        spec = CensusSpec(n_vertices=7, constraint=CONSTRAINT_BOUNDARY)
+        with pytest.raises(ValueError, match="capped at 6 vertices"):
+            enumerate_census(spec)
+        for n in (4, 7):
+            cap = math.comb(n, 3)
+            for max_facets in (0, cap + 1):
+                with pytest.raises(ValueError, match="max_facets outside the feasible"):
+                    enumerate_census(CensusSpec(n_vertices=n, max_facets=max_facets))
+            assert CensusSpec(n_vertices=n, max_facets=cap).validated()
 
 
 def _images_tried(labeled, reps, n):

@@ -9,13 +9,16 @@ import sys
 import pytest
 
 from simptop import (
+    CensusSpec,
     Face,
     are_isomorphic,
     catalog,
     cycle,
+    enumerate_census,
     from_facets,
     is_collapsible,
     join,
+    random_bistellar_walk,
     relabel,
     standard_ball,
     standard_sphere,
@@ -33,6 +36,7 @@ from simptop.complexes import (
     _rank_faces,
     _star_table,
 )
+from simptop.census import CONSTRAINT_BOUNDARY, CONSTRAINT_EVEN
 from simptop.collapse import _search
 from simptop.homology import boundary_matrix, reduced_betti
 from simptop.structure import _ridges
@@ -40,13 +44,16 @@ from simptop.structure import _ridges
 from conftest import (
     image_mask,
     low_labels,
+    oracle_are_isomorphic,
     oracle_induced,
     oracle_ridge_degrees,
     per_complex_faces,
     random_pure_complex,
     sampler_draws,
     sc,
+    spread_labels,
     spread_mapping,
+    stacked_sphere,
     walked_spheres,
 )
 
@@ -447,6 +454,82 @@ class TestIsomorphism:
         big = from_facets([(i, i + 1) for i in range(13)])
         with pytest.raises(ValueError, match="isomorphism search cap"):
             are_isomorphic(big, big)
+
+
+def _random_small_complex(rng):
+    """A random 1-, 2- or 3-complex on at most 9 vertices."""
+    n = rng.randint(2, 9)
+    d = min(rng.randint(1, 3), n - 1)
+    return random_pure_complex(rng, n, d, rng.choice((0.2, 0.35, 0.5)))
+
+
+def _same_f_vector_pairs(ks):
+    return [
+        (a, b) for a in ks for b in ks if a is not b and a.f_vector() == b.f_vector()
+    ]
+
+
+def _iso_pairs_catalog(rng):
+    ks = [catalog.get(name).complex for name in catalog.names()]
+    return [(a, b) for a in ks for b in ks]
+
+
+def _iso_pairs_census(rng):
+    specs = (
+        CensusSpec(n_vertices=6),
+        CensusSpec(n_vertices=7, max_facets=10, exact_vertices=True),
+        CensusSpec(n_vertices=7, max_facets=10, constraint=CONSTRAINT_EVEN),
+        CensusSpec(n_vertices=6, constraint=CONSTRAINT_BOUNDARY),
+    )
+    pairs = []
+    for spec in specs:
+        reps = enumerate_census(spec).representatives
+        pairs += _same_f_vector_pairs(reps) + [(k, spread_labels(k, rng)) for k in reps]
+    return pairs
+
+
+def _iso_pairs_random(rng):
+    pairs = []
+    for _ in range(1000):
+        k = _random_small_complex(rng)
+        pairs += [(k, spread_labels(k, rng)), (k, _random_small_complex(rng))]
+    return pairs
+
+
+def _iso_pairs_walked(rng):
+    spheres = [
+        random_bistellar_walk(
+            stacked_sphere(d, n), 15, rng.getrandbits(31), max_vertices=n
+        )
+        for d in (2, 3, 4)
+        for n in (10, 11, 12)
+        for _ in range(6)
+    ]
+    return _same_f_vector_pairs(spheres) + [(k, spread_labels(k, rng)) for k in spheres]
+
+
+class TestIsomorphismMatchesOracle:
+    """The search that checks each face once, at the level that completes
+    it, returns what the search that rescanned both complexes per candidate
+    returned: None, or the same bijection with its keys in the same order."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [_iso_pairs_catalog, _iso_pairs_census, _iso_pairs_random, _iso_pairs_walked],
+        ids=["catalog", "census", "random", "walked"],
+    )
+    def test_same_return_value(self, family):
+        pairs = family(random.Random(20261020))
+        found = 0
+        for k, l in pairs:
+            got, want = are_isomorphic(k, l), oracle_are_isomorphic(k, l)
+            assert got == want, (k.facet_tuples(), l.facet_tuples())
+            if want is not None:
+                assert list(got) == list(want)
+                assert relabel(k, got) == l
+                found += 1
+        # each family holds both answers
+        assert 0 < found < len(pairs)
 
 
 class TestStandardComplexes:

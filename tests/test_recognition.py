@@ -264,11 +264,21 @@ class TestFlipFallback:
         assert cert.manifold == verdict
 
     @pytest.mark.parametrize("policy", ["facet", "greedy"])
-    def test_no_ball_within_the_bound(self, policy):
+    def test_no_ball_within_the_bound(self, policy, monkeypatch):
         # no candidate of dimension 4 passes the ball test, so the greedy
-        # policy keeps the facet as well, and 14 > 5 + 7
+        # policy keeps the facet as well, without inducing a candidate, and
+        # 14 > 5 + 7
         m = suspended_walked_s3()
+        built = []
+        induced = SimplicialComplex.induced
+
+        def recording(k, u):
+            built.append(u)
+            return induced(k, u)
+
+        monkeypatch.setattr(SimplicialComplex, "induced", recording)
         assert find_induced_ball(m, policy) is None
+        assert built == []
         cert = certify_sphere(m, assume_manifold=True, ball_policy=policy)
         assert (cert.verdict, cert.reason) == (
             INCONCLUSIVE,
