@@ -451,10 +451,11 @@ def sample_acyclic_collapsibility(
     counterexamples: List[str] = []
     inconclusive: List[str] = []
     no_free_faces: List[str] = []
+    draw = rng.random
     for _ in range(n_samples):
         d = rng.choice((2, 3))
         p = SAMPLER_P[d]
-        facets = [m for m in candidates[d] if rng.random() < p]
+        facets = [m for m in candidates[d] if draw() < p]
         if not facets:
             continue
         nonempty += 1

@@ -17,21 +17,26 @@ search never backtracks, and the first node without a free face proves
 
 Each search reads its faces off ``SimplicialComplex._search_faces``, in
 that best-first order (dimension descending, then lexicographic vertex
-tuple), with the codimension-one faces of every face and the bitset of the
-faces covering it.  A complex on vertex ids 0..6 reads all three off the
-fixed face tables: the slice for its dimension starts at the first face of
-that dimension, ranks shifted down to 0, and the start node is the
-complex's table closure shifted the same way.  Any other complex ranks its
-own faces, inverts their codimension-one faces into covers, and starts at
-every rank.  The faces come in the same order on both paths, so both take
-the same steps.  A node is then its closure as a bitset over ranks and its
-free faces (exactly one cover in the closure) as a bitset too, plus the
-free faces it has yet to try.  A free face has one coface, so the lowest
-untried bit names the next pair.  Removing a pair (tau, sigma) can only
-change the cover counts of faces directly below tau or sigma, so a child
-re-tests just those.  The memo stores the closure ints themselves, never
-hashes of them: a collision would mark a live node dead and fake "not
-collapsible".
+tuple), with the bitset of the faces covering every face, a map from each
+pair to its neighbourhood, the start closure and the start's free faces.
+A complex on vertex ids 0..6 reads them off the fixed face tables: the
+slice for its dimension starts at the first face of that dimension, ranks
+shifted down to 0, and the start node is the complex's table closure
+shifted the same way.  Its free faces are read off its facets (a face is
+free exactly when one facet holds it and covers it), and the pair map of
+each dimension is built once, on the first search in it.  Any other
+complex ranks its own faces, inverts their codimension-one faces into
+covers, starts at every rank with the ranks of one cover free, and fills
+each pair's neighbourhood on its first use.  The faces come in the same
+order on both paths, so both take the same steps.  A node is then its
+closure as a bitset over ranks and its free faces (exactly one cover in
+the closure) as a bitset too, plus the free faces it has yet to try.  A
+free face has one coface, so the lowest untried bit names the next pair.
+Removing a pair (tau, sigma) can only change the cover counts of the faces
+directly below tau or sigma, so a child re-tests just those: the pair's
+neighbourhood lists each with its covers and its bit.  The memo stores the
+closure ints themselves, never hashes of them: a collision would mark a
+live node dead and fake "not collapsible".
 
 A positive verdict's certificate is two mask fields: ``pairs``, the
 (tau, sigma) masks of the pairs the search removed, and ``faces``, the
@@ -187,7 +192,7 @@ def _search(
     negative or non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
-    masks, down, up, start = k._search_faces()
+    masks, up, pairs, start, free = k._search_faces()
     goal = None
     if target is not None:
         rank = {m: i for i, m in enumerate(masks)}
@@ -203,7 +208,6 @@ def _search(
         return CollapseVerdict(COLLAPSIBLE, 0, cert)
     dead = set()
     path: List[Tuple[int, int]] = []
-    free = sum(1 << i for i in _bits(start) if (up[i] & start).bit_count() == 1)
     free &= unprotected
     # each node is [closure, free faces, free faces not tried yet]
     stack = [[start, free, free]]
@@ -217,7 +221,8 @@ def _search(
             untried ^= low
             t = low.bit_length() - 1
             high = up[t] & closure
-            child = closure ^ low ^ high
+            pair = low | high
+            child = closure ^ pair
             if child in dead:
                 memo_hits += 1
                 continue
@@ -238,12 +243,12 @@ def _search(
                     INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
                 )
             # only faces right below tau or sigma lost a cover
-            child_free = free & ~(low | high)
-            for j in down[t] + down[s]:
-                if (up[j] & child).bit_count() == 1:
-                    child_free |= 1 << j
+            child_free = free & ~pair
+            for covers, bit in pairs[pair]:
+                if (covers & child).bit_count() == 1:
+                    child_free |= bit
                 else:
-                    child_free &= ~(1 << j)
+                    child_free &= ~bit
             child_free &= unprotected
             stack.append([child, child_free, child_free])
             break

@@ -13,9 +13,12 @@ of 0..6 are ranked once, in fixed tables built on first use, and the
 complex's closure is one bitset over those ranks, the OR of its facets'
 down-sets.  Its f-vector, Euler characteristic and GF(2) boundary columns
 are read off that bitset, and its collapse search runs on it, shifted onto
-the tables' slice for its dimension.  Every other complex, even one on few
+the tables' slice for its dimension, with its free faces read off its
+facets and each slice's pair neighbourhoods (``_slice_pairs``) built on the
+first search in that dimension.  Every other complex, even one on few
 vertices with a higher id, groups its closure by dimension, unsorted for
-counts and boundary columns, and ranks those groups for its searches.
+counts and boundary columns, and ranks those groups for its searches,
+filling each pair's neighbourhood (``_PairCells``) on its first use.
 This module alone makes that choice: ``homology`` reads
 ``_boundary_columns`` and ``collapse`` reads ``_search_faces``.  Boundary
 matrices and free faces rank every complex's own faces through
@@ -23,7 +26,8 @@ matrices and free faces rank every complex's own faces through
 ``_star``: face -> OR of the facets on it.  Its keys are the closure that
 every other face query reads; ``induced`` reads its values, keeping a
 facet's trace g on U when ``_star[g]`` holds no more of U.  All values are
-immutable; every operation returns a fresh complex.
+immutable; every operation returns a fresh complex.  Isomorphism search
+counts each vertex's link f-vector off the star table's keys.
 """
 
 from __future__ import annotations
@@ -146,10 +150,13 @@ def _face_tables() -> SimpleNamespace:
     ``odd`` are the ORs of ``level[q]`` over even and over odd q, so a
     closure's Euler characteristic is two popcounts.
 
-    ``slices[q]`` is ``(masks, down, up)`` from the first q-face on, every
-    rank shifted down by that face's rank: the faces a q-complex can hold.
-    A q-complex's table closure shifted the same way is its closure over
-    the slice, which a collapse search runs on directly.
+    ``rank[m]`` is the rank of the face with mask m.
+
+    ``slices[q]`` is ``(masks, up)`` from the first q-face on, every rank
+    shifted down by that face's rank: the faces a q-complex can hold.  A
+    q-complex's table closure shifted the same way is its closure over the
+    slice, which a collapse search runs on directly.  The slice's pair
+    neighbourhoods are ``_slice_pairs(q)``, built on first use of q.
     """
     n = TABLE_VERTICES
     subsets = range(1, 1 << n)
@@ -175,14 +182,11 @@ def _face_tables() -> SimpleNamespace:
         # q-face lies below it, and covers above it are shifted out
         first = (level[q] & -level[q]).bit_length() - 1
         slices.append(
-            (
-                tuple(masks[first:]),
-                tuple(tuple(j - first for j in below) for below in down[first:]),
-                tuple(covers >> first for covers in up[first:]),
-            )
+            (tuple(masks[first:]), tuple(covers >> first for covers in up[first:]))
         )
     return SimpleNamespace(
         masks=tuple(masks),
+        rank=tuple(rank),
         downset=tuple(downset),
         down=tuple(down),
         up=tuple(up),
@@ -193,6 +197,51 @@ def _face_tables() -> SimpleNamespace:
         odd=sum(level[1::2]),
         slices=tuple(slices),
     )
+
+
+class _PairCells(dict):
+    """Where removing a pair changes cover counts, for a collapse search.
+
+    The key is a pair's rank bitset ``1 << t | 1 << s``, s covering t; the
+    value lists the cells ``(up[j], 1 << j)`` of the faces j in
+    ``down[t] + down[s]`` other than t, the only faces that can lose a
+    cover.  Each face has one cell, shared by every entry that lists it.
+    An entry is filled on its first lookup.
+    """
+
+    __slots__ = ("_down", "_cells")
+
+    def __init__(self, down: Sequence[Tuple[int, ...]], up: Sequence[int]) -> None:
+        super().__init__()
+        self._down = down
+        self._cells = [(covers, 1 << j) for j, covers in enumerate(up)]
+
+    def __missing__(self, pair: int) -> Tuple[Tuple[int, int], ...]:
+        # ranks fall as dimension rises: s is the low bit, t the high one
+        s = (pair & -pair).bit_length() - 1
+        t = pair.bit_length() - 1
+        cells = self._cells
+        entry = self[pair] = tuple(
+            cells[j] for j in self._down[t] + self._down[s] if j != t
+        )
+        return entry
+
+
+@cache
+def _slice_pairs(q: int) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+    """Every pair of ``_face_tables().slices[q]`` with its ``_PairCells``
+    entry, as a plain dict: built on the first search of a q-complex on
+    the tables, never at import or with the tables."""
+    t = _face_tables()
+    masks, up = t.slices[q]
+    first = len(t.masks) - len(masks)
+    pairs = _PairCells(
+        [tuple(j - first for j in below) for below in t.down[first:]], up
+    )
+    for r, covers in enumerate(up):
+        for s in _bits(covers):
+            pairs[1 << r | 1 << s]  # the lookup fills the entry
+    return dict(pairs)
 
 
 class Face:
@@ -425,25 +474,41 @@ class SimplicialComplex:
 
     def _search_faces(
         self,
-    ) -> Tuple[Sequence[int], Sequence[Tuple[int, ...]], Sequence[int], int]:
+    ) -> Tuple[Sequence[int], Sequence[int], Dict[int, tuple], int, int]:
         """What a collapse search runs on: ``masks``, faces in the order of
-        ``_rank_faces``, with ``down[r]`` the ranks of the codimension-one
-        faces of face r and ``up[r]`` the bitset of the ranks covering it,
-        and the closure as a bitset over those ranks.
+        ``_rank_faces``, with ``up[r]`` the bitset of the ranks covering
+        face r; ``pairs``, the ``_PairCells`` entries of the pairs; the
+        closure as a bitset over those ranks; and its free faces, those
+        with exactly one cover in it.
 
-        On the tables these are the slice for ``dim`` and the table closure
-        shifted onto it; the slice also holds faces outside the complex, and
-        only the closure tells them apart.  Otherwise every rank is a face.
+        On the tables these are the slice for ``dim``, its ``_slice_pairs``
+        and the table closure and free set shifted onto it; the slice also
+        holds faces outside the complex, and only the closure tells them
+        apart.  A face is free exactly when one facet holds it and covers
+        it, so the free set is read off the facets' down-sets and boundary
+        columns.  Otherwise every rank is a face, the free faces are the
+        ranks with one cover, and ``pairs`` fills each entry on first use.
         """
         closure = self._table_closure
         if closure is None:
             masks, down = self._ranked_faces()
-            return masks, down, _covers(down), (1 << len(masks)) - 1
+            up = _covers(down)
+            free = sum(1 << r for r, c in enumerate(up) if c.bit_count() == 1)
+            return masks, up, _PairCells(down, up), (1 << len(masks)) - 1, free
         t = _face_tables()
-        masks, down, up = t.slices[self.dim]
+        once = twice = covered = 0
+        for f in self._facets:
+            r = t.rank[f]
+            below = t.downset[f] ^ 1 << r
+            twice |= once & below
+            once |= below
+            covered |= t.boundary[r]
+        masks, up = t.slices[self.dim]
         # no face of the complex ranks before its first dim-face, where the
         # slice starts
-        return masks, down, up, closure >> (len(t.masks) - len(masks))
+        first = len(t.masks) - len(masks)
+        free = once & ~twice & covered
+        return masks, up, _slice_pairs(self.dim), closure >> first, free >> first
 
     def _boundary_columns(self) -> List[Iterable[int]]:
         """The GF(2) boundary maps for q = 2..dim: entry q-2 yields one
@@ -640,7 +705,22 @@ def relabel(k: SimplicialComplex, mapping: Dict[int, int]) -> SimplicialComplex:
 
 
 def _vertex_invariants(k: SimplicialComplex) -> Dict[int, Tuple]:
-    return {v: k.link([v]).f_vector() for v in k.vertices}
+    """Each vertex's link f-vector, counted off the star table's keys: a
+    face of size q + 2 that holds v is a q-face of v's link.  A vertex that
+    is a facet has the empty link, whose f-vector is ()."""
+    counts = {1 << v: [0] * k.dim for v in k.vertices}
+    for face in k._star:
+        q = face.bit_count() - 2
+        rest = face if q >= 0 else 0
+        while rest:
+            low = rest & -rest
+            counts[low][q] += 1
+            rest ^= low
+    # a link has faces in every dimension up to its own, none above
+    return {
+        bit.bit_length() - 1: tuple(c[: len(c) - c.count(0)])
+        for bit, c in counts.items()
+    }
 
 
 def are_isomorphic(

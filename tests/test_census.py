@@ -6,6 +6,7 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from simptop import (
@@ -645,24 +646,30 @@ SAMPLER_DIGESTS = {
 }
 
 
-def _unfiltered_sample(n_samples, seed, budget=2_000_000):
-    """The sampler as it ran before its Euler characteristic filter: every
-    non-empty draw takes the GF(2) rank test, and ``chi_failures`` counts
-    the acyclic draws with chi != 1.  The oracle of the filtered loop."""
+def _sampler_draws(n_samples, seed):
+    """The facet masks of every non-empty draw the sampler makes, rebuilt
+    from its seeded random stream."""
     rng = random.Random(seed)
     n = collapse.ACYCLIC_VERTEX_BOUND
     candidates = {
         d: [sum(1 << v for v in c) for c in itertools.combinations(range(n), d + 1)]
         for d in (2, 3)
     }
-    nonempty = acyclic = collapsible = chi_failures = 0
-    counterexamples, inconclusive, no_free_faces = [], [], []
     for _ in range(n_samples):
         d = rng.choice((2, 3))
         p = census.SAMPLER_P[d]
         facets = [m for m in candidates[d] if rng.random() < p]
-        if not facets:
-            continue
+        if facets:
+            yield facets
+
+
+def _unfiltered_sample(n_samples, seed, budget=2_000_000):
+    """The sampler as it ran before its Euler characteristic filter: every
+    non-empty draw takes the GF(2) rank test, and ``chi_failures`` counts
+    the acyclic draws with chi != 1.  The oracle of the filtered loop."""
+    nonempty = acyclic = collapsible = chi_failures = 0
+    counterexamples, inconclusive, no_free_faces = [], [], []
+    for facets in _sampler_draws(n_samples, seed):
         nonempty += 1
         k = SimplicialComplex._from_facet_masks(facets)
         if not is_z2_acyclic(k):
@@ -693,7 +700,64 @@ def _unfiltered_sample(n_samples, seed, budget=2_000_000):
     )
 
 
+def _numpy_rank_mod2(m):
+    """Rank over GF(2) of a 0/1 numpy matrix by dense elimination."""
+    m = m.copy()
+    rank = 0
+    for col in range(m.shape[1]):
+        below = np.flatnonzero(m[rank:, col])
+        if below.size == 0:
+            continue
+        pivot = rank + below[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        hits = np.flatnonzero(m[:, col])
+        m[hits[hits != rank]] ^= m[rank]
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def _numpy_acyclic(facets):
+    """Whether the complex on these facet masks has every mod-2 reduced
+    Betti number 0, from its faces listed here and numpy elimination."""
+    faces = set()
+    for f in facets:
+        vertices = [v for v in range(f.bit_length()) if f >> v & 1]
+        for size in range(1, len(vertices) + 1):
+            faces.update(itertools.combinations(vertices, size))
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    top = max(by_dim)
+    # ranks[q] is the rank of the boundary map on q-faces; the augmentation
+    # of a non-empty complex has rank 1
+    ranks = [1] + [0] * (top + 1)
+    for q in range(1, top + 1):
+        row = {face: i for i, face in enumerate(by_dim[q - 1])}
+        m = np.zeros((len(by_dim[q - 1]), len(by_dim[q])), dtype=np.uint8)
+        for j, face in enumerate(by_dim[q]):
+            for v in face:
+                m[row[tuple(u for u in face if u != v)], j] = 1
+        ranks[q] = _numpy_rank_mod2(m)
+    return all(
+        len(by_dim[q]) == ranks[q] + ranks[q + 1] for q in range(top + 1)
+    )
+
+
 class TestCollapsibilitySampling:
+    @pytest.mark.parametrize("seed", [1, 8191])
+    def test_acyclic_count_matches_numpy(self, seed):
+        """The draws rebuilt here, tested for acyclicity by numpy
+        elimination on their own face lists, give the report's acyclic
+        count, and every one of them collapses."""
+        report = sample_acyclic_collapsibility(2000, seed=seed)
+        draws = list(_sampler_draws(2000, seed))
+        assert len(draws) == report.nonempty
+        acyclic = sum(map(_numpy_acyclic, draws))
+        assert acyclic > 100
+        assert acyclic == report.acyclic_found == report.collapsible_count
+
     @pytest.mark.parametrize(
         "n_samples, seed, budget",
         [(2000, 1, None), (2000, 5, None), (2000, 11, None), (2000, 8191, None),

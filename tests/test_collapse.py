@@ -438,26 +438,38 @@ class TestSearchMatchesOracle:
 
 
 def _ranked_view(k):
-    """The faces a search starts from, in rank order, each with its
-    codimension-one faces and its covers in the complex (all as masks), and
-    the free faces."""
-    masks, down, up, start = k._search_faces()
+    """The faces a search starts from, in rank order, each with its covers
+    in the complex and, per cover, its pair's ``pairs`` entry: the faces
+    listed there, each with its covers in the complex (all as masks); then
+    the start's free faces and ``free_faces``."""
+    masks, up, pairs, start, free = k._search_faces()
+
+    def covers(bitset):
+        return [masks[j] for j in _bits(bitset & start)]
+
     faces = [
         (
             masks[i],
-            [masks[j] for j in down[i]],
-            [masks[j] for j in _bits(up[i] & start)],
+            covers(up[i]),
+            [
+                [
+                    (masks[bit.bit_length() - 1], covers(cell_up))
+                    for cell_up, bit in pairs[1 << i | 1 << s]
+                ]
+                for s in _bits(up[i] & start)
+            ],
         )
         for i in _bits(start)
     ]
-    return faces, free_faces(k)
+    return faces, [masks[i] for i in _bits(free)], free_faces(k)
 
 
 def _assert_tables_match(cases):
     """``cases`` are (k, target, budget) on vertex ids below TABLE_VERTICES:
     the table path gives the per-complex build's face order, cover tables,
-    free faces and full search result (steps, nodes, exhaustion, terminal,
-    memo hits, memo size and max depth)."""
+    pair neighbourhoods, start free set, free faces and full search result
+    (steps, nodes, exhaustion, terminal, memo hits, memo size and max
+    depth)."""
     assert all(k._table_closure is not None for k, _, _ in cases)
     table = [(_ranked_view(k), _search(k, t, b)) for k, t, b in cases]
     with per_complex_faces():

@@ -34,7 +34,9 @@ from simptop.complexes import (
     _lex_key,
     _mask_of,
     _rank_faces,
+    _slice_pairs,
     _star_table,
+    _vertex_invariants,
 )
 from simptop.census import CONSTRAINT_BOUNDARY, CONSTRAINT_EVEN
 from simptop.collapse import _search
@@ -47,6 +49,7 @@ from conftest import (
     oracle_are_isomorphic,
     oracle_induced,
     oracle_ridge_degrees,
+    oracle_vertex_invariants,
     per_complex_faces,
     random_pure_complex,
     sampler_draws,
@@ -532,6 +535,24 @@ class TestIsomorphismMatchesOracle:
         assert 0 < found < len(pairs)
 
 
+class TestVertexInvariants:
+    """The link f-vectors counted off the star table equal those of the
+    link complexes, keys in the same order."""
+
+    def test_catalog_and_random_complexes(self):
+        ks = _catalog_complexes() + list(_random_mixed_complexes(21, 300))
+        ks += [spread_labels(k, random.Random(22)) for k in ks[:40]]
+        for k in ks:
+            got = _vertex_invariants(k)
+            want = oracle_vertex_invariants(k)
+            assert list(got.items()) == list(want.items()), k
+        # isolated vertices and a single vertex keep the empty f-vector
+        assert _vertex_invariants(sc((0, 1, 2), (3,))) == {
+            0: (2, 1), 1: (2, 1), 2: (2, 1), 3: ()
+        }
+        assert _vertex_invariants(sc((5,))) == {5: ()}
+
+
 class TestStandardComplexes:
     def test_sphere_equals_cycle(self):
         assert standard_sphere(1, (7, 8, 9)) == cycle(3, (7, 8, 9))
@@ -769,15 +790,44 @@ class TestFixedFaceTables:
             covered = {t.masks[j] for j in covers}
             assert covered == {m | 1 << v for v in range(TABLE_VERTICES)} - {m}
         # slice q is the table from its first q-face on, ranks shifted to 0
-        for q, (masks, down, up) in enumerate(t.slices):
+        for q, (masks, up) in enumerate(t.slices):
             first = len(t.masks) - len(masks)
             assert t.masks[first].bit_count() == q + 1
             assert first == 0 or t.masks[first - 1].bit_count() == q + 2
             assert masks == t.masks[first:]
-            assert down == tuple(
-                tuple(j - first for j in below) for below in t.down[first:]
-            )
             assert up == tuple(covers >> first for covers in t.up[first:])
+        for m in range(1, 128):
+            assert t.masks[t.rank[m]] == m
+
+    def test_slice_pairs(self):
+        """Each slice's pair map holds exactly its pairs (t, s), s covering
+        t, and lists for each the (up, bit) cells of down[t] + down[s]
+        without t: the faces right below tau or sigma other than tau.  Every
+        face has one cell, shared by the entries that list it."""
+        t = _face_tables()
+        for q, (masks, up) in enumerate(t.slices):
+            first = len(t.masks) - len(masks)
+            down = [tuple(j - first for j in below) for below in t.down[first:]]
+            pairs = _slice_pairs(q)
+            assert type(pairs) is dict
+            expected = {
+                1 << r | 1 << s: tuple(
+                    (up[j], 1 << j) for j in down[r] + down[s] if j != r
+                )
+                for r in range(len(masks))
+                for s in _bits(up[r])
+            }
+            assert pairs == expected
+            cells = {}
+            for key, entry in pairs.items():
+                s, r = _bits(key)
+                tau, sigma = masks[r], masks[s]
+                below = {tau ^ 1 << v for v in _bits(tau)}
+                below |= {sigma ^ 1 << v for v in _bits(sigma)}
+                listed = [masks[bit.bit_length() - 1] for _, bit in entry]
+                assert sorted(listed) == sorted(below - {tau, 0})
+                for cell in entry:
+                    assert cells.setdefault(cell[1], cell) is cell
 
     def test_levels(self):
         t = _face_tables()
@@ -803,6 +853,10 @@ class TestFixedFaceTables:
             "assert complexes._face_tables.cache_info().currsize == 0\n"
             "simptop.standard_ball(2).f_vector()\n"
             "assert complexes._face_tables.cache_info().currsize == 1\n"
+            "assert complexes._slice_pairs.cache_info().currsize == 0\n"
+            "simptop.is_collapsible(simptop.standard_ball(2))\n"
+            "assert complexes._slice_pairs.cache_info().currsize == 1\n"
+            "assert complexes._slice_pairs.cache_info().hits == 0\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -859,6 +913,7 @@ class TestTablesMatchPerComplexBuild:
 
         with per_complex_faces(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(complexes, "_face_tables", no_tables)
+            mp.setattr(complexes, "_slice_pairs", no_tables)
             mp.setattr(complexes, "_rank_faces", recording)
             assert results(k) == table
         # one ranking per boundary matrix and one per search
