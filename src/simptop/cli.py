@@ -39,16 +39,24 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
 
-CLOSED6_NAMES = ("S2_4", "S1_3*S0_2", "octahedron", "RP2_6", "Sigma1")
-CLOSED7_NAMES = (
-    "S1_5*S0_2",
-    "Sigma2",
-    "Sigma3",
-    "Sigma4",
-    "Sigma5",
-    "Upsilon1",
-    "Upsilon2",
-)
+# census presets: name -> (spec, the catalog names its classes must match,
+# or None to match none)
+PRESETS = {
+    "closed6": (
+        census_mod.CensusSpec(n_vertices=6),
+        ("S2_4", "S1_3*S0_2", "octahedron", "RP2_6", "Sigma1"),
+    ),
+    "closed7": (
+        census_mod.CensusSpec(n_vertices=7, max_facets=10, exact_vertices=True),
+        ("S1_5*S0_2", "Sigma2", "Sigma3", "Sigma4", "Sigma5", "Upsilon1", "Upsilon2"),
+    ),
+    "even7": (
+        census_mod.CensusSpec(
+            n_vertices=7, max_facets=10, constraint=census_mod.CONSTRAINT_EVEN
+        ),
+        None,
+    ),
+}
 
 
 def _load(path: str) -> SimplicialComplex:
@@ -152,7 +160,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    expected = None
     if args.preset is not None:
         # a preset fixes the whole spec, so an explicit flag would be ignored
         given = [
@@ -172,16 +179,7 @@ def _cmd_census(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
-    if args.preset == "closed6":
-        spec = census_mod.CensusSpec(n_vertices=6)
-        expected = CLOSED6_NAMES
-    elif args.preset == "closed7":
-        spec = census_mod.CensusSpec(n_vertices=7, max_facets=10, exact_vertices=True)
-        expected = CLOSED7_NAMES
-    elif args.preset == "even7":
-        spec = census_mod.CensusSpec(
-            n_vertices=7, max_facets=10, constraint=census_mod.CONSTRAINT_EVEN
-        )
+        spec, expected = PRESETS[args.preset]
     else:
         if args.vertices is None:
             print("census needs --vertices or a preset", file=sys.stderr)
@@ -202,6 +200,7 @@ def _cmd_census(args) -> int:
             exact_vertices=args.exact_vertices,
             symmetry_breaking=not args.no_symmetry_breaking,
         )
+        expected = None
     result = census_mod.enumerate_census(spec)
     sys.stdout.write(reports.census_report(result))
     if expected is not None:
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-symmetry-breaking", action="store_true")
     p.add_argument(
         "--preset",
-        choices=("closed6", "closed7", "even7"),
+        choices=PRESETS,
         help="closed6: weak pms on <= 6 vertices; closed7: 7 vertices and "
         "<= 10 facets; even7: even edge degrees, <= 7 vertices",
     )

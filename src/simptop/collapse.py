@@ -17,26 +17,27 @@ search never backtracks, and the first node without a free face proves
 
 Each search reads its faces off ``SimplicialComplex._search_faces``, in
 that best-first order (dimension descending, then lexicographic vertex
-tuple), with the bitset of the faces covering every face, a map from each
-pair to its neighbourhood, the start closure and the start's free faces.
-A complex on vertex ids 0..6 reads them off the fixed face tables: the
-slice for its dimension starts at the first face of that dimension, ranks
-shifted down to 0, and the start node is the complex's table closure
-shifted the same way.  Its free faces are read off its facets (a face is
-free exactly when one facet holds it and covers it), and the pair map of
-each dimension is built once, on the first search in it.  Any other
+tuple), with the bitsets of the faces covering every face, the ranks right
+below every face, a dict of pair neighbourhoods, the start closure and the
+start's free faces.  A complex on vertex ids 0..6 reads them off the fixed
+face tables: the slice for its dimension starts at the first face of that
+dimension, ranks shifted down to 0, and the start node is the complex's
+table closure shifted the same way.  Its free faces are read off its
+facets (a face is free exactly when one facet holds it and covers it), and
+its pair dict is the slice's, kept from search to search.  Any other
 complex ranks its own faces, inverts their codimension-one faces into
-covers, starts at every rank with the ranks of one cover free, and fills
-each pair's neighbourhood on its first use.  The faces come in the same
-order on both paths, so both take the same steps.  A node is then its
-closure as a bitset over ranks and its free faces (exactly one cover in
-the closure) as a bitset too, plus the free faces it has yet to try.  A
-free face has one coface, so the lowest untried bit names the next pair.
-Removing a pair (tau, sigma) can only change the cover counts of the faces
-directly below tau or sigma, so a child re-tests just those: the pair's
-neighbourhood lists each with its covers and its bit.  The memo stores the
-closure ints themselves, never hashes of them: a collision would mark a
-live node dead and fake "not collapsible".
+covers, starts at every rank with the ranks of one cover free, and starts
+with an empty pair dict.  The faces come in the same order on both paths,
+so both take the same steps.  A node is then its closure as a bitset over
+ranks and its free faces (exactly one cover in the closure) as a bitset
+too, plus the free faces it has yet to try.  A free face has one coface,
+so the lowest untried bit names the next pair.  Removing a pair (tau,
+sigma) can only change the cover counts of the faces directly below tau or
+sigma, so a child re-tests just those: the pair's neighbourhood lists each
+with its covers and its bit, and a search that removes a pair with no
+entry yet fills it from ``down``.  The memo stores the closure ints
+themselves, never hashes of them: a collision would mark a live node dead
+and fake "not collapsible".
 
 A positive verdict's certificate is two mask fields: ``pairs``, the
 (tau, sigma) masks of the pairs the search removed, and ``faces``, the
@@ -192,7 +193,7 @@ def _search(
     negative or non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
-    masks, up, pairs, start, free = k._search_faces()
+    masks, up, down, pairs, start, free = k._search_faces()
     goal = None
     if target is not None:
         rank = {m: i for i, m in enumerate(masks)}
@@ -244,7 +245,13 @@ def _search(
                 )
             # only faces right below tau or sigma lost a cover
             child_free = free & ~pair
-            for covers, bit in pairs[pair]:
+            try:
+                cells = pairs[pair]
+            except KeyError:
+                cells = pairs[pair] = tuple(
+                    (up[j], 1 << j) for j in down[t] + down[s] if j != t
+                )
+            for covers, bit in cells:
                 if (covers & child).bit_count() == 1:
                     child_free |= bit
                 else:

@@ -14,11 +14,11 @@ complex's closure is one bitset over those ranks, the OR of its facets'
 down-sets.  Its f-vector, Euler characteristic and GF(2) boundary columns
 are read off that bitset, and its collapse search runs on it, shifted onto
 the tables' slice for its dimension, with its free faces read off its
-facets and each slice's pair neighbourhoods (``_slice_pairs``) built on the
-first search in that dimension.  Every other complex, even one on few
-vertices with a higher id, groups its closure by dimension, unsorted for
-counts and boundary columns, and ranks those groups for its searches,
-filling each pair's neighbourhood (``_PairCells``) on its first use.
+facets; the slice keeps the pair neighbourhoods that searches in that
+dimension fill.  Every other complex, even one on few vertices with a
+higher id, groups its closure by dimension, unsorted for counts and
+boundary columns, and ranks those groups for its searches, each starting
+with no pair neighbourhoods.
 This module alone makes that choice: ``homology`` reads
 ``_boundary_columns`` and ``collapse`` reads ``_search_faces``.  Boundary
 matrices and free faces rank every complex's own faces through
@@ -152,11 +152,12 @@ def _face_tables() -> SimpleNamespace:
 
     ``rank[m]`` is the rank of the face with mask m.
 
-    ``slices[q]`` is ``(masks, up)`` from the first q-face on, every rank
-    shifted down by that face's rank: the faces a q-complex can hold.  A
-    q-complex's table closure shifted the same way is its closure over the
-    slice, which a collapse search runs on directly.  The slice's pair
-    neighbourhoods are ``_slice_pairs(q)``, built on first use of q.
+    ``slices[q]`` is ``(masks, up, down, pairs)`` from the first q-face
+    on, every rank shifted down by that face's rank: the faces a q-complex
+    can hold.  A q-complex's table closure shifted the same way is its
+    closure over the slice, which a collapse search runs on directly.
+    ``pairs`` starts empty; the searches in dimension q fill it with pair
+    neighbourhoods, which depend on the slice alone, and keep them.
     """
     n = TABLE_VERTICES
     subsets = range(1, 1 << n)
@@ -182,7 +183,12 @@ def _face_tables() -> SimpleNamespace:
         # q-face lies below it, and covers above it are shifted out
         first = (level[q] & -level[q]).bit_length() - 1
         slices.append(
-            (tuple(masks[first:]), tuple(covers >> first for covers in up[first:]))
+            (
+                tuple(masks[first:]),
+                tuple(covers >> first for covers in up[first:]),
+                tuple(tuple(j - first for j in below) for below in down[first:]),
+                {},
+            )
         )
     return SimpleNamespace(
         masks=tuple(masks),
@@ -197,51 +203,6 @@ def _face_tables() -> SimpleNamespace:
         odd=sum(level[1::2]),
         slices=tuple(slices),
     )
-
-
-class _PairCells(dict):
-    """Where removing a pair changes cover counts, for a collapse search.
-
-    The key is a pair's rank bitset ``1 << t | 1 << s``, s covering t; the
-    value lists the cells ``(up[j], 1 << j)`` of the faces j in
-    ``down[t] + down[s]`` other than t, the only faces that can lose a
-    cover.  Each face has one cell, shared by every entry that lists it.
-    An entry is filled on its first lookup.
-    """
-
-    __slots__ = ("_down", "_cells")
-
-    def __init__(self, down: Sequence[Tuple[int, ...]], up: Sequence[int]) -> None:
-        super().__init__()
-        self._down = down
-        self._cells = [(covers, 1 << j) for j, covers in enumerate(up)]
-
-    def __missing__(self, pair: int) -> Tuple[Tuple[int, int], ...]:
-        # ranks fall as dimension rises: s is the low bit, t the high one
-        s = (pair & -pair).bit_length() - 1
-        t = pair.bit_length() - 1
-        cells = self._cells
-        entry = self[pair] = tuple(
-            cells[j] for j in self._down[t] + self._down[s] if j != t
-        )
-        return entry
-
-
-@cache
-def _slice_pairs(q: int) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-    """Every pair of ``_face_tables().slices[q]`` with its ``_PairCells``
-    entry, as a plain dict: built on the first search of a q-complex on
-    the tables, never at import or with the tables."""
-    t = _face_tables()
-    masks, up = t.slices[q]
-    first = len(t.masks) - len(masks)
-    pairs = _PairCells(
-        [tuple(j - first for j in below) for below in t.down[first:]], up
-    )
-    for r, covers in enumerate(up):
-        for s in _bits(covers):
-            pairs[1 << r | 1 << s]  # the lookup fills the entry
-    return dict(pairs)
 
 
 class Face:
@@ -474,27 +435,28 @@ class SimplicialComplex:
 
     def _search_faces(
         self,
-    ) -> Tuple[Sequence[int], Sequence[int], Dict[int, tuple], int, int]:
+    ) -> Tuple[Sequence[int], Sequence[int], Sequence[Tuple[int, ...]], Dict, int, int]:
         """What a collapse search runs on: ``masks``, faces in the order of
         ``_rank_faces``, with ``up[r]`` the bitset of the ranks covering
-        face r; ``pairs``, the ``_PairCells`` entries of the pairs; the
-        closure as a bitset over those ranks; and its free faces, those
-        with exactly one cover in it.
+        face r and ``down[r]`` the ranks right below it; ``pairs``, a dict
+        of pair neighbourhoods that the search fills; the closure as a
+        bitset over those ranks; and its free faces, those with exactly one
+        cover in it.
 
-        On the tables these are the slice for ``dim``, its ``_slice_pairs``
-        and the table closure and free set shifted onto it; the slice also
-        holds faces outside the complex, and only the closure tells them
-        apart.  A face is free exactly when one facet holds it and covers
-        it, so the free set is read off the facets' down-sets and boundary
-        columns.  Otherwise every rank is a face, the free faces are the
-        ranks with one cover, and ``pairs`` fills each entry on first use.
+        On the tables these are the slice for ``dim``, with the slice's own
+        ``pairs``, and the table closure and free set shifted onto it; the
+        slice also holds faces outside the complex, and only the closure
+        tells them apart.  A face is free exactly when one facet holds it
+        and covers it, so the free set is read off the facets' down-sets
+        and boundary columns.  Otherwise every rank is a face, the free
+        faces are the ranks with one cover, and ``pairs`` starts empty.
         """
         closure = self._table_closure
         if closure is None:
             masks, down = self._ranked_faces()
             up = _covers(down)
             free = sum(1 << r for r, c in enumerate(up) if c.bit_count() == 1)
-            return masks, up, _PairCells(down, up), (1 << len(masks)) - 1, free
+            return masks, up, down, {}, (1 << len(masks)) - 1, free
         t = _face_tables()
         once = twice = covered = 0
         for f in self._facets:
@@ -503,12 +465,12 @@ class SimplicialComplex:
             twice |= once & below
             once |= below
             covered |= t.boundary[r]
-        masks, up = t.slices[self.dim]
+        masks, up, down, pairs = t.slices[self.dim]
         # no face of the complex ranks before its first dim-face, where the
         # slice starts
         first = len(t.masks) - len(masks)
         free = once & ~twice & covered
-        return masks, up, _slice_pairs(self.dim), closure >> first, free >> first
+        return masks, up, down, pairs, closure >> first, free >> first
 
     def _boundary_columns(self) -> List[Iterable[int]]:
         """The GF(2) boundary maps for q = 2..dim: entry q-2 yields one

@@ -207,11 +207,17 @@ def is_combinatorial_manifold(k: SimplicialComplex) -> ManifoldVerdict:
         v, open_ = _first_bad_link(k)
         # a vertex on a ridge in one facet has no sphere as its link
         bad = open_ | (0 if v is None else 1 << v)
-        if bad:
-            return ManifoldVerdict(
-                MANIFOLD_NO,
-                ((_bits(bad)[0], "link is not a combinatorial %d-sphere" % (d - 1)),),
-            )
+    else:
+        # a pure d-complex has pure (d-1)-dimensional links, so purity is
+        # the whole dimension check; the first vertex of a smaller facet
+        # fails it
+        bad = min((f & -f for f in k.facet_masks if f.bit_count() <= d), default=0)
+    if bad:
+        return ManifoldVerdict(
+            MANIFOLD_NO,
+            ((_bits(bad)[0], "link is not a combinatorial %d-sphere" % (d - 1)),),
+        )
+    if d <= 3:
         said = "link is a combinatorial %d-sphere" % (d - 1)
         return ManifoldVerdict(MANIFOLD_YES, tuple((v, said) for v in k.vertices))
     witness: List[Tuple[int, str]] = []
@@ -316,15 +322,6 @@ def certify_sphere(
             PRECONDITION_FAILED, "not a Z2-homology sphere", manifold
         )
 
-    found = find_induced_ball(m, ball_policy, budget)
-    if found is None:
-        return SphereCertificate(
-            INCONCLUSIVE,
-            "no induced ball found with a <= 7 vertex complement",
-            manifold,
-        )
-    ball, evidence = found
-
     def self_check_failed(
         reason: str, message: str, cause: Optional[Exception] = None
     ) -> SphereCertificate:
@@ -333,6 +330,20 @@ def certify_sphere(
         if assume_manifold:
             return SphereCertificate(PRECONDITION_FAILED, reason, manifold)
         raise RuntimeError(f"pipeline self-check failed: {message}") from cause
+
+    if not m.is_pure():
+        return self_check_failed(
+            "not pure; the assumed manifold hypothesis fails",
+            "a verified combinatorial manifold must be pure",
+        )
+    found = find_induced_ball(m, ball_policy, budget)
+    if found is None:
+        return SphereCertificate(
+            INCONCLUSIVE,
+            "no induced ball found with a <= 7 vertex complement",
+            manifold,
+        )
+    ball, evidence = found
 
     # the two-sided decomposition re-asserts its own conclusions and returns
     # the complement; boundary complexes make no sense at dimension 0, so

@@ -118,6 +118,19 @@ def sampler_draws(seeds=(1, 2, 3), n_samples=200):
     return drawn
 
 
+def neg_complexes(seed, count):
+    """Non-acyclic 3-complexes of 3 or 4 random tetrahedra on 7 vertices,
+    built like the collapse_neg benchmark's: their searches backtrack."""
+    rng = random.Random(seed)
+    pool = list(itertools.combinations(range(7), 4))
+    out = []
+    while len(out) < count:
+        k = from_facets(rng.sample(pool, 3 + len(out) % 2))
+        if any(homology.reduced_betti(k)):
+            out.append(k)
+    return out
+
+
 def spread_mapping(k, rng, monotone=False):
     """Random distinct vertex ids up to 63, 63 among them, for the vertices
     of k; with ``monotone`` the mapping keeps the order of the vertices."""

@@ -132,6 +132,38 @@ class TestExitCodes:
         assert "reason: not a combinatorial manifold" in lines
         assert "manifold-status: no" in lines
 
+    @pytest.mark.parametrize(
+        "facets, flags, reason, status",
+        [
+            # the 4-simplex boundary plus the triangle boundary on 6, 7, 8
+            (
+                "0 1 2 3 4\n0 1 2 3 5\n0 1 2 4 5\n0 1 3 4 5\n0 2 3 4 5\n"
+                "1 2 3 4 5\n6 7\n6 8\n7 8\n",
+                (),
+                "not a combinatorial manifold",
+                "no",
+            ),
+            # the tetrahedron boundary plus a pendant edge, assumed a manifold
+            (
+                "1 2 3\n1 2 4\n1 3 4\n2 3 4\n4 5\n",
+                ("--assume-manifold",),
+                "not pure; the assumed manifold hypothesis fails",
+                "yes",
+            ),
+        ],
+        ids=["manifold-gate", "assumed-manifold"],
+    )
+    def test_certify_non_pure_exits_2(
+        self, capsys, tmp_path, facets, flags, reason, status
+    ):
+        path = tmp_path / "nonpure.fl"
+        path.write_text(facets)
+        code, out, _ = run_cli(capsys, "certify", str(path), *flags)
+        assert code == EXIT_NEGATIVE
+        lines = out.splitlines()
+        assert f"reason: {reason}" in lines
+        assert f"manifold-status: {status}" in lines
+
     def test_usage_error_exits_1(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.fl")
         code, _, _ = run_cli(capsys, "info", missing)

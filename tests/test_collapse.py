@@ -30,6 +30,7 @@ from simptop.complexes import EMPTY_COMPLEX, SimplicialComplex, _antichain, _bit
 from conftest import (
     image_mask,
     low_labels,
+    neg_complexes,
     per_complex_faces,
     random_pure_complex,
     sampler_draws,
@@ -439,10 +440,11 @@ class TestSearchMatchesOracle:
 
 def _ranked_view(k):
     """The faces a search starts from, in rank order, each with its covers
-    in the complex and, per cover, its pair's ``pairs`` entry: the faces
-    listed there, each with its covers in the complex (all as masks); then
-    the start's free faces and ``free_faces``."""
-    masks, up, pairs, start, free = k._search_faces()
+    in the complex and, per cover, its pair's neighbourhood by the search's
+    rule (the faces in ``down[t] + down[s]`` other than t), each with its
+    covers in the complex (all as masks); then the start's free faces and
+    ``free_faces``."""
+    masks, up, down, _, start, free = k._search_faces()
 
     def covers(bitset):
         return [masks[j] for j in _bits(bitset & start)]
@@ -452,10 +454,7 @@ def _ranked_view(k):
             masks[i],
             covers(up[i]),
             [
-                [
-                    (masks[bit.bit_length() - 1], covers(cell_up))
-                    for cell_up, bit in pairs[1 << i | 1 << s]
-                ]
+                [(masks[j], covers(up[j])) for j in down[i] + down[s] if j != i]
                 for s in _bits(up[i] & start)
             ],
         )
@@ -486,19 +485,6 @@ def _with_targets(ks, rng, budget):
         edges = sorted(k.faces(1), key=lambda f: f.vertices)
         if edges:
             yield k, sc(rng.choice(edges).vertices), budget
-
-
-def _neg_complexes(seed, count):
-    """Non-acyclic 3-complexes of 3 or 4 random tetrahedra on 7 vertices,
-    built like the collapse_neg benchmark's: their searches backtrack."""
-    rng = random.Random(seed)
-    pool = list(itertools.combinations(range(7), 4))
-    out = []
-    while len(out) < count:
-        k = from_facets(rng.sample(pool, 3 + len(out) % 2))
-        if any(reduced_betti(k)):
-            out.append(k)
-    return out
 
 
 def _mapped_search(verdict, mapping):
@@ -533,7 +519,7 @@ class TestTablesMatchPerComplexBuild:
         _assert_tables_match([(k, None, budget) for k, budget in seen])
 
     def test_backtracking_three_complexes(self):
-        ks = _neg_complexes(5, 30)
+        ks = neg_complexes(5, 30)
         verdicts = {is_collapsible(k, 3000).status for k in ks}
         assert verdicts == {NOT_COLLAPSIBLE, INCONCLUSIVE}
         _assert_tables_match([(k, None, 3000) for k in ks])
@@ -573,7 +559,7 @@ class TestTablesMatchPerComplexBuild:
         and terminal after mapping, equal nodes and memo counters."""
         rng = random.Random(63)
         ks = list(_random_complexes(64, 40))
-        negs = _neg_complexes(11, 6)
+        negs = neg_complexes(11, 6)
         cases = list(_with_targets(ks, rng, 3000)) + [(k, None, 3000) for k in negs]
         mappings = {k: spread_mapping(k, rng, monotone=True) for k in ks + negs}
         for k, target, budget in cases:

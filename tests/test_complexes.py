@@ -34,7 +34,6 @@ from simptop.complexes import (
     _lex_key,
     _mask_of,
     _rank_faces,
-    _slice_pairs,
     _star_table,
     _vertex_invariants,
 )
@@ -46,6 +45,7 @@ from simptop.structure import _ridges
 from conftest import (
     image_mask,
     low_labels,
+    neg_complexes,
     oracle_are_isomorphic,
     oracle_induced,
     oracle_ridge_degrees,
@@ -790,44 +790,63 @@ class TestFixedFaceTables:
             covered = {t.masks[j] for j in covers}
             assert covered == {m | 1 << v for v in range(TABLE_VERTICES)} - {m}
         # slice q is the table from its first q-face on, ranks shifted to 0
-        for q, (masks, up) in enumerate(t.slices):
+        for q, (masks, up, down, _) in enumerate(t.slices):
             first = len(t.masks) - len(masks)
             assert t.masks[first].bit_count() == q + 1
             assert first == 0 or t.masks[first - 1].bit_count() == q + 2
             assert masks == t.masks[first:]
             assert up == tuple(covers >> first for covers in t.up[first:])
+            assert down == tuple(
+                tuple(j - first for j in below) for below in t.down[first:]
+            )
         for m in range(1, 128):
             assert t.masks[t.rank[m]] == m
 
     def test_slice_pairs(self):
-        """Each slice's pair map holds exactly its pairs (t, s), s covering
-        t, and lists for each the (up, bit) cells of down[t] + down[s]
-        without t: the faces right below tau or sigma other than tau.  Every
-        face has one cell, shared by the entries that list it."""
-        t = _face_tables()
-        for q, (masks, up) in enumerate(t.slices):
-            first = len(t.masks) - len(masks)
-            down = [tuple(j - first for j in below) for below in t.down[first:]]
-            pairs = _slice_pairs(q)
-            assert type(pairs) is dict
-            expected = {
-                1 << r | 1 << s: tuple(
-                    (up[j], 1 << j) for j in down[r] + down[s] if j != r
-                )
-                for r in range(len(masks))
-                for s in _bits(up[r])
-            }
-            assert pairs == expected
-            cells = {}
-            for key, entry in pairs.items():
+        """After a sampler batch and a backtracking batch, on the tables and
+        on the per-complex build, every pair neighbourhood a search stored
+        lists the faces right below tau or sigma other than tau, in the
+        order of ``down[t] + down[s]``, each with its covers and its bit."""
+        stored = []
+        search_faces = SimplicialComplex._search_faces
+
+        def recording(k):
+            faces = search_faces(k)
+            stored.append(faces[:4])
+            return faces
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SimplicialComplex, "_search_faces", recording)
+            sampler_draws(seeds=(1,))
+            backtracking = neg_complexes(5, 10)
+            for k in backtracking:
+                is_collapsible(k, 3000)
+            with per_complex_faces():
+                for k in backtracking:
+                    is_collapsible(k, 3000)
+        slices = _face_tables().slices
+        assert all(slices[q][3] for q in (2, 3))
+        # the per-complex searches each filled a dict of their own
+        own = stored[-len(backtracking) :]
+        assert all(faces[3] for faces in own)
+        assert len({id(faces[3]) for faces in own + list(slices)}) == len(own) + 7
+
+        def below(m):
+            return [m ^ 1 << v for v in _bits(m)] if m & (m - 1) else []
+
+        for masks, _, _, pairs in own + list(slices):
+            for key, cells in pairs.items():
                 s, r = _bits(key)
                 tau, sigma = masks[r], masks[s]
-                below = {tau ^ 1 << v for v in _bits(tau)}
-                below |= {sigma ^ 1 << v for v in _bits(sigma)}
-                listed = [masks[bit.bit_length() - 1] for _, bit in entry]
-                assert sorted(listed) == sorted(below - {tau, 0})
-                for cell in entry:
-                    assert cells.setdefault(cell[1], cell) is cell
+                assert tau in below(sigma)
+                listed = [f for f in below(tau) + below(sigma) if f != tau]
+                assert [masks[bit.bit_length() - 1] for _, bit in cells] == listed
+                for covers, bit in cells:
+                    m = masks[bit.bit_length() - 1]
+                    assert bit.bit_count() == 1
+                    assert {masks[i] for i in _bits(covers)} == {
+                        f for f in masks if m in below(f)
+                    }
 
     def test_levels(self):
         t = _face_tables()
@@ -853,10 +872,13 @@ class TestFixedFaceTables:
             "assert complexes._face_tables.cache_info().currsize == 0\n"
             "simptop.standard_ball(2).f_vector()\n"
             "assert complexes._face_tables.cache_info().currsize == 1\n"
-            "assert complexes._slice_pairs.cache_info().currsize == 0\n"
-            "simptop.is_collapsible(simptop.standard_ball(2))\n"
-            "assert complexes._slice_pairs.cache_info().currsize == 1\n"
-            "assert complexes._slice_pairs.cache_info().hits == 0\n"
+            "slices = complexes._face_tables().slices\n"
+            "ball = simptop.standard_ball(2)\n"
+            "assert simptop.collapses_to(ball, ball).nodes_explored == 0\n"
+            "assert not any(pairs for *_, pairs in slices)\n"
+            "simptop.is_collapsible(ball)\n"
+            "filled = [q for q, (*_, pairs) in enumerate(slices) if pairs]\n"
+            "assert filled == [2]\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -913,7 +935,6 @@ class TestTablesMatchPerComplexBuild:
 
         with per_complex_faces(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(complexes, "_face_tables", no_tables)
-            mp.setattr(complexes, "_slice_pairs", no_tables)
             mp.setattr(complexes, "_rank_faces", recording)
             assert results(k) == table
         # one ranking per boundary matrix and one per search

@@ -105,6 +105,24 @@ class TestManifoldCheck:
     def test_torus_is_a_manifold(self):
         assert is_combinatorial_manifold(moebius_kantor_torus()).status == MANIFOLD_YES
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_a_lower_dimensional_component_is_no_manifold(self, d):
+        """The links of the triangle boundary on 6, 7 and 8 are 0-spheres,
+        not (d-1)-spheres: in every dimension the first of its vertices
+        fails, the purity check for d >= 4 as the link pass for d = 3."""
+        k = from_facets(
+            list(itertools.combinations(range(d + 2), d + 1))
+            + list(itertools.combinations((6, 7, 8), 2))
+        )
+        said = "link is not a combinatorial %d-sphere" % (d - 1)
+        verdict = is_combinatorial_manifold(k)
+        assert verdict == ManifoldVerdict(MANIFOLD_NO, ((6, said),))
+        cert = certify_sphere(k)
+        assert (cert.verdict, cert.reason) == (
+            PRECONDITION_FAILED,
+            "not a combinatorial manifold",
+        )
+
 
 class TestFindInducedBall:
     def test_facet_policy_s3(self):
@@ -189,6 +207,23 @@ class TestCertifySphere:
         cert = certify_sphere(catalog.get("R").complex, assume_manifold=True)
         assert cert.verdict == PRECONDITION_FAILED
         assert cert.reason == "decomposition failed: decompose: y is not a pseudomanifold"
+
+    @pytest.mark.parametrize(
+        "assume, reason",
+        [
+            (False, "not a combinatorial manifold"),
+            (True, "not pure; the assumed manifold hypothesis fails"),
+        ],
+    )
+    def test_non_pure_homology_sphere(self, assume, reason):
+        """The tetrahedron boundary with a pendant edge has the Betti
+        numbers of a 2-sphere and no induced ball to find: unassumed the
+        manifold gate turns it away, and assumed a manifold it is refuted."""
+        m = sc((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (4, 5))
+        assert reduced_betti(m) == (0, 0, 1)
+        cert = certify_sphere(m, assume_manifold=assume)
+        assert (cert.verdict, cert.reason) == (PRECONDITION_FAILED, reason)
+        assert cert.ball is None and cert.complement is None
 
     def test_assume_manifold_mode(self):
         s = catalog.get("Sigma3").complex
