@@ -389,11 +389,14 @@ class CollapsibilitySampleReport:
     """What ``sample_acyclic_collapsibility`` found in its draws.
 
     ``chi_failures`` counts the acyclic draws whose Euler characteristic is
-    not 1.  The sampler skips every draw with chi != 1 before its rank
-    test, so the count is 0 by construction: by Euler-Poincare, chi - 1 is
+    not 1.  The sampler skips every draw with chi != 1 before anything
+    else, so the count is 0 by construction: by Euler-Poincare, chi - 1 is
     the alternating sum of the reduced Betti numbers, and a skipped draw is
     not acyclic.  The field stays, so a report names the fields it always
-    named and its digests hash the same lines.
+    named and its digests hash the same lines.  A draw the collapse
+    search's greedy descent collapses counts in ``acyclic_found`` and
+    ``collapsible_count`` without a rank test, since a collapsible complex
+    is contractible; only the other draws with chi = 1 are ranked.
     """
 
     samples: int
@@ -421,17 +424,26 @@ def sample_acyclic_collapsibility(
     Samples live on the lemma's bound of ``collapse.ACYCLIC_VERTEX_BOUND``
     = 7 vertices, where ``SAMPLER_P`` was calibrated.  Each sample draws a
     dimension in {2, 3} and keeps each candidate facet with the calibrated
-    probability for that dimension.  Each non-empty draw then meets three
-    tests in order: its Euler characteristic (two popcounts on the fixed
-    face tables), its GF(2) reduced homology, and the exhaustive
-    collapsibility search.  A draw with chi != 1 is skipped before any
-    elimination: chi - 1 is the alternating sum of the reduced Betti
-    numbers, so it is not acyclic.  This is why ``chi_failures`` is 0 by
-    construction.  Acyclic samples go through the collapsibility search; a
-    counterexample list that stays empty is the verification.  Only samples
-    proved not collapsible are counterexamples; those the search gave up on
-    within ``budget`` nodes are listed under ``inconclusive``.  ``seed``
-    must be an int, so that the report names the draws it made.
+    probability for that dimension.  Each non-empty draw then meets up to
+    four tests in order:
+
+    1. its Euler characteristic (two popcounts on the fixed face tables).
+       A draw with chi != 1 is skipped: chi - 1 is the alternating sum of
+       the reduced Betti numbers, so it is not acyclic.  This is why
+       ``chi_failures`` is 0 by construction;
+    2. the collapse search's first, greedy descent within ``budget``
+       nodes.  A draw it collapses is contractible, so it counts as
+       acyclic and collapsible without a rank test;
+    3. only a draw the descent leaves at a dead end or gives up on takes
+       its GF(2) reduced homology;
+    4. an acyclic one of those goes through the full collapsibility
+       search.
+
+    No lemma is assumed, so a counterexample list that stays empty is the
+    verification.  Only samples proved not collapsible are counterexamples;
+    those the search gave up on within ``budget`` nodes are listed under
+    ``inconclusive``.  ``seed`` must be an int, so that the report names
+    the draws it made.
     """
     if not _is_int(n_samples) or n_samples < 1:
         raise ValueError(f"sample count must be an int >= 1, not {n_samples!r}")
@@ -462,7 +474,15 @@ def sample_acyclic_collapsibility(
         k = SimplicialComplex._from_facet_masks(facets)
         # Euler-Poincare: chi - 1 is the alternating sum of the reduced
         # Betti numbers, so chi != 1 rules out acyclicity without a rank
-        if k.euler_characteristic() != 1 or not homology.is_z2_acyclic(k):
+        if k.euler_characteristic() != 1:
+            continue
+        # a complex that collapses is contractible, so acyclic: only a
+        # draw the greedy descent leaves uncollapsed takes the rank
+        if collapse_mod._greedy_collapses(k, budget):
+            acyclic += 1
+            collapsible += 1
+            continue
+        if not homology.is_z2_acyclic(k):
             continue
         acyclic += 1
         verdict = collapse_mod.is_collapsible(k, budget)

@@ -5,6 +5,17 @@ face set of each intermediate complex.  At each node free pairs of maximal
 dimension are tried first (lexicographic within a dimension), which
 empirically shortens certificates and raises memo hits.
 
+Its first descent removes the lowest free face at every node until it
+reaches the goal, a node with no free face, or the node budget.  Until that
+first dead end nothing is dead, so no memo lookup can hit, and
+``_descend`` runs it as a loop of its own that keeps only the pairs it
+removed and each level's free faces.  At a dead end the DFS takes over:
+it rebuilds the levels from those, puts the dead closure in the memo, pops
+the last pair off the path and backtracks, counting nodes, memo hits and
+depth as if it had run from the start.  A greedy search (below) stops at
+that dead end instead.  The acyclicity sampler runs the same descent ahead
+of its GF(2) rank: a draw it collapses is contractible, hence acyclic.
+
 From dimension 3 on, collapsibility is order-sensitive, so a failed greedy
 run proves nothing and "not collapsible" is only reported after the
 memo-complete search terminates.  In dimension <= 2 one greedy path decides
@@ -178,6 +189,85 @@ def _check_budget(budget: Optional[int]) -> None:
         raise ValueError(f"node budget must be an int >= 0 or None, not {budget!r}")
 
 
+def _pair_cells(up, down, t: int, high: int) -> Tuple[Tuple[int, int], ...]:
+    """The neighbourhood of the pair of tau, rank t, and sigma, the one bit
+    of ``high``: each face right below tau or sigma other than tau, with
+    its covers and its bit."""
+    s = high.bit_length() - 1
+    return tuple((up[j], 1 << j) for j in down[t] + down[s] if j != t)
+
+
+def _certificate(masks, path: List[int], closure: int) -> CollapseCertificate:
+    """The certificate of a search that removed the pairs in ``path``, each
+    a bitset over ranks, and ended at ``closure``.  A cover ranks before
+    the faces it covers, so a pair's top bit is tau and its lowest bit
+    sigma."""
+    pairs = tuple(
+        (masks[p.bit_length() - 1], masks[(p & -p).bit_length() - 1]) for p in path
+    )
+    faces = frozenset(masks[i] for i in _bits(closure))
+    return CollapseCertificate._from_masks(pairs, faces)
+
+
+def _descend(up, down, pairs, closure: int, free: int, goal, budget):
+    """The search's first descent: from ``closure`` with free faces
+    ``free``, remove the lowest free face and its cover until the goal, a
+    node with no free face, or a node past ``budget``.
+
+    ``goal`` None is a single vertex; otherwise it is the target's closure,
+    whose faces are never removed.  Nodes are counted and the budget is
+    checked as in ``_search``.  Returns ``(status, nodes, closure, path,
+    frees)``: ``COLLAPSIBLE`` at the goal, ``NOT_COLLAPSIBLE`` at a dead
+    end and ``INCONCLUSIVE`` past the budget; ``closure`` is the last
+    node, ``path`` the pairs removed, and ``frees`` the free faces of each
+    node a pair was removed from, all bitsets over ranks.  Nothing is dead
+    before the first dead end, so no memo is kept or read.
+    """
+    path: List[int] = []
+    frees: List[int] = []
+    # terminal: a single vertex, the only downward-closed set of one face,
+    # or exactly the target's faces; the loops below repeat this test inline
+    if closure & (closure - 1) == 0 if goal is None else closure == goal:
+        return COLLAPSIBLE, 0, closure, path, frees
+    unprotected = ~(goal or 0)
+    free &= unprotected
+    nodes = 1
+    while free:
+        low = free & -free
+        t = low.bit_length() - 1
+        high = up[t] & closure
+        pair = low | high
+        closure ^= pair
+        path.append(pair)
+        frees.append(free)
+        if closure & (closure - 1) == 0 if goal is None else closure == goal:
+            return COLLAPSIBLE, nodes, closure, path, frees
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return INCONCLUSIVE, nodes, closure, path, frees
+        # only faces right below tau or sigma lost a cover
+        free &= ~pair
+        try:
+            cells = pairs[pair]
+        except KeyError:
+            cells = pairs[pair] = _pair_cells(up, down, t, high)
+        for covers, bit in cells:
+            if (covers & closure).bit_count() == 1:
+                free |= bit
+            else:
+                free &= ~bit
+        free &= unprotected
+    return NOT_COLLAPSIBLE, nodes, closure, path, frees
+
+
+def _greedy_collapses(k: SimplicialComplex, budget: Optional[int]) -> bool:
+    """Whether the first descent of ``is_collapsible(k, budget)`` collapses
+    k to a single vertex, so that the search would return it as the
+    certificate; False at a dead end or past the budget."""
+    _, up, down, pairs, start, free = k._search_faces()
+    return _descend(up, down, pairs, start, free, None, budget)[0] == COLLAPSIBLE
+
+
 def _search(
     k: SimplicialComplex,
     target: Optional[SimplicialComplex],
@@ -188,9 +278,14 @@ def _search(
     The search ends at a single vertex when ``target`` is None, and
     otherwise at exactly the faces of ``target``, which it never removes.
     The verdict is inconclusive exactly when the node budget or
-    ``MEMO_CAP`` was hit first.  Towards a single vertex in dimension <= 2
-    the search follows one greedy path (see the module docstring).  A
-    negative or non-int ``budget`` is a ValueError.
+    ``MEMO_CAP`` was hit first.  The first descent is ``_descend``, which
+    keeps no memo.  At its dead end the DFS below takes over from the
+    descent's levels with the dead closure on top: it puts that closure in
+    the memo, pops the last pair off the path and backtracks, with the
+    counters it would have had running from the start.  Towards a single
+    vertex in dimension <= 2 that first dead end decides (see the module
+    docstring), so only the dead closure is handed over.  A negative or
+    non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
     masks, up, down, pairs, start, free = k._search_faces()
@@ -198,22 +293,28 @@ def _search(
     if target is not None:
         rank = {m: i for i, m in enumerate(masks)}
         goal = sum(1 << rank[m] for m in target._star)
+    status, nodes, closure, path, frees = _descend(
+        up, down, pairs, start, free, goal, budget
+    )
+    max_depth = len(path)
+    if status == COLLAPSIBLE:
+        cert = _certificate(masks, path, closure)
+        return CollapseVerdict(COLLAPSIBLE, nodes, cert, 0, 0, max_depth)
+    if status == INCONCLUSIVE:
+        return CollapseVerdict(INCONCLUSIVE, nodes, None, 0, 0, max_depth)
     unprotected = ~(goal or 0)
     greedy = goal is None and k.dim <= 2
-
-    # terminal: a single vertex, the only downward-closed set of one face,
-    # or exactly the target's faces; the loop below repeats this test inline
-    if start & (start - 1) == 0 if goal is None else start == goal:
-        faces = frozenset(masks[i] for i in _bits(start))
-        cert = CollapseCertificate._from_masks((), faces)
-        return CollapseVerdict(COLLAPSIBLE, 0, cert)
+    # each node is [closure, free faces, free faces not tried yet]; the
+    # descent tried the lowest free face of each level, and its dead end
+    # is on top.  A greedy search stops there and needs no other level.
+    stack = []
+    if not greedy:
+        for pair, level_free in zip(path, frees):
+            stack.append([start, level_free, level_free & (level_free - 1)])
+            start ^= pair
+    stack.append([closure, 0, 0])
     dead = set()
-    path: List[Tuple[int, int]] = []
-    free &= unprotected
-    # each node is [closure, free faces, free faces not tried yet]
-    stack = [[start, free, free]]
-    nodes = 1
-    memo_hits = max_depth = 0
+    memo_hits = 0
     while stack:
         node = stack[-1]
         closure, free, untried = node
@@ -228,13 +329,11 @@ def _search(
                 memo_hits += 1
                 continue
             node[2] = untried
-            s = high.bit_length() - 1
-            path.append((masks[t], masks[s]))
+            path.append(pair)
             if len(path) > max_depth:
                 max_depth = len(path)
             if child & (child - 1) == 0 if goal is None else child == goal:
-                faces = frozenset(masks[i] for i in _bits(child))
-                cert = CollapseCertificate._from_masks(tuple(path), faces)
+                cert = _certificate(masks, path, child)
                 return CollapseVerdict(
                     COLLAPSIBLE, nodes, cert, memo_hits, len(dead), max_depth
                 )
@@ -248,9 +347,7 @@ def _search(
             try:
                 cells = pairs[pair]
             except KeyError:
-                cells = pairs[pair] = tuple(
-                    (up[j], 1 << j) for j in down[t] + down[s] if j != t
-                )
+                cells = pairs[pair] = _pair_cells(up, down, t, high)
             for covers, bit in cells:
                 if (covers & child).bit_count() == 1:
                     child_free |= bit

@@ -19,7 +19,7 @@ from simptop import (
     match_catalog,
     sample_acyclic_collapsibility,
 )
-from simptop import census, collapse
+from simptop import census, collapse, homology
 from simptop.census import (
     CONSTRAINT_BOUNDARY,
     CONSTRAINT_CLOSED,
@@ -771,6 +771,21 @@ class TestCollapsibilitySampling:
         report = sample_acyclic_collapsibility(n_samples, seed=seed, **kwargs)
         assert report.acyclic_found > 100
         assert report == _unfiltered_sample(n_samples, seed, **kwargs)
+
+    def test_rank_only_where_the_descent_stops(self, monkeypatch):
+        """A draw the greedy descent collapses is contractible, so acyclic,
+        and takes no rank test: 40 of the 713 draws with chi = 1 that the
+        rank once tested.  The report is still the unfiltered one."""
+        ranked = []
+
+        def counting(k):
+            ranked.append(k)
+            return is_z2_acyclic(k)
+
+        monkeypatch.setattr(homology, "is_z2_acyclic", counting)
+        report = sample_acyclic_collapsibility(2000, seed=1)
+        assert len(ranked) == 40
+        assert report == _unfiltered_sample(2000, 1)
 
     @pytest.mark.parametrize("n_samples, seed, budget", list(SAMPLER_DIGESTS))
     def test_reports_pinned(self, n_samples, seed, budget):

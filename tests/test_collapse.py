@@ -363,18 +363,30 @@ def _random_complexes(seed, count):
 
 @functools.lru_cache(maxsize=None)
 def _sampled_inputs(n_samples=200, seeds=(1, 2, 3)):
-    """Every (complex, budget) the sampler hands to is_collapsible: its
-    acyclic draws."""
+    """Every (complex, budget) the sampler finds acyclic, in draw order:
+    the draws its greedy descent collapses, and those it hands to
+    is_collapsible."""
     seen = []
+    greedy_collapses = collapse._greedy_collapses
 
     def recording(k, budget=collapse.DEFAULT_BUDGET):
         seen.append((k, budget))
         return is_collapsible(k, budget)
 
+    def recording_descent(k, budget):
+        collapsed = greedy_collapses(k, budget)
+        if collapsed:
+            seen.append((k, budget))
+        return collapsed
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census.collapse_mod, "is_collapsible", recording)
-        for seed in seeds:
-            census.sample_acyclic_collapsibility(n_samples, seed=seed)
+        mp.setattr(census.collapse_mod, "_greedy_collapses", recording_descent)
+        acyclic = sum(
+            census.sample_acyclic_collapsibility(n_samples, seed=seed).acyclic_found
+            for seed in seeds
+        )
+    assert len(seen) == acyclic
     return tuple(seen)
 
 
@@ -433,6 +445,158 @@ class TestSearchMatchesOracle:
     def test_empty_free_face_rejected(self):
         with pytest.raises(ValueError, match="not a free pair"):
             elementary_collapse(sc((5,)), CollapseStep(Face([]), Face([5])))
+
+
+# -- the search without its first descent, kept as the oracle ------------
+
+
+def _dfs_only_search(k, target, budget):
+    """``_search`` as it was before its first descent ran as a loop of its
+    own: one DFS from the start node, whose path holds mask pairs."""
+    masks, up, down, pairs, start, free = k._search_faces()
+    goal = None
+    if target is not None:
+        rank = {m: i for i, m in enumerate(masks)}
+        goal = sum(1 << rank[m] for m in target._star)
+    unprotected = ~(goal or 0)
+    greedy = goal is None and k.dim <= 2
+    if start & (start - 1) == 0 if goal is None else start == goal:
+        faces = frozenset(masks[i] for i in _bits(start))
+        cert = CollapseCertificate._from_masks((), faces)
+        return collapse.CollapseVerdict(COLLAPSIBLE, 0, cert)
+    dead = set()
+    path = []
+    free &= unprotected
+    stack = [[start, free, free]]
+    nodes = 1
+    memo_hits = max_depth = 0
+    while stack:
+        node = stack[-1]
+        closure, free, untried = node
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            t = low.bit_length() - 1
+            high = up[t] & closure
+            pair = low | high
+            child = closure ^ pair
+            if child in dead:
+                memo_hits += 1
+                continue
+            node[2] = untried
+            s = high.bit_length() - 1
+            path.append((masks[t], masks[s]))
+            max_depth = max(max_depth, len(path))
+            if child & (child - 1) == 0 if goal is None else child == goal:
+                faces = frozenset(masks[i] for i in _bits(child))
+                cert = CollapseCertificate._from_masks(tuple(path), faces)
+                return collapse.CollapseVerdict(
+                    COLLAPSIBLE, nodes, cert, memo_hits, len(dead), max_depth
+                )
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return collapse.CollapseVerdict(
+                    INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
+                )
+            child_free = free & ~pair
+            for j in down[t] + down[s]:
+                if j != t:
+                    if (up[j] & child).bit_count() == 1:
+                        child_free |= 1 << j
+                    else:
+                        child_free &= ~(1 << j)
+            child_free &= unprotected
+            stack.append([child, child_free, child_free])
+            break
+        else:
+            if len(dead) >= collapse.MEMO_CAP:
+                return collapse.CollapseVerdict(
+                    INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
+                )
+            dead.add(closure)
+            if greedy:
+                break
+            stack.pop()
+            if path:
+                path.pop()
+    return collapse.CollapseVerdict(
+        NOT_COLLAPSIBLE, nodes, None, memo_hits, len(dead), max_depth
+    )
+
+
+def _verdict_fields(verdict):
+    cert = verdict.certificate
+    return (
+        verdict.status,
+        verdict.nodes_explored,
+        verdict.memo_hits,
+        verdict.memo_size,
+        verdict.max_depth,
+        None if cert is None else cert.pairs,
+        None if cert is None else cert.faces,
+    )
+
+
+DESCENT_BUDGETS = (0, 1, 2, 3, 5, 50, 3000)
+
+
+def _assert_descent_matches(cases):
+    """``cases`` are (k, target, budget): ``_search`` gives the DFS-only
+    search's status, counters and certificate masks."""
+    for k, target, budget in cases:
+        expected = _verdict_fields(_dfs_only_search(k, target, budget))
+        assert _verdict_fields(_search(k, target, budget)) == expected, (
+            k, target, budget
+        )
+
+
+class TestDescentMatchesDfsOnly:
+    """The first descent as a loop of its own, and the DFS that takes over
+    at its dead end, return what one DFS from the start returned: budgets
+    stop the descent at its first nodes, and dead ends hand over at every
+    depth the inputs reach."""
+
+    def test_sampler_draws(self):
+        draws = sampler_draws()
+        assert len(draws) > 500
+        _assert_descent_matches(
+            (k, None, budget) for k in draws for budget in DESCENT_BUDGETS[:-1]
+        )
+        seen = _sampled_inputs()
+        _assert_descent_matches((k, None, 3000) for k, _ in seen)
+
+    def test_backtracking_three_complexes(self):
+        ks = neg_complexes(5, 30)
+        _assert_descent_matches(
+            (k, None, budget) for k in ks for budget in DESCENT_BUDGETS
+        )
+
+    def test_catalog_both_labelings(self):
+        rng = random.Random(32)
+        ks = list(_catalog_variants())
+        ks += [spread_labels(k, rng) for k in ks if len(k.vertices) <= 7]
+        assert any(k._table_closure is None for k in ks)
+        assert any(k._table_closure is not None for k in map(low_labels, ks))
+        _assert_descent_matches(
+            (k, None, budget) for k in ks for budget in DESCENT_BUDGETS
+        )
+
+    def test_collapses_to_targets(self):
+        rng = random.Random(8)
+        ks = list(_random_complexes(32, 40)) + neg_complexes(8, 6)
+        ks += [k.cone(9) for k in ks[:10]]
+        _assert_descent_matches(
+            (k, target, budget)
+            for k, target, _ in _with_targets(ks, rng, None)
+            if target is not None
+            for budget in DESCENT_BUDGETS
+        )
+
+    @pytest.mark.parametrize("cap", [0, 1, 10])
+    def test_memo_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(collapse, "MEMO_CAP", cap)
+        ks = neg_complexes(5, 6) + [sc((0, 1, 2, 3), (4,)), sc((0, 1), (2, 3))]
+        _assert_descent_matches((k, None, 3000) for k in ks)
 
 
 # -- fixed face tables against the per-complex build ----------------------
