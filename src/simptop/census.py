@@ -393,8 +393,8 @@ class CollapsibilitySampleReport:
     else, so the count is 0 by construction: by Euler-Poincare, chi - 1 is
     the alternating sum of the reduced Betti numbers, and a skipped draw is
     not acyclic.  The field stays, so a report names the fields it always
-    named and its digests hash the same lines.  A draw the collapse
-    search's greedy descent collapses counts in ``acyclic_found`` and
+    named and its digests hash the same lines.  A draw that the greedy
+    mode of the one search loop collapses counts in ``acyclic_found`` and
     ``collapsible_count`` without a rank test, since a collapsible complex
     is contractible; only the other draws with chi = 1 are ranked.
     """
@@ -431,11 +431,12 @@ def sample_acyclic_collapsibility(
        A draw with chi != 1 is skipped: chi - 1 is the alternating sum of
        the reduced Betti numbers, so it is not acyclic.  This is why
        ``chi_failures`` is 0 by construction;
-    2. the collapse search's first, greedy descent within ``budget``
-       nodes.  A draw it collapses is contractible, so it counts as
-       acyclic and collapsible without a rank test;
-    3. only a draw the descent leaves at a dead end or gives up on takes
-       its GF(2) reduced homology;
+    2. the greedy mode of the one search loop within ``budget`` nodes: the
+       search's first descent, stopped at its first dead end.  A draw it
+       collapses is contractible, so it counts as acyclic and collapsible
+       without a rank test;
+    3. only a draw that greedy search leaves at a dead end or gives up on
+       takes its GF(2) reduced homology;
     4. an acyclic one of those goes through the full collapsibility
        search.
 
@@ -477,7 +478,7 @@ def sample_acyclic_collapsibility(
         if k.euler_characteristic() != 1:
             continue
         # a complex that collapses is contractible, so acyclic: only a
-        # draw the greedy descent leaves uncollapsed takes the rank
+        # draw the greedy search leaves uncollapsed takes the rank
         if collapse_mod._greedy_collapses(k, budget):
             acyclic += 1
             collapsible += 1

@@ -265,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="decide collapsibility")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=collapse_mod.DEFAULT_BUDGET)
-    p.add_argument(
+    search = p.add_mutually_exclusive_group()
+    search.add_argument("--budget", type=int, default=collapse_mod.DEFAULT_BUDGET)
+    search.add_argument(
         "--exhaustive", action="store_true", help="search without a node budget"
     )
     p.add_argument("--to", help="target subcomplex file for collapses-to")

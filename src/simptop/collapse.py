@@ -5,16 +5,16 @@ face set of each intermediate complex.  At each node free pairs of maximal
 dimension are tried first (lexicographic within a dimension), which
 empirically shortens certificates and raises memo hits.
 
-Its first descent removes the lowest free face at every node until it
-reaches the goal, a node with no free face, or the node budget.  Until that
-first dead end nothing is dead, so no memo lookup can hit, and
-``_descend`` runs it as a loop of its own that keeps only the pairs it
-removed and each level's free faces.  At a dead end the DFS takes over:
-it rebuilds the levels from those, puts the dead closure in the memo, pops
-the last pair off the path and backtracks, counting nodes, memo hits and
-depth as if it had run from the start.  A greedy search (below) stops at
-that dead end instead.  The acyclicity sampler runs the same descent ahead
-of its GF(2) rank: a draw it collapses is contractible, hence acyclic.
+Every search runs one loop, ``_collapse``, which keeps the pairs it
+removed and the free faces of each node it left, and nothing else per
+level.  Its first descent removes the lowest free face at every node until
+it reaches the goal, a node with no free face, or the node budget; nothing
+is dead before that first dead end, so it makes no memo lookup.  At a dead
+end it puts the closure in the memo, pops the last pair off the path, puts
+the pair back, and tries the free faces of that node ranked after the
+pair's free face.  A greedy search (below) stops at its first dead end.
+The acyclicity sampler runs the search greedy ahead of its GF(2) rank: a
+draw it collapses is contractible, hence acyclic.
 
 From dimension 3 on, collapsibility is order-sensitive, so a failed greedy
 run proves nothing and "not collapsible" is only reported after the
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, List, Optional, Tuple
 
-from .complexes import TABLE_VERTICES, Face, SimplicialComplex, _bits, _covers, _is_int
+from .complexes import TABLE_VERTICES, Face, SimplicialComplex, _bits, _is_int
 
 COLLAPSIBLE = "collapsible-with-certificate"
 NOT_COLLAPSIBLE = "not-collapsible-exhausted"
@@ -159,14 +159,15 @@ class CollapseVerdict:
 
 
 def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
-    """All free pairs of k in deterministic best-first order."""
-    masks, down = k._ranked_faces()
+    """All free pairs of k in deterministic best-first order: the start
+    free faces of a collapse search, each with its one cover."""
+    masks, up, _, _, closure, free = k._search_faces()
     return [
         CollapseStep(
-            Face.from_mask(masks[t]), Face.from_mask(masks[covers.bit_length() - 1])
+            Face.from_mask(masks[t]),
+            Face.from_mask(masks[(up[t] & closure).bit_length() - 1]),
         )
-        for t, covers in enumerate(_covers(down))
-        if covers.bit_count() == 1
+        for t in _bits(free)
     ]
 
 
@@ -209,63 +210,95 @@ def _certificate(masks, path: List[int], closure: int) -> CollapseCertificate:
     return CollapseCertificate._from_masks(pairs, faces)
 
 
-def _descend(up, down, pairs, closure: int, free: int, goal, budget):
-    """The search's first descent: from ``closure`` with free faces
-    ``free``, remove the lowest free face and its cover until the goal, a
-    node with no free face, or a node past ``budget``.
+def _collapse(up, down, pairs, closure: int, free: int, goal, budget, greedy):
+    """The search loop: from ``closure`` with free faces ``free``, remove
+    the lowest untried free face and its cover until the goal; at a node
+    with no untried free face, mark it dead and backtrack.
 
     ``goal`` None is a single vertex; otherwise it is the target's closure,
-    whose faces are never removed.  Nodes are counted and the budget is
-    checked as in ``_search``.  Returns ``(status, nodes, closure, path,
-    frees)``: ``COLLAPSIBLE`` at the goal, ``NOT_COLLAPSIBLE`` at a dead
-    end and ``INCONCLUSIVE`` past the budget; ``closure`` is the last
-    node, ``path`` the pairs removed, and ``frees`` the free faces of each
-    node a pair was removed from, all bitsets over ranks.  Nothing is dead
-    before the first dead end, so no memo is kept or read.
+    whose faces are never removed.  The start counts as a node, and so does
+    every node past it but the goal; the search is inconclusive at the
+    first node past ``budget`` (None is unbounded) or at a dead end with
+    ``MEMO_CAP`` dead complexes held.  With ``greedy`` the first dead end
+    ends the search.  Returns ``(status, nodes, closure, path, memo_hits,
+    memo_size, max_depth)``, ``closure`` the last node and ``path`` the
+    pairs removed, as bitsets over ranks.
+
+    A node is its closure, its free faces and those it has yet to try;
+    ``frees`` holds the free faces of each node a pair was removed from.
+    Faces are tried lowest rank first, and a pair's top bit is tau, since a
+    cover ranks before the faces it covers; so a node the search backtracks
+    to has tried or skipped every free face up to tau, and dead stays dead.
+    Nothing is dead before the first dead end, so until then no memo
+    lookup is made.
     """
     path: List[int] = []
     frees: List[int] = []
     # terminal: a single vertex, the only downward-closed set of one face,
-    # or exactly the target's faces; the loops below repeat this test inline
+    # or exactly the target's faces; the loop repeats this test inline
     if closure & (closure - 1) == 0 if goal is None else closure == goal:
-        return COLLAPSIBLE, 0, closure, path, frees
+        return COLLAPSIBLE, 0, closure, path, 0, 0, 0
     unprotected = ~(goal or 0)
-    free &= unprotected
+    untried = free = free & unprotected
+    dead = set()
     nodes = 1
-    while free:
-        low = free & -free
-        t = low.bit_length() - 1
-        high = up[t] & closure
-        pair = low | high
+    memo_hits = max_depth = 0
+    while True:
+        while untried:
+            low = untried & -untried
+            t = low.bit_length() - 1
+            high = up[t] & closure
+            pair = low | high
+            if dead and closure ^ pair in dead:
+                memo_hits += 1
+                untried ^= low
+                continue
+            closure ^= pair
+            path.append(pair)
+            frees.append(free)
+            if closure & (closure - 1) == 0 if goal is None else closure == goal:
+                depth = max(max_depth, len(path))
+                return COLLAPSIBLE, nodes, closure, path, memo_hits, len(dead), depth
+            nodes += 1
+            if budget is not None and nodes > budget:
+                depth = max(max_depth, len(path))
+                return INCONCLUSIVE, nodes, closure, path, memo_hits, len(dead), depth
+            # only faces right below tau or sigma lost a cover
+            free &= ~pair
+            try:
+                cells = pairs[pair]
+            except KeyError:
+                cells = pairs[pair] = _pair_cells(up, down, t, high)
+            for covers, bit in cells:
+                if (covers & closure).bit_count() == 1:
+                    free |= bit
+                else:
+                    free &= ~bit
+            untried = free = free & unprotected
+        # a dead end, where the path is at its longest
+        if len(path) > max_depth:
+            max_depth = len(path)
+        if len(dead) >= MEMO_CAP:
+            return INCONCLUSIVE, nodes, closure, path, memo_hits, len(dead), max_depth
+        dead.add(closure)
+        if greedy or not path:
+            return (
+                NOT_COLLAPSIBLE, nodes, closure, path, memo_hits, len(dead), max_depth
+            )
+        pair = path.pop()
         closure ^= pair
-        path.append(pair)
-        frees.append(free)
-        if closure & (closure - 1) == 0 if goal is None else closure == goal:
-            return COLLAPSIBLE, nodes, closure, path, frees
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return INCONCLUSIVE, nodes, closure, path, frees
-        # only faces right below tau or sigma lost a cover
-        free &= ~pair
-        try:
-            cells = pairs[pair]
-        except KeyError:
-            cells = pairs[pair] = _pair_cells(up, down, t, high)
-        for covers, bit in cells:
-            if (covers & closure).bit_count() == 1:
-                free |= bit
-            else:
-                free &= ~bit
-        free &= unprotected
-    return NOT_COLLAPSIBLE, nodes, closure, path, frees
+        free = frees.pop()
+        untried = free & -(1 << pair.bit_length())
 
 
 def _greedy_collapses(k: SimplicialComplex, budget: Optional[int]) -> bool:
-    """Whether the first descent of ``is_collapsible(k, budget)`` collapses
-    k to a single vertex, so that the search would return it as the
-    certificate; False at a dead end or past the budget."""
+    """The search loop's greedy mode: whether the first descent of
+    ``is_collapsible(k, budget)`` collapses k to a single vertex, so that
+    the search would return it as the certificate; False at a dead end or
+    past the budget."""
     _, up, down, pairs, start, free = k._search_faces()
-    return _descend(up, down, pairs, start, free, None, budget)[0] == COLLAPSIBLE
+    status = _collapse(up, down, pairs, start, free, None, budget, True)[0]
+    return status == COLLAPSIBLE
 
 
 def _search(
@@ -278,14 +311,9 @@ def _search(
     The search ends at a single vertex when ``target`` is None, and
     otherwise at exactly the faces of ``target``, which it never removes.
     The verdict is inconclusive exactly when the node budget or
-    ``MEMO_CAP`` was hit first.  The first descent is ``_descend``, which
-    keeps no memo.  At its dead end the DFS below takes over from the
-    descent's levels with the dead closure on top: it puts that closure in
-    the memo, pops the last pair off the path and backtracks, with the
-    counters it would have had running from the start.  Towards a single
-    vertex in dimension <= 2 that first dead end decides (see the module
-    docstring), so only the dead closure is handed over.  A negative or
-    non-int ``budget`` is a ValueError.
+    ``MEMO_CAP`` was hit first.  Towards a single vertex in dimension <= 2
+    the first dead end decides (see the module docstring), so ``_collapse``
+    runs greedy there.  A negative or non-int ``budget`` is a ValueError.
     """
     _check_budget(budget)
     masks, up, down, pairs, start, free = k._search_faces()
@@ -293,83 +321,12 @@ def _search(
     if target is not None:
         rank = {m: i for i, m in enumerate(masks)}
         goal = sum(1 << rank[m] for m in target._star)
-    status, nodes, closure, path, frees = _descend(
-        up, down, pairs, start, free, goal, budget
-    )
-    max_depth = len(path)
-    if status == COLLAPSIBLE:
-        cert = _certificate(masks, path, closure)
-        return CollapseVerdict(COLLAPSIBLE, nodes, cert, 0, 0, max_depth)
-    if status == INCONCLUSIVE:
-        return CollapseVerdict(INCONCLUSIVE, nodes, None, 0, 0, max_depth)
-    unprotected = ~(goal or 0)
     greedy = goal is None and k.dim <= 2
-    # each node is [closure, free faces, free faces not tried yet]; the
-    # descent tried the lowest free face of each level, and its dead end
-    # is on top.  A greedy search stops there and needs no other level.
-    stack = []
-    if not greedy:
-        for pair, level_free in zip(path, frees):
-            stack.append([start, level_free, level_free & (level_free - 1)])
-            start ^= pair
-    stack.append([closure, 0, 0])
-    dead = set()
-    memo_hits = 0
-    while stack:
-        node = stack[-1]
-        closure, free, untried = node
-        while untried:
-            low = untried & -untried
-            untried ^= low
-            t = low.bit_length() - 1
-            high = up[t] & closure
-            pair = low | high
-            child = closure ^ pair
-            if child in dead:
-                memo_hits += 1
-                continue
-            node[2] = untried
-            path.append(pair)
-            if len(path) > max_depth:
-                max_depth = len(path)
-            if child & (child - 1) == 0 if goal is None else child == goal:
-                cert = _certificate(masks, path, child)
-                return CollapseVerdict(
-                    COLLAPSIBLE, nodes, cert, memo_hits, len(dead), max_depth
-                )
-            nodes += 1
-            if budget is not None and nodes > budget:
-                return CollapseVerdict(
-                    INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
-                )
-            # only faces right below tau or sigma lost a cover
-            child_free = free & ~pair
-            try:
-                cells = pairs[pair]
-            except KeyError:
-                cells = pairs[pair] = _pair_cells(up, down, t, high)
-            for covers, bit in cells:
-                if (covers & child).bit_count() == 1:
-                    child_free |= bit
-                else:
-                    child_free &= ~bit
-            child_free &= unprotected
-            stack.append([child, child_free, child_free])
-            break
-        else:
-            if len(dead) >= MEMO_CAP:
-                return CollapseVerdict(
-                    INCONCLUSIVE, nodes, None, memo_hits, len(dead), max_depth
-                )
-            dead.add(closure)
-            if greedy:
-                break  # this dead end decides: not collapsible
-            stack.pop()
-            if path:
-                path.pop()
-    return CollapseVerdict(
-        NOT_COLLAPSIBLE, nodes, None, memo_hits, len(dead), max_depth
+    status, nodes, closure, path, memo_hits, memo_size, max_depth = _collapse(
+        up, down, pairs, start, free, goal, budget, greedy
     )
+    cert = _certificate(masks, path, closure) if status == COLLAPSIBLE else None
+    return CollapseVerdict(status, nodes, cert, memo_hits, memo_size, max_depth)
 
 
 def is_collapsible(

@@ -20,8 +20,8 @@ higher id, groups its closure by dimension, unsorted for counts and
 boundary columns, and ranks those groups for its searches, each starting
 with no pair neighbourhoods.
 This module alone makes that choice: ``homology`` reads
-``_boundary_columns`` and ``collapse`` reads ``_search_faces``.  Boundary
-matrices and free faces rank every complex's own faces through
+``_boundary_columns`` and ``collapse`` reads ``_search_faces``, free
+faces included.  Boundary matrices rank every complex's own faces through
 ``_ranked_faces``.  A complex caches one face index, its star table
 ``_star``: face -> OR of the facets on it.  Its keys are the closure that
 every other face query reads; ``induced`` reads its values, keeping a

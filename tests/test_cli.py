@@ -94,6 +94,16 @@ class TestExitCodes:
         assert code == EXIT_ERROR
         assert "budget" in err
 
+    def test_collapse_exhaustive_with_budget_is_a_usage_error(self, capsys, tmp_path):
+        # the two flags are alternatives; the search must not drop the budget
+        path = tmp_path / "tetrahedra.fl"
+        path.write_text("0 1 4 6\n0 1 5 6\n0 3 4 5\n1 4 5 6\n")
+        argv = ("collapse", str(path), "--exhaustive", "--budget", "5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_collapse_graph_decided_within_small_budget_exits_2(
         self, capsys, tmp_path
     ):

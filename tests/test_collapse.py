@@ -447,12 +447,14 @@ class TestSearchMatchesOracle:
             elementary_collapse(sc((5,)), CollapseStep(Face([]), Face([5])))
 
 
-# -- the search without its first descent, kept as the oracle ------------
+# -- the stack DFS, kept as the oracle of the one search loop -------------
 
 
 def _dfs_only_search(k, target, budget):
-    """``_search`` as it was before its first descent ran as a loop of its
-    own: one DFS from the start node, whose path holds mask pairs."""
+    """``_search`` as one DFS from the start node that keeps a stack of
+    [closure, free faces, untried faces] levels and a path of mask pairs,
+    and looks every child up in the memo: the oracle of the one search
+    loop, which keeps only the path and each level's free faces."""
     masks, up, down, pairs, start, free = k._search_faces()
     goal = None
     if target is not None:
@@ -551,10 +553,11 @@ def _assert_descent_matches(cases):
 
 
 class TestDescentMatchesDfsOnly:
-    """The first descent as a loop of its own, and the DFS that takes over
-    at its dead end, return what one DFS from the start returned: budgets
-    stop the descent at its first nodes, and dead ends hand over at every
-    depth the inputs reach."""
+    """The one search loop, which keeps no level stack, skips the memo
+    until its first dead end and backtracks by putting a pair back and
+    trying the free faces ranked after it, returns what the stack DFS
+    returns: budgets stop the first descent at its first nodes, and the
+    search backtracks from dead ends at every depth the inputs reach."""
 
     def test_sampler_draws(self):
         draws = sampler_draws()
@@ -591,6 +594,22 @@ class TestDescentMatchesDfsOnly:
             if target is not None
             for budget in DESCENT_BUDGETS
         )
+
+    def test_greedy_mode_on_searches_that_backtrack(self):
+        """The loop's greedy mode collapses exactly the inputs that the
+        DFS-only search collapses without backtracking: with one node
+        counted per pair on its path."""
+        outcomes = {True: 0, False: 0}
+        for k in sampler_draws() + neg_complexes(5, 30):
+            for budget in DESCENT_BUDGETS:
+                verdict = _dfs_only_search(k, None, budget)
+                expected = verdict.collapsible and verdict.nodes_explored == len(
+                    verdict.certificate.pairs
+                )
+                got = collapse._greedy_collapses(k, budget)
+                assert got == expected, (k, budget)
+                outcomes[expected] += 1
+        assert min(outcomes.values()) > 100, outcomes
 
     @pytest.mark.parametrize("cap", [0, 1, 10])
     def test_memo_cap(self, monkeypatch, cap):
