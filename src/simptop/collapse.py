@@ -7,7 +7,7 @@ empirically shortens certificates and raises memo hits.
 
 Every search runs one loop, ``_collapse``, which keeps the pairs it
 removed and the free faces of each node it left, and nothing else per
-level.  Its first descent removes the lowest free face at every node until
+level.  Its first descent removes the best free face at every node until
 it reaches the goal, a node with no free face, or the node budget; nothing
 is dead before that first dead end, so it makes no memo lookup.  At a dead
 end it puts the closure in the memo, pops the last pair off the path, puts
@@ -26,29 +26,31 @@ collapses exactly when it is a tree (Joswig and Pfetsch 2006).  There the
 search never backtracks, and the first node without a free face proves
 "not collapsible".  A search towards a protected target stays exhaustive.
 
-Each search reads its faces off ``SimplicialComplex._search_faces``, in
-that best-first order (dimension descending, then lexicographic vertex
-tuple), with the bitsets of the faces covering every face, the ranks right
-below every face, a dict of pair neighbourhoods, the start closure and the
-start's free faces.  A complex on vertex ids 0..6 reads them off the fixed
-face tables: the slice for its dimension starts at the first face of that
-dimension, ranks shifted down to 0, and the start node is the complex's
-table closure shifted the same way.  Its free faces are read off its
-facets (a face is free exactly when one facet holds it and covers it), and
-its pair dict is the slice's, kept from search to search.  Any other
-complex ranks its own faces, inverts their codimension-one faces into
-covers, starts at every rank with the ranks of one cover free, and starts
-with an empty pair dict.  The faces come in the same order on both paths,
-so both take the same steps.  A node is then its closure as a bitset over
-ranks and its free faces (exactly one cover in the closure) as a bitset
-too, plus the free faces it has yet to try.  A free face has one coface,
-so the lowest untried bit names the next pair.  Removing a pair (tau,
-sigma) can only change the cover counts of the faces directly below tau or
-sigma, so a child re-tests just those: the pair's neighbourhood lists each
-with its covers and its bit, and a search that removes a pair with no
-entry yet fills it from ``down``.  The memo stores the closure ints
-themselves, never hashes of them: a collision would mark a live node dead
-and fake "not collapsible".
+Each search reads its faces off ``SimplicialComplex._search_faces``,
+numbered dimension ascending and reverse lexicographic within a dimension,
+so best-first (dimension descending, then lexicographic vertex tuple) is
+rank descending; with them come the bitsets of the faces covering every
+face, the ranks right below every face, a dict of pair neighbourhoods, the
+start closure and the start's free faces.  A complex on vertex ids 0..6
+reads them off the fixed face tables, and the start node is its table
+closure, which for a q-complex lies in the low bits, the ranks of the
+faces of dimension at most q.  Its free faces are read off its facets (a
+face is free exactly when one facet holds it and covers it), and its pair
+dict is the tables', kept from search to search.  Any other complex ranks
+its own faces, inverts their codimension-one faces into covers, starts at
+every rank with the ranks of one cover free, and starts with an empty pair
+dict.
+The faces come in the same order on both paths, so both take the same
+steps.  A node is then its closure as a bitset over ranks and its free
+faces (exactly one cover in the closure) as a bitset too, plus the free
+faces it has yet to try.  A free face has one coface, so the highest
+untried bit names the next pair.  Removing a pair (tau, sigma) can only
+change the cover counts of the faces directly below tau or sigma, so a
+child re-tests just those: the pair's neighbourhood lists each with its
+covers and its bit, and a search that removes a pair with no entry yet
+fills it from ``down``.  The memo stores the closure ints themselves,
+never hashes of them: a collision would mark a live node dead and fake
+"not collapsible".
 
 A positive verdict's certificate is two mask fields: ``pairs``, the
 (tau, sigma) masks of the pairs the search removed, and ``faces``, the
@@ -167,7 +169,7 @@ def free_faces(k: SimplicialComplex) -> List[CollapseStep]:
             Face.from_mask(masks[t]),
             Face.from_mask(masks[(up[t] & closure).bit_length() - 1]),
         )
-        for t in _bits(free)
+        for t in reversed(_bits(free))
     ]
 
 
@@ -200,11 +202,11 @@ def _pair_cells(up, down, t: int, high: int) -> Tuple[Tuple[int, int], ...]:
 
 def _certificate(masks, path: List[int], closure: int) -> CollapseCertificate:
     """The certificate of a search that removed the pairs in ``path``, each
-    a bitset over ranks, and ended at ``closure``.  A cover ranks before
-    the faces it covers, so a pair's top bit is tau and its lowest bit
+    a bitset over ranks, and ended at ``closure``.  A cover ranks above
+    the faces it covers, so a pair's lowest bit is tau and its top bit
     sigma."""
     pairs = tuple(
-        (masks[p.bit_length() - 1], masks[(p & -p).bit_length() - 1]) for p in path
+        (masks[(p & -p).bit_length() - 1], masks[p.bit_length() - 1]) for p in path
     )
     faces = frozenset(masks[i] for i in _bits(closure))
     return CollapseCertificate._from_masks(pairs, faces)
@@ -212,8 +214,8 @@ def _certificate(masks, path: List[int], closure: int) -> CollapseCertificate:
 
 def _collapse(up, down, pairs, closure: int, free: int, goal, budget, greedy):
     """The search loop: from ``closure`` with free faces ``free``, remove
-    the lowest untried free face and its cover until the goal; at a node
-    with no untried free face, mark it dead and backtrack.
+    the highest untried free face, the best, and its cover until the goal;
+    at a node with no untried free face, mark it dead and backtrack.
 
     ``goal`` None is a single vertex; otherwise it is the target's closure,
     whose faces are never removed.  The start counts as a node, and so does
@@ -226,11 +228,11 @@ def _collapse(up, down, pairs, closure: int, free: int, goal, budget, greedy):
 
     A node is its closure, its free faces and those it has yet to try;
     ``frees`` holds the free faces of each node a pair was removed from.
-    Faces are tried lowest rank first, and a pair's top bit is tau, since a
-    cover ranks before the faces it covers; so a node the search backtracks
-    to has tried or skipped every free face up to tau, and dead stays dead.
-    Nothing is dead before the first dead end, so until then no memo
-    lookup is made.
+    Faces are tried highest rank first, and a pair's lowest bit is tau,
+    since a cover ranks above the faces it covers; so a node the search
+    backtracks to has tried or skipped every free face down to tau, and
+    dead stays dead.  Nothing is dead before the first dead end, so until
+    then no memo lookup is made.
     """
     path: List[int] = []
     frees: List[int] = []
@@ -245,8 +247,8 @@ def _collapse(up, down, pairs, closure: int, free: int, goal, budget, greedy):
     memo_hits = max_depth = 0
     while True:
         while untried:
-            low = untried & -untried
-            t = low.bit_length() - 1
+            t = untried.bit_length() - 1
+            low = 1 << t
             high = up[t] & closure
             pair = low | high
             if dead and closure ^ pair in dead:
@@ -288,7 +290,7 @@ def _collapse(up, down, pairs, closure: int, free: int, goal, budget, greedy):
         pair = path.pop()
         closure ^= pair
         free = frees.pop()
-        untried = free & -(1 << pair.bit_length())
+        untried = free & ((pair & -pair) - 1)
 
 
 def _greedy_collapses(k: SimplicialComplex, budget: Optional[int]) -> bool:

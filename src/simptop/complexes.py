@@ -5,20 +5,23 @@ answered against the downward closure of that antichain.  Faces are small
 integer sets held as single-word bit masks, so subset tests, links and
 induced subcomplexes are a handful of machine operations.
 
-One routine, ``_rank_faces``, numbers faces best-first: dimension
-descending, then lexicographic vertex tuple.  Collapse searches run on that
-numbering and boundary matrices print in it.  A complex on vertex ids below
-``TABLE_VERTICES`` = 7 lists no faces of its own: the 127 non-empty subsets
-of 0..6 are ranked once, in fixed tables built on first use, and the
-complex's closure is one bitset over those ranks, the OR of its facets'
-down-sets.  Its f-vector, Euler characteristic and GF(2) boundary columns
-are read off that bitset, and its collapse search runs on it, shifted onto
-the tables' slice for its dimension, with its free faces read off its
-facets; the slice keeps the pair neighbourhoods that searches in that
-dimension fill.  Every other complex, even one on few vertices with a
-higher id, groups its closure by dimension, unsorted for counts and
-boundary columns, and ranks those groups for its searches, each starting
-with no pair neighbourhoods.
+One routine, ``_rank_faces``, numbers faces dimension ascending, each
+dimension in reverse lexicographic vertex order, so best-first (dimension
+descending, then lexicographic vertex tuple) is rank descending and the
+faces of dimension at most q take the lowest ranks.  Collapse searches run
+on that numbering and boundary matrices are printed from it.  A complex on
+vertex ids below ``TABLE_VERTICES`` = 7 lists no faces of its own: the 127
+non-empty subsets of 0..6 are ranked once, in fixed tables built on first
+use, and the complex's closure is one bitset over those ranks, the OR of
+its facets' down-sets, which for a q-complex lies in the low bits, the
+ranks of the faces of dimension at most q.  Its f-vector, Euler
+characteristic and GF(2) boundary columns are read off that bitset, and
+its collapse search runs on it over the tables, with its free faces read
+off its facets; the tables keep the pair neighbourhoods that searches
+fill.  Every other complex, even one on few vertices with a higher id,
+groups its closure by dimension, unsorted for counts and boundary columns,
+and ranks those groups for its searches, each starting with no pair
+neighbourhoods.
 This module alone makes that choice: ``homology`` reads
 ``_boundary_columns`` and ``collapse`` reads ``_search_faces``, free
 faces included.  Boundary matrices rank every complex's own faces through
@@ -106,18 +109,20 @@ TABLE_VERTICES = 7
 def _rank_faces(
     groups: Dict[int, List[int]]
 ) -> Tuple[List[int], List[Tuple[int, ...]]]:
-    """Number a downward-closed set of faces best-first: dimension
-    descending, then lexicographic vertex tuple.  ``groups`` maps each
-    dimension to its face masks, in any order.
+    """Number a downward-closed set of faces dimension ascending, each
+    dimension in reverse lexicographic vertex order, so best-first
+    (dimension descending, then lexicographic) is rank descending and the
+    faces of dimension at most q take the lowest ranks.  ``groups`` maps
+    each dimension to its face masks, in any order.
 
     Returns ``masks``, the faces in rank order, and ``down``: ``down[r]``
     lists the ranks of the codimension-one faces of face r by the vertex
     they omit, ascending, and is empty for a vertex.
     """
     masks: List[int] = []
-    for q in sorted(groups, reverse=True):
-        # one size per group, so _lex_key sorts it lexicographically
-        masks += sorted(groups[q], key=_lex_key, reverse=True)
+    for q in sorted(groups):
+        # one size per group, so _lex_key sorts it reverse lexicographically
+        masks += sorted(groups[q], key=_lex_key)
     rank = {m: r for r, m in enumerate(masks)}
     down = [
         tuple(rank[m ^ 1 << v] for v in _bits(m)) if m & (m - 1) else ()
@@ -150,14 +155,11 @@ def _face_tables() -> SimpleNamespace:
     ``odd`` are the ORs of ``level[q]`` over even and over odd q, so a
     closure's Euler characteristic is two popcounts.
 
-    ``rank[m]`` is the rank of the face with mask m.
-
-    ``slices[q]`` is ``(masks, up, down, pairs)`` from the first q-face
-    on, every rank shifted down by that face's rank: the faces a q-complex
-    can hold.  A q-complex's table closure shifted the same way is its
-    closure over the slice, which a collapse search runs on directly.
-    ``pairs`` starts empty; the searches in dimension q fill it with pair
-    neighbourhoods, which depend on the slice alone, and keep them.
+    ``rank[m]`` is the rank of the face with mask m.  Faces are ranked
+    dimension ascending, so a q-complex's closure lies in the low bits,
+    0..62 for q = 2 and 0..97 for q = 3, and a collapse search runs on the
+    tables directly.  ``pairs`` starts empty; searches fill it with pair
+    neighbourhoods, which depend on the tables alone, and keep them.
     """
     n = TABLE_VERTICES
     subsets = range(1, 1 << n)
@@ -177,19 +179,6 @@ def _face_tables() -> SimpleNamespace:
     for r, m in enumerate(masks):
         level[m.bit_count() - 1] |= 1 << r
     boundary = tuple(sum(1 << j for j in below) for below in down)
-    slices = []
-    for q in range(n):
-        # faces are ranked dimension descending: what follows the first
-        # q-face lies below it, and covers above it are shifted out
-        first = (level[q] & -level[q]).bit_length() - 1
-        slices.append(
-            (
-                tuple(masks[first:]),
-                tuple(covers >> first for covers in up[first:]),
-                tuple(tuple(j - first for j in below) for below in down[first:]),
-                {},
-            )
-        )
     return SimpleNamespace(
         masks=tuple(masks),
         rank=tuple(rank),
@@ -201,7 +190,7 @@ def _face_tables() -> SimpleNamespace:
         # the levels are disjoint, so their sum is their OR
         even=sum(level[0::2]),
         odd=sum(level[1::2]),
-        slices=tuple(slices),
+        pairs={},
     )
 
 
@@ -427,10 +416,10 @@ class SimplicialComplex:
         return closure
 
     def _ranked_faces(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """The faces numbered best-first, as ``_rank_faces`` returns them;
-        the q-faces are contiguous and in lexicographic order.  Every
-        complex ranks its own faces here; only ``_search_faces`` reads a
-        slice of the tables instead."""
+        """The faces numbered as ``_rank_faces`` returns them; the q-faces
+        are contiguous and in reverse lexicographic order.  Every complex
+        ranks its own faces here; only ``_search_faces`` reads the tables
+        instead."""
         return _rank_faces(self._face_groups)
 
     def _search_faces(
@@ -443,13 +432,13 @@ class SimplicialComplex:
         bitset over those ranks; and its free faces, those with exactly one
         cover in it.
 
-        On the tables these are the slice for ``dim``, with the slice's own
-        ``pairs``, and the table closure and free set shifted onto it; the
-        slice also holds faces outside the complex, and only the closure
-        tells them apart.  A face is free exactly when one facet holds it
-        and covers it, so the free set is read off the facets' down-sets
-        and boundary columns.  Otherwise every rank is a face, the free
-        faces are the ranks with one cover, and ``pairs`` starts empty.
+        On the tables these are the tables' own, ``pairs`` included, with
+        the table closure; the tables also hold faces outside the complex,
+        and only the closure tells them apart.  A face is free exactly when
+        one facet holds it and covers it, so the free set is read off the
+        facets' down-sets and boundary columns.  Otherwise every rank is a
+        face, the free faces are the ranks with one cover, and ``pairs``
+        starts empty.
         """
         closure = self._table_closure
         if closure is None:
@@ -465,12 +454,7 @@ class SimplicialComplex:
             twice |= once & below
             once |= below
             covered |= t.boundary[r]
-        masks, up, down, pairs = t.slices[self.dim]
-        # no face of the complex ranks before its first dim-face, where the
-        # slice starts
-        first = len(t.masks) - len(masks)
-        free = once & ~twice & covered
-        return masks, up, down, pairs, closure >> first, free >> first
+        return t.masks, t.up, t.down, t.pairs, closure, once & ~twice & covered
 
     def _boundary_columns(self) -> List[Iterable[int]]:
         """The GF(2) boundary maps for q = 2..dim: entry q-2 yields one
@@ -614,15 +598,25 @@ def join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
     )
 
 
+def _labels(labels: Optional[Sequence[int]], count: int, wrong_count: str) -> Tuple:
+    """``labels`` as a tuple, 0..count-1 when None.  Fewer or more than
+    ``count`` of them is a ValueError, ``wrong_count`` formatted with their
+    number; so is a repeated label."""
+    labels = tuple(range(count)) if labels is None else tuple(labels)
+    if len(labels) != count:
+        raise ValueError(wrong_count.format(len(labels)))
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"repeated labels: {labels}")
+    return labels
+
+
 def standard_sphere(d: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
     """S^d on d+2 vertices: every proper non-empty subset is a face."""
     if not _is_int(d) or d < 0:
         raise ValueError(f"sphere dimension must be an int >= 0, not {d!r}")
-    labels = tuple(range(d + 2)) if labels is None else tuple(labels)
-    if len(labels) != d + 2:
-        raise ValueError(f"standard {d}-sphere needs {d + 2} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated labels: {labels}")
+    labels = _labels(
+        labels, d + 2, f"standard {d}-sphere needs {d + 2} labels, got {{}}"
+    )
     return SimplicialComplex(itertools.combinations(labels, d + 1))
 
 
@@ -630,11 +624,9 @@ def standard_ball(d: int, labels: Optional[Sequence[int]] = None) -> SimplicialC
     """The solid d-simplex on d+1 vertices."""
     if not _is_int(d) or d < 0:
         raise ValueError(f"ball dimension must be an int >= 0, not {d!r}")
-    labels = tuple(range(d + 1)) if labels is None else tuple(labels)
-    if len(labels) != d + 1:
-        raise ValueError(f"standard {d}-ball needs {d + 1} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated labels: {labels}")
+    labels = _labels(
+        labels, d + 1, f"standard {d}-ball needs {d + 1} labels, got {{}}"
+    )
     return SimplicialComplex([labels])
 
 
@@ -642,11 +634,7 @@ def cycle(n: int, labels: Optional[Sequence[int]] = None) -> SimplicialComplex:
     """The n-gon S^1_n."""
     if not _is_int(n) or n < 3:
         raise ValueError(f"cycle length must be an int >= 3, not {n!r}")
-    labels = tuple(range(n)) if labels is None else tuple(labels)
-    if len(labels) != n:
-        raise ValueError(f"cycle({n}) needs {n} labels")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated labels: {labels}")
+    labels = _labels(labels, n, f"cycle({n}) needs {n} labels")
     return SimplicialComplex(
         [(labels[i], labels[(i + 1) % n]) for i in range(n)]
     )

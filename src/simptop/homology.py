@@ -6,7 +6,9 @@ so no sparse machinery is warranted.  The zeroth reduced Betti number is
 taken from the component count, which sidesteps the empty-face convention;
 the same count gives rank d1 = f0 - components, so elimination starts at
 q = 2.  The complex supplies the other boundary columns and, for printed
-matrices, its faces ranked in lexicographic order within each dimension.
+matrices, its faces ranked in reverse lexicographic order within each
+dimension, which the matrices index lexicographically.  A dimension is an
+int; anything else, bool and float included, is a ValueError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _is_int
 
 
 @dataclass(frozen=True)
@@ -52,18 +54,21 @@ def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     """The GF(2) boundary map from q-faces to (q-1)-faces.
 
     Faces are indexed in lexicographic vertex order in both dimensions.
+    The complex ranks them dimension ascending, each dimension in reverse
+    lexicographic order, so the q-faces are the ranks from ``first`` to
+    ``last`` - 1, the (q-1)-faces end at ``first`` - 1, and a face's index
+    counts down from the top rank of its dimension.
     """
-    if q < 1 or q > k.dim:
-        raise ValueError(f"boundary matrix needs 1 <= q <= dim, got q={q}")
+    if not _is_int(q) or q < 1 or q > k.dim:
+        raise ValueError(f"boundary matrix needs an int 1 <= q <= dim, got q={q!r}")
     fvec = k.f_vector()
     _, down = k._ranked_faces()
-    # best-first ranks: the q-faces form one run, the (q-1)-faces the next
-    first = sum(fvec[q + 1 :])
-    below = first + fvec[q]
+    first = sum(fvec[:q])
+    last = first + fvec[q]
     rows = [0] * fvec[q - 1]
     for j in range(fvec[q]):
-        for i in down[first + j]:
-            rows[i - below] |= 1 << j
+        for r in down[last - 1 - j]:
+            rows[first - 1 - r] |= 1 << j
     return Gf2Matrix(len(rows), fvec[q], tuple(rows))
 
 
@@ -90,6 +95,8 @@ def is_z2_acyclic(k: SimplicialComplex) -> bool:
 
 def is_z2_homology_sphere(k: SimplicialComplex, d: int) -> bool:
     """Reduced GF(2) homology equal to that of the d-sphere."""
+    if not _is_int(d):
+        raise ValueError(f"sphere dimension must be an int, not {d!r}")
     if k.is_empty() or d < 0:
         return False
     betti = reduced_betti(k)

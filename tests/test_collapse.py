@@ -72,8 +72,27 @@ class TestFreeFaces:
         assert free_faces(catalog.get("Sigma4").complex) == []
 
     def test_deterministic_order(self):
-        k = standard_ball(2, (1, 2, 3))
-        assert free_faces(k) == free_faces(k)
+        """``free_faces`` lists the free pairs a scan finds, each face with
+        exactly one proper superface, by dimension descending and then
+        vertex tuple: on the catalog, on random complexes on ids 0..6 (the
+        fixed tables) and on their images spread up to 63 (their own)."""
+        rng = random.Random(34)
+        ks = list(_catalog_variants()) + list(_random_complexes(34, 60))
+        ks += [spread_labels(k, rng) for k in ks if len(k.vertices) <= 7]
+        paths = set()
+        for k in ks:
+            closure = k._star.keys()
+            scanned = []
+            for tau in closure:
+                above = collapse._superfaces(closure, tau)
+                if len(above) == 1:
+                    scanned.append((tau, above[0]))
+            scanned.sort(key=lambda pair: (-pair[0].bit_count(), _bits(pair[0])))
+            got = [(s.free_face.mask, s.coface.mask) for s in free_faces(k)]
+            assert got == scanned, k
+            if len(got) > 1:
+                paths.add(k._table_closure is None)
+        assert paths == {False, True}
 
 
 class TestElementaryCollapse:
@@ -476,9 +495,9 @@ def _dfs_only_search(k, target, budget):
         node = stack[-1]
         closure, free, untried = node
         while untried:
-            low = untried & -untried
+            t = untried.bit_length() - 1
+            low = 1 << t
             untried ^= low
-            t = low.bit_length() - 1
             high = up[t] & closure
             pair = low | high
             child = closure ^ pair
@@ -710,8 +729,8 @@ class TestTablesMatchPerComplexBuild:
     def test_terminal_starts_high_targets_and_budgets(self):
         """A search that starts terminal, targets in dimensions 2 and 3,
         and one backtracking 3-complex at budgets that stop it at the first
-        node, early, late and never.  The table path runs on a slice that
-        holds faces outside the complex, and none of them may reach a
+        node, early, late and never.  The table path runs on tables that
+        hold faces outside the complex, and none of them may reach a
         certificate."""
         vertex = sc((3,))
         tetra = sc((0, 1, 2, 3))
@@ -765,8 +784,9 @@ class TestTablesMatchPerComplexBuild:
         for k in (sc((0, 1, 7)), sc((10, 20, 30, 40)), sc((2, 3), (3, 8))):
             assert len(k.vertices) <= 7 and k._table_closure is None
             masks, _ = k._ranked_faces()
+            # best-first is rank descending
             own = sorted(k._star, key=lambda m: (-m.bit_count(), _bits(m)))
-            assert masks == own
+            assert masks[::-1] == own
 
 
 # -- one greedy path against the exhaustive oracle in dimension <= 2 ------

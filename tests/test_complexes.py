@@ -654,11 +654,11 @@ class TestFaceTable:
         for k in ks:
             masks, _ = k._ranked_faces()
             dims = [m.bit_count() - 1 for m in masks]
-            assert dims == sorted(dims, reverse=True), k
+            assert dims == sorted(dims), k
             assert sorted(set(dims)) == list(range(k.dim + 1)), k
             for q in range(k.dim + 1):
                 run = [m for m in masks if m.bit_count() == q + 1]
-                assert run == sorted(run, key=_bits), (k, q)
+                assert run == sorted(run, key=_bits, reverse=True), (k, q)
             assert sorted(masks) == sorted(k._star)
 
     def test_from_faces_matches_constructor(self):
@@ -762,11 +762,18 @@ class TestFixedFaceTables:
     """The tables' own invariants, independent of any complex."""
 
     def test_ranks_in_dimension_then_lex_order(self):
-        masks = _face_tables().masks
+        t = _face_tables()
+        masks = t.masks
         assert len(masks) == 127 == 2**TABLE_VERTICES - 1
         assert set(masks) == set(range(1, 128))
-        keys = [(-m.bit_count(), _bits(m)) for m in masks]
+        # best-first, dimension descending then lexicographic, is rank
+        # descending
+        keys = [(-m.bit_count(), _bits(m)) for m in reversed(masks)]
         assert keys == sorted(keys)
+        # so the faces a q-complex can hold are the low bits: 0..62 for
+        # q = 2 and 0..97 for q = 3
+        assert sum(t.level[:3]) == (1 << 63) - 1
+        assert sum(t.level[:4]) == (1 << 98) - 1
 
     def test_downsets(self):
         t = _face_tables()
@@ -789,16 +796,10 @@ class TestFixedFaceTables:
             assert t.up[r] == sum(1 << j for j in covers)
             covered = {t.masks[j] for j in covers}
             assert covered == {m | 1 << v for v in range(TABLE_VERTICES)} - {m}
-        # slice q is the table from its first q-face on, ranks shifted to 0
-        for q, (masks, up, down, _) in enumerate(t.slices):
-            first = len(t.masks) - len(masks)
-            assert t.masks[first].bit_count() == q + 1
-            assert first == 0 or t.masks[first - 1].bit_count() == q + 2
-            assert masks == t.masks[first:]
-            assert up == tuple(covers >> first for covers in t.up[first:])
-            assert down == tuple(
-                tuple(j - first for j in below) for below in t.down[first:]
-            )
+            # a cover ranks above the faces it covers, so a q-complex's
+            # search reads no rank above its closure's
+            assert all(j < r for j in t.down[r])
+            assert t.up[r] >> (r + 1) << (r + 1) == t.up[r]
         for m in range(1, 128):
             assert t.masks[t.rank[m]] == m
 
@@ -824,19 +825,28 @@ class TestFixedFaceTables:
             with per_complex_faces():
                 for k in backtracking:
                     is_collapsible(k, 3000)
-        slices = _face_tables().slices
-        assert all(slices[q][3] for q in (2, 3))
-        # the per-complex searches each filled a dict of their own
+        t = _face_tables()
+        # every table search read the tables and their one pairs dict,
+        # which searches in dimensions 2 and 3 both filled
         own = stored[-len(backtracking) :]
+        table = stored[: -len(backtracking)]
+        own_tables = (t.masks, t.up, t.down, t.pairs)
+        assert all(
+            all(mine is theirs for mine, theirs in zip(faces, own_tables))
+            for faces in table
+        )
+        sigmas = {t.masks[key.bit_length() - 1] for key in t.pairs}
+        assert {sigma.bit_count() for sigma in sigmas} >= {3, 4}
+        # the per-complex searches each filled a dict of their own
         assert all(faces[3] for faces in own)
-        assert len({id(faces[3]) for faces in own + list(slices)}) == len(own) + 7
+        assert len({id(faces[3]) for faces in own} | {id(t.pairs)}) == len(own) + 1
 
         def below(m):
             return [m ^ 1 << v for v in _bits(m)] if m & (m - 1) else []
 
-        for masks, _, _, pairs in own + list(slices):
+        for masks, _, _, pairs in own + [(t.masks, t.up, t.down, t.pairs)]:
             for key, cells in pairs.items():
-                s, r = _bits(key)
+                r, s = _bits(key)
                 tau, sigma = masks[r], masks[s]
                 assert tau in below(sigma)
                 listed = [f for f in below(tau) + below(sigma) if f != tau]
@@ -872,13 +882,16 @@ class TestFixedFaceTables:
             "assert complexes._face_tables.cache_info().currsize == 0\n"
             "simptop.standard_ball(2).f_vector()\n"
             "assert complexes._face_tables.cache_info().currsize == 1\n"
-            "slices = complexes._face_tables().slices\n"
+            "t = complexes._face_tables()\n"
             "ball = simptop.standard_ball(2)\n"
             "assert simptop.collapses_to(ball, ball).nodes_explored == 0\n"
-            "assert not any(pairs for *_, pairs in slices)\n"
+            "assert not t.pairs\n"
             "simptop.is_collapsible(ball)\n"
-            "filled = [q for q, (*_, pairs) in enumerate(slices) if pairs]\n"
-            "assert filled == [2]\n"
+            # the pairs the search removed before the last, keyed by their
+            # bits: (0 1, 0 1 2) and (0, 0 2)
+            "keys = {1 << t.rank[tau] | 1 << t.rank[sigma]\n"
+            "        for tau, sigma in ((0b11, 0b111), (0b1, 0b101))}\n"
+            "assert t.pairs.keys() == keys\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 

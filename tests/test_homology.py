@@ -79,6 +79,13 @@ class TestBoundaryMatrix:
         with pytest.raises(ValueError):
             boundary_matrix(sc((1, 2, 3)), 0)
 
+    def test_q_must_be_an_int(self):
+        # bool is an int subclass, and a float would reach a slice index
+        k = sc((1, 2, 3))
+        for q in (True, False, 1.0, 1.5, "1", None):
+            with pytest.raises(ValueError, match="an int"):
+                boundary_matrix(k, q)
+
     def test_gf2_rank_small(self):
         assert gf2_rank([0b11, 0b10, 0b01]) == 2
         assert gf2_rank([0, 0]) == 0
@@ -116,6 +123,13 @@ class TestReducedBetti:
         for k in (standard_ball(0, (3,)), standard_ball(2), sc((1,), (2,))):
             assert not is_z2_homology_sphere(k, -1)
             assert not is_z2_homology_sphere(k, -2)
+
+    def test_sphere_dimension_must_be_an_int(self):
+        # 2.0 and True compare equal to the ints 2 and 1
+        for k in (standard_sphere(2), standard_sphere(1)):
+            for d in (2.0, 1.0, True, False, -1.0, "2", None):
+                with pytest.raises(ValueError, match="must be an int"):
+                    is_z2_homology_sphere(k, d)
 
     def test_disconnected(self):
         two_points = sc((1,), (2,))
