@@ -14,23 +14,24 @@ BISTELLAR reads the bistellar moves (Bjorner-Lutz, Exp. Math. 9, 2000): the
 star table ``k._star`` maps each face to the union of the facets containing
 it, whose vertex set is alpha plus V(lk alpha).  Within V(k) a bistellar A
 is such a union with d + 2 vertices; any admissible A is a facet plus one
-vertex.  ``_moves`` classifies every candidate of a complex and serves
-:func:`enumerate_moves`; it is also the oracle of the walk state.  The
-sweep over all (d+2)-subsets of V(k), one ``classify_move`` each, is kept
-only as the test oracle of ``_moves``.
+vertex.  :func:`enumerate_moves` classifies every candidate of a complex;
+it is also the oracle of the walk state.  The sweep over all (d+2)-subsets
+of V(k), one ``classify_move`` each, is kept only as its test oracle.
 
 The random walk and the flip search each carry one walk state: the facets,
 a private copy of the star table and every candidate A with its class.  A
 move at A rewrites the star entries of the subsets of A and re-classifies
-only the candidates that read them, so the state's move list stays that of
-``_moves`` on the current complex, in content and order, and the draws,
-and so the results, are those of the described list.  The flip search's
-energy reads vertex degrees off the state's table, and it undoes a
-rejected move by the move at the same A.  A complex is built only when the
-walk or the search returns (or for the ``reach`` goal's isomorphism test);
-the walk's result takes the state's table over.  ``enumerate_moves``
-describes every move as a :class:`MoveDescriptor`; the walk and the flip
-search describe only the moves they record.
+only the candidates that read them, so the state's move list stays the
+bistellar moves of ``enumerate_moves`` on the current complex, in content
+and order, and the draws, and so the results, are those of the described
+list.  Only the walk stars a fresh vertex, the smallest id outside V(k),
+into a facet; those expanding moves follow the list, in facet order.  The
+flip search's energy reads vertex degrees off the state's table, and it
+undoes a rejected move by the move at the same A.  A complex is built only
+when the walk or the search returns (or for the ``reach`` goal's
+isomorphism test); the walk's result takes the state's table over.
+``enumerate_moves`` describes every move as a :class:`MoveDescriptor`; the
+walk and the flip search describe only the moves they record.
 """
 
 from __future__ import annotations
@@ -160,16 +161,6 @@ def classify_move(k: SimplicialComplex, a_set) -> MoveDescriptor:
     return _descriptor((a_mask, alpha_mask, beta_mask, i, classification))
 
 
-def _fresh_vertex(vertex_mask: int) -> int:
-    """The smallest vertex id outside ``vertex_mask``."""
-    free = ~vertex_mask & ((1 << VERTEX_LIMIT) - 1)
-    if not free:
-        raise ValueError(
-            f"no fresh vertex: V(k) fills the vertex cap of {VERTEX_LIMIT}"
-        )
-    return (free & -free).bit_length() - 1
-
-
 # (A, alpha, beta, i, classification), all faces as masks
 _Move = Tuple[int, int, int, int, str]
 
@@ -216,16 +207,22 @@ def _classify(star: Dict[int, int], a: int, d: int) -> Optional[_Move]:
     return (a, alpha, beta, i, classification)
 
 
-def _moves(
+def enumerate_moves(
     k: SimplicialComplex,
-    classifications: Optional[Iterable[str]],
-    include_expanding: bool,
-) -> List[_Move]:
-    """The moves of :func:`enumerate_moves`, in its order, as mask tuples."""
+    classifications: Optional[Iterable[str]] = None,
+) -> List[MoveDescriptor]:
+    """All classified moves at (d+2)-subsets A of V(k), in vertex order.
+
+    Every class is read off ``k._star`` (face -> union of the facets
+    containing it), by the rule of :func:`classify_move`: lk(alpha) has
+    vertex set star[alpha] minus alpha.  When only bistellar classes are
+    wanted the candidates are the star values with d+2 vertices; otherwise
+    each facet plus one more vertex of V(k).  Moves that star a fresh vertex
+    into a facet enlarge the complex and are not listed; only
+    :func:`random_bistellar_walk` makes them.
+    """
     if k.is_empty() or not k.is_pure():
         raise ValueError("enumerate_moves needs a pure non-empty complex")
-    if not isinstance(include_expanding, bool):
-        raise ValueError(f"include_expanding must be a bool, not {include_expanding!r}")
     if classifications is None:
         wanted = set(CLASSIFICATIONS)
     elif isinstance(classifications, str):
@@ -239,49 +236,22 @@ def _moves(
                 f"valid: {', '.join(CLASSIFICATIONS)}"
             )
     d = k.dim
-    facets = k.facet_masks
     star = k._star
     if wanted <= _BISTELLAR_KINDS:
         # inside V(k) a bistellar A is alpha | V(lk alpha) = star[alpha]
         candidates = {a for a in star.values() if a.bit_count() == d + 2}
     else:
         # every admissible A holds a facet
-        candidates = {f | 1 << v for f in facets for v in _bits(k.vertex_mask & ~f)}
+        vertices = k.vertex_mask
+        candidates = {f | 1 << v for f in k.facet_masks for v in _bits(vertices & ~f)}
 
-    out: List[_Move] = []
+    out: List[MoveDescriptor] = []
     # every candidate has d + 2 vertices, so the _lex_key sort is lexicographic
     for a in sorted(candidates, key=_lex_key, reverse=True):
         move = _classify(star, a, d)
         if move is not None and move[4] in wanted:
-            out.append(move)
-    if include_expanding:
-        if d < 1:
-            raise ValueError("bistellar moves need dimension >= 1")
-        fresh = 1 << _fresh_vertex(k.vertex_mask)
-        # the only facet inside f | fresh is f, so the core is the fresh
-        # vertex, a non-face, and alpha = f is a facet: always bistellar
-        if BISTELLAR in wanted:
-            out.extend((f | fresh, f, fresh, d, BISTELLAR) for f in facets)
+            out.append(_descriptor(move))
     return out
-
-
-def enumerate_moves(
-    k: SimplicialComplex,
-    classifications: Optional[Iterable[str]] = None,
-    include_expanding: bool = False,
-) -> List[MoveDescriptor]:
-    """All classified moves at (d+2)-subsets A of V(k), in vertex order.
-
-    Every class is read off ``k._star`` (face -> union of the facets
-    containing it), by the rule of :func:`classify_move`: lk(alpha) has
-    vertex set star[alpha] minus alpha.  When only bistellar classes are
-    wanted the candidates are the star values with d+2 vertices; otherwise
-    each facet plus one more vertex of V(k).  Moves that star a fresh vertex
-    into a facet enlarge the complex, so they are left out unless
-    ``include_expanding`` is set; they follow in facet order, and the fresh
-    vertex is the smallest id outside V(k).
-    """
-    return [_descriptor(m) for m in _moves(k, classifications, include_expanding)]
 
 
 def _check_count(name: str, value) -> None:
@@ -310,11 +280,12 @@ class _WalkState:
     and every candidate A: each star value with d + 2 vertices, with the
     number of faces whose star it is and its :func:`_classify` result.  The
     candidates classified bistellar are kept in lexicographic order, so
-    :meth:`move_at` j is entry j of ``_moves(k, _BISTELLAR_KINDS,
-    expanding)`` for the complex k the facets form.  A move at A changes
-    only the faces inside A, so :meth:`apply` rewrites the star entries of
-    the subsets of A and re-classifies only the candidates whose
-    classification read one of them.
+    :meth:`move_at` j, for j below the count without expanding moves, is
+    entry j of ``enumerate_moves(k, _BISTELLAR_KINDS)`` for the complex k
+    the facets form.  A move at A changes only the faces inside A, so
+    :meth:`apply` rewrites the star entries of the subsets of A and
+    re-classifies only the candidates whose classification read one of
+    them.
     """
 
     def __init__(self, k: SimplicialComplex, caller: str) -> None:
@@ -351,7 +322,9 @@ class _WalkState:
         if j < len(self.order):
             return self.classified[self.order[j]]
         f = sorted(self.facets, key=_lex_key, reverse=True)[j - len(self.order)]
-        fresh = 1 << _fresh_vertex(self.vertex_mask)
+        # the walk expands only below VERTEX_LIMIT - 1 vertices, so the
+        # lowest clear bit, the smallest id outside V(k), is at most 62
+        fresh = (self.vertex_mask + 1) & ~self.vertex_mask
         return (f | fresh, f, fresh, self.d, BISTELLAR)
 
     def apply(self, a: int) -> None:

@@ -25,7 +25,7 @@ neighbourhoods.
 This module alone makes that choice: ``homology`` reads
 ``_boundary_columns`` and ``collapse`` reads ``_search_faces``, free
 faces included.  Boundary matrices rank every complex's own faces through
-``_ranked_faces``.  A complex caches one face index, its star table
+``_rank_faces``.  A complex caches one face index, its star table
 ``_star``: face -> OR of the facets on it.  Its keys are the closure that
 every other face query reads; ``induced`` reads its values, keeping a
 facet's trace g on U when ``_star[g]`` holds no more of U.  All values are
@@ -155,24 +155,23 @@ def _face_tables() -> SimpleNamespace:
     ``odd`` are the ORs of ``level[q]`` over even and over odd q, so a
     closure's Euler characteristic is two popcounts.
 
-    ``rank[m]`` is the rank of the face with mask m.  Faces are ranked
-    dimension ascending, so a q-complex's closure lies in the low bits,
-    0..62 for q = 2 and 0..97 for q = 3, and a collapse search runs on the
-    tables directly.  ``pairs`` starts empty; searches fill it with pair
-    neighbourhoods, which depend on the tables alone, and keep them.
+    Faces are ranked dimension ascending, so a q-complex's closure lies in
+    the low bits, 0..62 for q = 2 and 0..97 for q = 3, and a collapse
+    search runs on the tables directly; a face outranks its proper subsets,
+    so its rank is the top bit of its down-set.  ``pairs`` starts empty;
+    searches fill it with pair neighbourhoods, which depend on the tables
+    alone, and keep them.
     """
     n = TABLE_VERTICES
     subsets = range(1, 1 << n)
     groups = {q: [m for m in subsets if m.bit_count() == q + 1] for q in range(n)}
     masks, down = _rank_faces(groups)
     up = _covers(down)
-    rank = [0] * (1 << n)
-    for r, m in enumerate(masks):
-        rank[m] = r
     # a mask's proper subsets are smaller ints, so they are filled in first
     downset = [0] * (1 << n)
+    for r, m in enumerate(masks):
+        downset[m] = 1 << r
     for m in range(1, 1 << n):
-        downset[m] = 1 << rank[m]
         for v in _bits(m):
             downset[m] |= downset[m ^ 1 << v]
     level = [0] * n
@@ -181,7 +180,6 @@ def _face_tables() -> SimpleNamespace:
     boundary = tuple(sum(1 << j for j in below) for below in down)
     return SimpleNamespace(
         masks=tuple(masks),
-        rank=tuple(rank),
         downset=tuple(downset),
         down=tuple(down),
         up=tuple(up),
@@ -415,13 +413,6 @@ class SimplicialComplex:
             closure |= downset[f]
         return closure
 
-    def _ranked_faces(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """The faces numbered as ``_rank_faces`` returns them; the q-faces
-        are contiguous and in reverse lexicographic order.  Every complex
-        ranks its own faces here; only ``_search_faces`` reads the tables
-        instead."""
-        return _rank_faces(self._face_groups)
-
     def _search_faces(
         self,
     ) -> Tuple[Sequence[int], Sequence[int], Sequence[Tuple[int, ...]], Dict, int, int]:
@@ -436,20 +427,20 @@ class SimplicialComplex:
         the table closure; the tables also hold faces outside the complex,
         and only the closure tells them apart.  A face is free exactly when
         one facet holds it and covers it, so the free set is read off the
-        facets' down-sets and boundary columns.  Otherwise every rank is a
-        face, the free faces are the ranks with one cover, and ``pairs``
-        starts empty.
+        facets' down-sets and boundary columns; a facet's own rank is the
+        top bit of its down-set.  Otherwise every rank is a face, the free
+        faces are the ranks with one cover, and ``pairs`` starts empty.
         """
         closure = self._table_closure
         if closure is None:
-            masks, down = self._ranked_faces()
+            masks, down = _rank_faces(self._face_groups)
             up = _covers(down)
             free = sum(1 << r for r, c in enumerate(up) if c.bit_count() == 1)
             return masks, up, down, {}, (1 << len(masks)) - 1, free
         t = _face_tables()
         once = twice = covered = 0
         for f in self._facets:
-            r = t.rank[f]
+            r = t.downset[f].bit_length() - 1
             below = t.downset[f] ^ 1 << r
             twice |= once & below
             once |= below

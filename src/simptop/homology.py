@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
+from . import complexes
 from .complexes import SimplicialComplex, _is_int
 
 
@@ -62,7 +63,7 @@ def boundary_matrix(k: SimplicialComplex, q: int) -> Gf2Matrix:
     if not _is_int(q) or q < 1 or q > k.dim:
         raise ValueError(f"boundary matrix needs an int 1 <= q <= dim, got q={q!r}")
     fvec = k.f_vector()
-    _, down = k._ranked_faces()
+    _, down = complexes._rank_faces(k._face_groups)
     first = sum(fvec[:q])
     last = first + fvec[q]
     rows = [0] * fvec[q - 1]

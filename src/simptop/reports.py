@@ -219,9 +219,8 @@ def sphere_certificate_report(
 
 
 def homology_report(k: SimplicialComplex, betti: Tuple[int, ...]) -> str:
-    sphere_dim = "-"
-    if sum(betti) == 1 and betti[-1] == 1:
-        sphere_dim = str(len(betti) - 1)
+    # the d with is_z2_homology_sphere(k, d): betti is 1 at d, 0 elsewhere
+    sphere_dim = str(betti.index(1)) if sum(betti) == 1 else "-"
     body: Tree = {
         "betti": " ".join(map(str, betti)),
         "euler-characteristic": str(k.euler_characteristic()),

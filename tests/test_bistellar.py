@@ -29,7 +29,7 @@ from simptop.bistellar import (
     SINGULAR_BS1,
     SINGULAR_BS2,
     _classify,
-    _moves,
+    _descriptor,
     _WalkState,
     replay_trace,
 )
@@ -156,16 +156,9 @@ class TestEnumerate:
         bist = enumerate_moves(s2, (BISTELLAR,))
         assert len(all_moves) == len(singular) + len(proper) + len(bist)
 
-    def test_expanding_excluded_by_default(self):
-        s2 = catalog.get("Sigma2").complex
-        default = enumerate_moves(s2)
-        with_exp = enumerate_moves(s2, include_expanding=True)
-        assert len(with_exp) == len(default) + len(s2.facets)
 
-
-def _sweep(k, include_expanding):
-    """Oracle: classify every admissible (d+2)-subset of V(k) in lex order,
-    then every facet plus the smallest vertex outside V(k)."""
+def _sweep(k):
+    """Oracle: classify every admissible (d+2)-subset of V(k) in lex order."""
     d = k.dim
     out = []
     for combo in itertools.combinations(k.vertices, d + 2):
@@ -173,9 +166,6 @@ def _sweep(k, include_expanding):
         inside = sum(1 for f in k.facet_masks if f & ~a_mask == 0)
         if 1 <= inside <= d + 1:
             out.append(classify_move(k, a_mask))
-    if include_expanding:
-        fresh = min(set(range(64)) - set(k.vertices))
-        out.extend(classify_move(k, f | 1 << fresh) for f in k.facet_masks)
     return out
 
 
@@ -192,14 +182,10 @@ FILTERS = (
 
 
 def _assert_same_as_sweep(k):
-    for expanding in (False, True):
-        every = _sweep(k, expanding)
-        for wanted in FILTERS:
-            expected = [
-                m for m in every if wanted is None or m.classification in wanted
-            ]
-            fast = enumerate_moves(k, wanted, include_expanding=expanding)
-            assert fast == expected, (k, wanted, expanding)
+    every = _sweep(k)
+    for wanted in FILTERS:
+        expected = [m for m in every if wanted is None or m.classification in wanted]
+        assert enumerate_moves(k, wanted) == expected, (k, wanted)
 
 
 class TestFaceDrivenEnumeration:
@@ -239,7 +225,7 @@ class TestFaceDrivenEnumeration:
             enumerate_moves(s2, ("proper",))
         assert all(name in str(excinfo.value) for name in CLASSIFICATIONS)
         with pytest.raises(ValueError, match="unknown move classification"):
-            enumerate_moves(s2, (BISTELLAR, "bs2"), include_expanding=True)
+            enumerate_moves(s2, (BISTELLAR, "bs2"))
 
     def test_invalid_is_not_a_classification(self):
         # no move is ever classified invalid, so the name is unknown rather
@@ -255,21 +241,9 @@ class TestFaceDrivenEnumeration:
         with pytest.raises(ValueError, match="not 'bistellar'"):
             enumerate_moves(s2, BISTELLAR)
 
-    def test_non_bool_include_expanding_rejected(self):
-        # "no" is truthy: it returned the 10 expanding moves as well
-        s2 = catalog.get("Sigma2").complex
-        with pytest.raises(
-            ValueError, match="^include_expanding must be a bool, not 'no'$"
-        ):
-            enumerate_moves(s2, None, "no")
-        assert len(enumerate_moves(s2, None, False)) == 27
-
-    def test_full_vertex_pool_hits_vertex_cap(self):
-        full = cycle(64)
-        with pytest.raises(ValueError, match="vertex cap"):
-            enumerate_moves(full, include_expanding=True)
-        # without expanding moves the full pool is no obstacle
-        assert len(enumerate_moves(full, (BISTELLAR,))) == 64
+    def test_full_vertex_pool_is_no_obstacle(self):
+        # no listed move stars in a fresh vertex, so all 64 ids may be taken
+        assert len(enumerate_moves(cycle(64), (BISTELLAR,))) == 64
 
     def test_energy_from_link_degrees(self):
         names = ("RP2_6", "Sigma4", "octahedron", "S3_5", "Upsilon1")
@@ -440,10 +414,15 @@ def _assert_matches_fresh(state):
     values = Counter(a for a in star.values() if a.bit_count() == d + 2)
     assert state.counts == values
     assert state.classified == {a: _classify(star, a, d) for a in values}
-    for expanding in (False, True):
-        count = state.move_count(expanding)
-        listed = [state.move_at(j, expanding) for j in range(count)]
-        assert listed == _moves(k, _BISTELLAR_KINDS, expanding)
+    count = state.move_count(False)
+    listed = [_descriptor(state.move_at(j, False)) for j in range(count)]
+    assert listed == enumerate_moves(k, _BISTELLAR_KINDS)
+    # the expanding moves follow, one per facet, each starring in the
+    # smallest id outside V(k)
+    tail = range(count, state.move_count(True))
+    expanding = [_descriptor(state.move_at(j, True)) for j in tail]
+    fresh = min(set(range(64)) - set(k.vertices))
+    assert expanding == [classify_move(k, f | 1 << fresh) for f in k.facet_masks]
 
 
 @pytest.fixture
@@ -524,6 +503,26 @@ class TestWalkState:
         walked = random_bistellar_walk(start, 6, seed=2, max_vertices=11)
         assert walked._star is not start._star
         assert start._star == _star_table(start.facet_masks)
+
+    @pytest.mark.parametrize(
+        "n, seed, vertices, top", ((62, 1, 56, 62), (62, 2, 32, 59), (63, 1, 57, 60))
+    )
+    def test_walks_at_the_vertex_cap(self, monkeypatch, n, seed, vertices, top):
+        # the walk stars in a fresh vertex only below 63 vertices, so the
+        # lowest id outside V(k) it takes is at most 62
+        masks = []
+        apply = _WalkState.apply
+
+        def recording(state, a):
+            apply(state, a)
+            masks.append(state.vertex_mask)
+
+        monkeypatch.setattr(_WalkState, "apply", recording)
+        walked = random_bistellar_walk(cycle(n), 300, seed=seed)
+        assert len(masks) == 300
+        assert max(m.bit_count() for m in masks) == 63
+        assert max(masks) < 1 << 63
+        assert (len(walked.vertices), max(walked.vertices)) == (vertices, top)
 
 
 # Walk and flip results recorded before move enumeration became face-driven.

@@ -25,7 +25,13 @@ from simptop import (
 )
 from simptop import census, collapse, reports
 from simptop.collapse import COLLAPSIBLE, INCONCLUSIVE, NOT_COLLAPSIBLE, _search
-from simptop.complexes import EMPTY_COMPLEX, SimplicialComplex, _antichain, _bits
+from simptop.complexes import (
+    EMPTY_COMPLEX,
+    SimplicialComplex,
+    _antichain,
+    _bits,
+    _rank_faces,
+)
 
 from conftest import (
     image_mask,
@@ -783,7 +789,7 @@ class TestTablesMatchPerComplexBuild:
         assert sc((0, 1, 6), (2, 5))._table_closure is not None
         for k in (sc((0, 1, 7)), sc((10, 20, 30, 40)), sc((2, 3), (3, 8))):
             assert len(k.vertices) <= 7 and k._table_closure is None
-            masks, _ = k._ranked_faces()
+            masks, _ = _rank_faces(k._face_groups)
             # best-first is rank descending
             own = sorted(k._star, key=lambda m: (-m.bit_count(), _bits(m)))
             assert masks[::-1] == own

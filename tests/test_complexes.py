@@ -652,7 +652,7 @@ class TestFaceTable:
         ks = _catalog_complexes() + list(_random_mixed_complexes(14, 300))
         assert len({k.dim for k in ks}) >= 4
         for k in ks:
-            masks, _ = k._ranked_faces()
+            masks, _ = _rank_faces(k._face_groups)
             dims = [m.bit_count() - 1 for m in masks]
             assert dims == sorted(dims), k
             assert sorted(set(dims)) == list(range(k.dim + 1)), k
@@ -801,7 +801,8 @@ class TestFixedFaceTables:
             assert all(j < r for j in t.down[r])
             assert t.up[r] >> (r + 1) << (r + 1) == t.up[r]
         for m in range(1, 128):
-            assert t.masks[t.rank[m]] == m
+            # a face outranks its proper subsets
+            assert t.masks[t.downset[m].bit_length() - 1] == m
 
     def test_slice_pairs(self):
         """After a sampler batch and a backtracking batch, on the tables and
@@ -888,8 +889,11 @@ class TestFixedFaceTables:
             "assert not t.pairs\n"
             "simptop.is_collapsible(ball)\n"
             # the pairs the search removed before the last, keyed by their
-            # bits: (0 1, 0 1 2) and (0, 0 2)
-            "keys = {1 << t.rank[tau] | 1 << t.rank[sigma]\n"
+            # bits: (0 1, 0 1 2) and (0, 0 2); a face's bit is the top bit
+            # of its down-set
+            "def bit(m):\n"
+            "    return 1 << t.downset[m].bit_length() - 1\n"
+            "keys = {bit(tau) | bit(sigma)\n"
             "        for tau, sigma in ((0b11, 0b111), (0b1, 0b101))}\n"
             "assert t.pairs.keys() == keys\n"
         )
@@ -999,6 +1003,6 @@ class TestTablesMatchPerComplexBuild:
         assert ks
         for k in ks:
             assert k._table_closure is None
-            masks, _ = k._ranked_faces()
+            masks, _ = _rank_faces(k._face_groups)
             dims = [m.bit_count() - 1 for m in masks]
             assert k.f_vector() == tuple(dims.count(q) for q in range(k.dim + 1))

@@ -1,3 +1,4 @@
+import random
 import string
 
 import pytest
@@ -10,7 +11,10 @@ from simptop import (
     enumerate_census,
     enumerate_moves,
     flip_search,
+    from_facets,
     is_collapsible,
+    is_z2_homology_sphere,
+    reduced_betti,
     standard_ball,
     verify_certificate,
 )
@@ -84,6 +88,52 @@ class TestCertificateRoundTrips:
         tree = reports.parse_report(reports.census_report(result))
         assert int(tree["classes"]) == result.class_count
         assert len(tree["representatives"]) == result.class_count
+
+
+def _sphere_dim(k):
+    return reports.parse_report(reports.homology_report(k, reduced_betti(k)))[
+        "z2-homology-sphere-dim"
+    ]
+
+
+class TestHomologyReport:
+    """The report's sphere dimension is the d of ``is_z2_homology_sphere``."""
+
+    @staticmethod
+    def _assert_matches_library(k):
+        dims = [d for d in range(k.dim + 1) if is_z2_homology_sphere(k, d)]
+        assert _sphere_dim(k) == (str(dims[0]) if dims else "-"), k
+        return bool(dims)
+
+    def test_matches_the_library_rule(self):
+        rng = random.Random(35)
+        ks = [catalog.get(name).complex for name in catalog.names()]
+        for _ in range(300):
+            # mixed dimensions: the homology need not top out at dim k
+            n = rng.randint(5, 8)
+            ks.append(
+                from_facets(
+                    rng.sample(range(n), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 8))
+                )
+            )
+        spheres = [self._assert_matches_library(k) for k in ks]
+        assert 0 < sum(spheres) < len(spheres)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        (("S0_2", "0"), ("S2_4", "2"), ("RP2_6", "-"), ("DunceHat8", "-")),
+    )
+    def test_catalog_entries(self, name, expected):
+        assert _sphere_dim(catalog.get(name).complex) == expected
+
+    def test_annulus_is_a_homology_circle(self):
+        # Betti numbers (0, 1, 0): a 2-complex with the GF(2) homology of S^1
+        annulus = from_facets(
+            [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]
+        )
+        assert reduced_betti(annulus) == (0, 1, 0)
+        assert _sphere_dim(annulus) == "1"
 
 
 # keys and values the line format can carry: keys without spaces or colons,
